@@ -40,8 +40,9 @@ print(f"fine-tuning on {len(train_set)} trajectories, evaluating on {len(test_se
 
 for kind in ("ffn", "lstm"):
     _, train_report, curve = finetune_next_location(
-        state, kind, train_set, train_set, epochs=150, lr=3e-3,
-        freeze_backbone=True, seed=0,
+        state, kind, train_set, train_set,
+        TrainConfig(epochs=150, lr=3e-3, weight_decay=0.0, warmup_steps=0, seed=0),
+        freeze_backbone=True,
     )
     print(f"\n{kind} head: loss {curve[0]:.3f} -> {curve[-1]:.3f}")
     print(f"  train acc@1 {train_report.acc1:.3f}, acc@5 {train_report.acc5:.3f} "
@@ -50,8 +51,9 @@ for kind in ("ffn", "lstm"):
 # movement-mode classification over the pooled trajectory vector; the tiny
 # corpus is there to show the mechanics, not generalization
 _, report, _ = finetune_classifier(
-    state, train_set + test_set, train_set + test_set, epochs=100, lr=1e-2,
-    freeze_backbone=True, seed=0,
+    state, train_set + test_set, train_set + test_set,
+    TrainConfig(epochs=100, lr=1e-2, weight_decay=0.0, warmup_steps=0, seed=0),
+    freeze_backbone=True,
 )
 print(f"\nclassifier: accuracy {report.acc1:.3f}, macro F1 {report.macro_f1:.3f}")
 print("per class:", {k: v["support"] for k, v in report.per_class.items()})

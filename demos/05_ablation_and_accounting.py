@@ -11,6 +11,7 @@ from geoseq import (
     GridSpec,
     ModelConfig,
     PipelineConfig,
+    TrainConfig,
     build_vocab,
     count_params,
     estimate_flops,
@@ -41,5 +42,10 @@ print(f"\nforward FLOPs at T=32: {flops['total_flops']:,} "
       f"(scores term {flops['attn_scores']:,} grows with T^2)")
 
 print(f"\nablation over {len(trajs)} trajectories (1 epoch each, shared seed):")
-rows = run_ablation(trajs, vocab.sizes(), AblationSpec(epochs=1, seed=0, hidden=64, layers=2, heads=4))
+rows = run_ablation(
+    trajs,
+    ModelConfig(level_sizes=vocab.sizes(), hidden=64, layers=2, heads=4),
+    TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0),
+    AblationSpec(),
+)
 print(render_table(rows))

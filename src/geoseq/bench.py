@@ -14,7 +14,7 @@ hierarchical tokens with chained heads. Results are reported, not ranked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .downstream import compute_metrics, pretrained_predict_topk
 from .model import ModelConfig, TrainConfig, TrainingDiverged, pretrain
@@ -82,20 +82,12 @@ def estimate_flops(config: ModelConfig, seq_len: int) -> dict:
 # ablation harness
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AblationSpec:
+    """What the ablation compares; the model shape and training budget come
+    from the `ModelConfig` and `TrainConfig` passed beside it."""
+
     variants: tuple[str, ...] = VARIANTS
-    epochs: int = 1
-    batch_size: int = 16
-    lr: float = 1e-3
-    weight_decay: float = 1e-2
-    warmup_steps: int = 0
-    seed: int = 0
-    hidden: int = 64
-    layers: int = 2
-    heads: int = 4
-    attn_dropout: float = 0.1
-    max_seq_len: int = 32
     eval_k: int = 5
 
     def __post_init__(self):
@@ -126,22 +118,11 @@ def flatten_trajectories(trajs: list[Trajectory]) -> tuple[list[Trajectory], int
     return flat, len(mapping) + 2
 
 
-def _variant_config(variant: str, level_sizes: list[int], flat_size: int, spec: AblationSpec) -> ModelConfig:
+def _variant_config(variant: str, config: ModelConfig, flat_size: int) -> ModelConfig:
     if variant == "baseline_flat_alm":
-        sizes, mode = [flat_size], "independent"
-    elif variant == "gt_independent_alm":
-        sizes, mode = list(level_sizes), "independent"
-    else:
-        sizes, mode = list(level_sizes), "chained"
-    return ModelConfig(
-        level_sizes=sizes,
-        hidden=spec.hidden,
-        layers=spec.layers,
-        heads=spec.heads,
-        attn_dropout=spec.attn_dropout,
-        max_seq_len=spec.max_seq_len,
-        head_mode=mode,
-    )
+        return replace(config, level_sizes=[flat_size], head_mode="independent")
+    mode = "independent" if variant == "gt_independent_alm" else "chained"
+    return replace(config, head_mode=mode)
 
 
 def _eval_with_own_heads(state, trajs, k: int):
@@ -156,8 +137,16 @@ def _eval_with_own_heads(state, trajs, k: int):
     return compute_metrics(ranked, targets)
 
 
-def run_ablation(trajs: list[Trajectory], level_sizes: list[int], spec: AblationSpec) -> list[dict]:
+def run_ablation(
+    trajs: list[Trajectory],
+    config: ModelConfig,
+    train: TrainConfig,
+    spec: AblationSpec = AblationSpec(),
+) -> list[dict]:
     """Train every variant with one budget/seed and report the comparison.
+
+    `config` gives the hierarchical level sizes and the shape every variant
+    shares; each variant sets its own vocabulary and head mode.
 
     Training uses the shuffled 80% share; accuracy is the model's own
     next-location prediction on the held-out test share, with correctness
@@ -166,11 +155,11 @@ def run_ablation(trajs: list[Trajectory], level_sizes: list[int], spec: Ablation
     variant is recorded and the run continues.
     """
     flat_trajs, flat_size = flatten_trajectories(trajs)
-    parts = split(len(trajs), spec.seed)
+    parts = split(len(trajs), train.seed)
     rows = []
     for variant in spec.variants:
         data = flat_trajs if variant == "baseline_flat_alm" else trajs
-        config = _variant_config(variant, level_sizes, flat_size, spec)
+        variant_config = _variant_config(variant, config, flat_size)
         train_set = [data[i] for i in parts.pretrain]
         eval_set = [data[i] for i in parts.finetune_test]
         row = {
@@ -178,24 +167,13 @@ def run_ablation(trajs: list[Trajectory], level_sizes: list[int], spec: Ablation
             "halm_loss": None,
             "acc1": None,
             "acc5": None,
-            "params": count_params(config)["total"],
-            "flops": estimate_flops(config, spec.max_seq_len)["total_flops"],
-            "embedding_params": count_params(config)["embeddings"],
+            "params": count_params(variant_config)["total"],
+            "flops": estimate_flops(variant_config, config.max_seq_len)["total_flops"],
+            "embedding_params": count_params(variant_config)["embeddings"],
             "divergent": False,
         }
         try:
-            state, curve = pretrain(
-                train_set,
-                config,
-                TrainConfig(
-                    epochs=spec.epochs,
-                    batch_size=spec.batch_size,
-                    lr=spec.lr,
-                    weight_decay=spec.weight_decay,
-                    warmup_steps=spec.warmup_steps,
-                    seed=spec.seed,
-                ),
-            )
+            state, curve = pretrain(train_set, variant_config, train)
             report = _eval_with_own_heads(state, eval_set, spec.eval_k)
             row["halm_loss"] = curve[-1]
             row["acc1"] = report.acc1

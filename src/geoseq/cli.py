@@ -15,6 +15,7 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,52 +61,39 @@ class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
 
-_SYNTH_DEFAULTS = {
-    "users": 20,
-    "anchors_per_user": 3,
-    "bursts_per_user": 3,
-    "extent_m": 300_000.0,
-    "burst_len": [15, 25],
-    "dwell_minutes": [6, 12],
-    "jitter_m": 25.0,
-    "heading_noise": 0.15,
-}
+def _defaults(cls, skip=()) -> dict:
+    """A dataclass's field defaults as config values (tuples become lists)."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+        if f.default is not MISSING and f.name not in skip
+    }
 
-_ABLATION_DEFAULTS = {
-    "variants": ["baseline_flat_alm", "gt_independent_alm", "gt_halm"],
-    "eval_k": 5,
-}
+
+def _from_cfg(cls, cfg: dict, **given):
+    """Build a dataclass from config values (lists back to tuples) plus `given`."""
+    kwargs = {
+        f.name: tuple(cfg[f.name]) if isinstance(f.default, tuple) else cfg[f.name]
+        for f in fields(cls)
+        if f.name not in given
+    }
+    return cls(**kwargs, **given)
+
 
 DEFAULTS = {
     "h_levels": 3,
     "scales": [100_000.0, 1_000.0, 100.0],
     "origin": [0.0, 0.0],
-    "ref_lat": 0.0,
-    "profile": "gps",
-    "hidden": 256,
-    "layers": 6,
-    "heads": 8,
-    "attn_dropout": 0.1,
-    "max_seq_len": 32,
-    "head_mode": "chained",
-    "lr": 1e-3,
-    "betas": [0.9, 0.999],
-    "eps": 1e-8,
-    "weight_decay": 1e-2,
-    "warmup_steps": 10000,
-    "epochs": 10,
-    "batch_size": 32,
-    "seed": None,
+    **_defaults(ModelConfig),
+    **_defaults(TrainConfig),
+    "seed": None,  # required: set it in the config or pass --seed
     "task": "next_location",
     "head": "ffn",
     "freeze_backbone": False,
-    "resample_interval": 60,
-    "stop_speed_kmh": 4.0,
-    "min_stay_seconds": 300,
-    "min_trajectory_records": 10,
+    **_defaults(PipelineConfig),
     "split_fractions": [0.8, 0.8, 0.1],
-    "synth": _SYNTH_DEFAULTS,
-    "ablation": _ABLATION_DEFAULTS,
+    "synth": _defaults(SynthConfig, skip=("seed", "scales", "ref_lat")),
+    "ablation": _defaults(AblationSpec),
 }
 
 _CHOICES = {
@@ -137,7 +125,8 @@ def resolve_config(doc: dict) -> dict:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown key '{key}'")
         cfg[key] = value
-    for section, defaults in (("synth", _SYNTH_DEFAULTS), ("ablation", _ABLATION_DEFAULTS)):
+    for section in ("synth", "ablation"):
+        defaults = DEFAULTS[section]
         sub = cfg.get(section, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"'{section}' must be a JSON object")
@@ -213,43 +202,6 @@ def _grid_spec(cfg: dict) -> GridSpec:
     return GridSpec(tuple(cfg["scales"]), tuple(cfg["origin"]))
 
 
-def _model_config(cfg: dict, level_sizes: list[int]) -> ModelConfig:
-    return ModelConfig(
-        level_sizes=level_sizes,
-        hidden=cfg["hidden"],
-        layers=cfg["layers"],
-        heads=cfg["heads"],
-        attn_dropout=cfg["attn_dropout"],
-        max_seq_len=cfg["max_seq_len"],
-        head_mode=cfg["head_mode"],
-    )
-
-
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        betas=tuple(cfg["betas"]),
-        eps=cfg["eps"],
-        weight_decay=cfg["weight_decay"],
-        warmup_steps=cfg["warmup_steps"],
-        seed=seed,
-    )
-
-
-def _pipeline_config(cfg: dict) -> PipelineConfig:
-    return PipelineConfig(
-        profile=cfg["profile"],
-        ref_lat=cfg["ref_lat"],
-        resample_interval=cfg["resample_interval"],
-        stop_speed_kmh=cfg["stop_speed_kmh"],
-        min_stay_seconds=cfg["min_stay_seconds"],
-        min_trajectory_records=cfg["min_trajectory_records"],
-        max_seq_len=cfg["max_seq_len"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -258,18 +210,8 @@ def cmd_synth(cfg: dict, args) -> int:
     seed = _require_seed(cfg, args)
     out = _out_dir(args)
     s = cfg["synth"]
-    synth_cfg = SynthConfig(
-        users=s["users"],
-        anchors_per_user=s["anchors_per_user"],
-        extent_m=s["extent_m"],
-        bursts_per_user=s["bursts_per_user"],
-        burst_len=tuple(s["burst_len"]),
-        dwell_minutes=tuple(s["dwell_minutes"]),
-        jitter_m=s["jitter_m"],
-        heading_noise=s["heading_noise"],
-        seed=seed,
-        scales=tuple(cfg["scales"]),
-        ref_lat=cfg["ref_lat"],
+    synth_cfg = _from_cfg(
+        SynthConfig, s, seed=seed, scales=tuple(cfg["scales"]), ref_lat=cfg["ref_lat"]
     )
     records = generate_records(synth_cfg)
     write_csv(records, out / "synth.csv")
@@ -297,7 +239,7 @@ def cmd_preprocess(cfg: dict, args) -> int:
     seed = _require_seed(cfg, args)
     out = _out_dir(args)
     vocab = Vocabulary.load(args.vocab)
-    trajs = preprocess(read_csv(args.input), vocab, _pipeline_config(cfg))
+    trajs = preprocess(read_csv(args.input), vocab, _from_cfg(PipelineConfig, cfg))
     write_trajectories(trajs, out / "trajectories.ndjson")
     parts = split(len(trajs), seed, tuple(cfg["split_fractions"]))
     (out / "splits.json").write_text(json.dumps(split_to_json(parts)), encoding="utf-8")
@@ -320,8 +262,9 @@ def cmd_pretrain(cfg: dict, args) -> int:
     trajs = read_trajectories(args.data)
     parts = split_from_json(json.loads(Path(args.splits).read_text(encoding="utf-8")))
     vocab = Vocabulary.load(args.vocab)
-    config = _model_config(cfg, vocab.sizes())
-    state, curve = pretrain([trajs[i] for i in parts.pretrain], config, _train_config(cfg, seed))
+    config = _from_cfg(ModelConfig, cfg, level_sizes=vocab.sizes())
+    train = _from_cfg(TrainConfig, cfg, seed=seed)
+    state, curve = pretrain([trajs[i] for i in parts.pretrain], config, train)
     save_checkpoint(state, out / "checkpoint.gsq")
     (out / "losses.json").write_text(json.dumps({"epoch_loss": curve}), encoding="utf-8")
     _log(f"pretrain: {cfg['epochs']} epochs, final loss {curve[-1]:.4f}")
@@ -341,32 +284,16 @@ def cmd_finetune(cfg: dict, args) -> int:
     state = load_checkpoint(args.checkpoint)
     train_set = [trajs[i] for i in parts.finetune_train]
     test_set = [trajs[i] for i in parts.finetune_test]
+    train = _from_cfg(TrainConfig, cfg, seed=seed)
     if cfg["task"] == "next_location":
         head, report, curve = finetune_next_location(
-            state,
-            cfg["head"],
-            train_set,
-            test_set,
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            lr=cfg["lr"],
-            weight_decay=cfg["weight_decay"],
-            freeze_backbone=cfg["freeze_backbone"],
-            seed=seed,
+            state, cfg["head"], train_set, test_set, train, freeze_backbone=cfg["freeze_backbone"]
         )
         meta = {"kind": "head", "head_kind": cfg["head"], "config": state.config.to_json()}
         save_tensors(out / "head.gsq", head.params, meta)
     else:
         clf, report, curve = finetune_classifier(
-            state,
-            train_set,
-            test_set,
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            lr=cfg["lr"],
-            weight_decay=cfg["weight_decay"],
-            freeze_backbone=cfg["freeze_backbone"],
-            seed=seed,
+            state, train_set, test_set, train, freeze_backbone=cfg["freeze_backbone"]
         )
         meta = {
             "kind": "classifier",
@@ -454,22 +381,12 @@ def cmd_ablate(cfg: dict, args) -> int:
         level_sizes = [
             max(tup[h] for t in trajs for tup in t.ids) + 1 for h in range(levels)
         ]
-    spec = AblationSpec(
-        variants=tuple(cfg["ablation"]["variants"]),
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"],
-        warmup_steps=cfg["warmup_steps"],
-        seed=seed,
-        hidden=cfg["hidden"],
-        layers=cfg["layers"],
-        heads=cfg["heads"],
-        attn_dropout=cfg["attn_dropout"],
-        max_seq_len=cfg["max_seq_len"],
-        eval_k=cfg["ablation"]["eval_k"],
+    rows = run_ablation(
+        trajs,
+        _from_cfg(ModelConfig, cfg, level_sizes=level_sizes),
+        _from_cfg(TrainConfig, cfg, seed=seed),
+        _from_cfg(AblationSpec, cfg["ablation"]),
     )
-    rows = run_ablation(trajs, level_sizes, spec)
     (out / "ablation.json").write_text(json.dumps(rows, indent=2), encoding="utf-8")
     table = render_table(rows)
     (out / "ablation.txt").write_text(table, encoding="utf-8")

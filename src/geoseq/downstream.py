@@ -20,13 +20,14 @@ from .model import (
     Batch,
     ModelConfig,
     ModelState,
+    TrainConfig,
     decoder_forward,
     embed_sequence,
+    fit,
     head_forward,
     make_batch,
     one_hot,
 )
-from .optim import Adam
 from .pipeline import Trajectory
 from .tensor import Tensor
 
@@ -332,65 +333,85 @@ def _prefix_and_target(traj: Trajectory) -> tuple[Trajectory, tuple[int, ...]]:
     return prefix, traj.ids[-1]
 
 
+def _fit_head(
+    state: ModelState,
+    head_params: dict[str, Tensor],
+    pairs: list[tuple[Trajectory, object]],
+    head_loss,
+    train: TrainConfig,
+    freeze_backbone: bool,
+) -> list[float]:
+    """Fit a head on (trajectory, target) pairs through `fit`; returns the curve.
+
+    `head_loss(outputs, keep, targets)` scores one minibatch of decoder
+    outputs. With the backbone frozen its tensors are never touched and its
+    outputs are computed once per trajectory, in batches of up to
+    `train.batch_size`, before the first epoch; each step re-pads the cached
+    rows of its shuffled minibatch. Both heads mask PAD positions, so the
+    zero padding never reaches the loss.
+    """
+    levels = state.config.levels
+    params = dict(head_params)
+    if freeze_backbone:
+        rows = []
+        with T.no_grad():
+            for start in range(0, len(pairs), train.batch_size):
+                chunk = [traj for traj, _ in pairs[start : start + train.batch_size]]
+                out = backbone_outputs(state, make_batch(chunk, levels)).data
+                rows += [out[i, : len(traj.ids)] for i, traj in enumerate(chunk)]
+        items = list(zip(rows, (target for _, target in pairs)))
+
+        def outputs_of(sources, rng):
+            t1 = max(len(r) for r in sources)
+            padded = np.zeros((len(sources), t1, sources[0].shape[1]), dtype=sources[0].dtype)
+            keep = np.zeros((len(sources), t1), dtype=bool)
+            for i, r in enumerate(sources):
+                padded[i, : len(r)] = r
+                keep[i, : len(r)] = True
+            return Tensor(padded), keep
+    else:
+        params.update(state.params)
+        items = pairs
+
+        def outputs_of(sources, rng):
+            batch = make_batch(sources, levels)
+            return backbone_outputs(state, batch, rng=rng, training=True), batch.keep
+
+    def loss_fn(chunk, rng):
+        outputs, keep = outputs_of([source for source, _ in chunk], rng)
+        return head_loss(outputs, keep, np.asarray([t for _, t in chunk], dtype=np.int64))
+
+    return fit(params, items, loss_fn, train)
+
+
 def finetune_next_location(
     state: ModelState,
     head_kind: str,
     train_trajs: list[Trajectory],
     eval_trajs: list[Trajectory],
-    epochs: int = 10,
-    batch_size: int = 32,
-    lr: float = 1e-3,
-    weight_decay: float = 0.0,
+    train: TrainConfig,
     freeze_backbone: bool = False,
-    seed: int = 0,
     eval_k: int = 5,
 ):
     """Train a next-location head (optionally updating the backbone) and evaluate.
 
-    Returns (head, EvalReport, per-epoch mean loss). With the backbone frozen
-    its tensors are never touched and features are computed once per batch.
+    Returns (head, EvalReport, per-epoch mean loss).
     """
     cfg = state.config
     pairs = [_prefix_and_target(t) for t in train_trajs if t.length >= 2]
     if not pairs:
         raise ValueError("no trainable trajectories (need length >= 2)")
-    head = make_head(head_kind, cfg, seed=seed, dtype=state.dtype)
-    params = dict(head.params)
-    if not freeze_backbone:
-        params.update(state.params)
-    opt = Adam(params, lr=lr, weight_decay=weight_decay)
-    rng = np.random.default_rng(seed)
+    head = make_head(head_kind, cfg, seed=train.seed, dtype=state.dtype)
 
-    batches = []
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        batch = make_batch([p for p, _ in chunk], cfg.levels)
-        targets = np.asarray([t for _, t in chunk], dtype=np.int64)
-        batches.append((batch, targets, [None]))
+    def head_loss(outputs, keep, targets):
+        logits = chained_head_logits(head, head.features(outputs, keep))
+        loss = None
+        for h in range(cfg.levels):
+            ce = T.cross_entropy(logits[h], targets[:, h])
+            loss = ce if loss is None else T.add(loss, ce)
+        return loss
 
-    curve = []
-    for _ in range(epochs):
-        epoch_losses = []
-        for batch, targets, frozen_cache in batches:
-            if freeze_backbone:
-                if frozen_cache[0] is None:
-                    with T.no_grad():
-                        frozen_cache[0] = backbone_outputs(state, batch)
-                outputs = frozen_cache[0]
-            else:
-                outputs = backbone_outputs(state, batch, rng=rng, training=True)
-            features = head.features(outputs, batch.keep)
-            logits = chained_head_logits(head, features)
-            loss = None
-            for h in range(cfg.levels):
-                ce = T.cross_entropy(logits[h], targets[:, h])
-                loss = ce if loss is None else T.add(loss, ce)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_losses.append(float(loss.data))
-        curve.append(float(np.mean(epoch_losses)))
-
+    curve = _fit_head(state, head.params, pairs, head_loss, train, freeze_backbone)
     report = evaluate_next_location(state, head, eval_trajs, k=eval_k)
     return head, report, curve
 
@@ -434,58 +455,28 @@ def finetune_classifier(
     state: ModelState,
     train_trajs: list[Trajectory],
     eval_trajs: list[Trajectory],
+    train: TrainConfig,
     classes: list[str] | None = None,
-    epochs: int = 10,
-    batch_size: int = 32,
-    lr: float = 1e-3,
-    weight_decay: float = 0.0,
     freeze_backbone: bool = False,
-    seed: int = 0,
 ):
     """Train the classifier head on labeled trajectories and evaluate it.
 
     Labels unseen at training time are scored as a reported error class the
     model can never predict.
     """
-    cfg = state.config
     labeled = [t for t in train_trajs if t.label is not None]
     if not labeled:
         raise ValueError("no labeled trajectories to train on")
     if classes is None:
         classes = sorted({t.label for t in labeled})
     index = {c: i for i, c in enumerate(classes)}
-    clf = TrajectoryClassifier(cfg, classes, seed=seed, dtype=state.dtype)
-    params = dict(clf.params)
-    if not freeze_backbone:
-        params.update(state.params)
-    opt = Adam(params, lr=lr, weight_decay=weight_decay)
-    rng = np.random.default_rng(seed)
+    clf = TrajectoryClassifier(state.config, classes, seed=train.seed, dtype=state.dtype)
+    pairs = [(t, index[t.label]) for t in labeled]
 
-    batches = []
-    for start in range(0, len(labeled), batch_size):
-        chunk = labeled[start : start + batch_size]
-        batch = make_batch(chunk, cfg.levels)
-        targets = np.asarray([index[t.label] for t in chunk], dtype=np.int64)
-        batches.append((batch, targets, [None]))
+    def head_loss(outputs, keep, targets):
+        return T.cross_entropy(clf.logits(masked_mean_pool(outputs, keep)), targets)
 
-    curve = []
-    for _ in range(epochs):
-        epoch_losses = []
-        for batch, targets, frozen_cache in batches:
-            if freeze_backbone:
-                if frozen_cache[0] is None:
-                    with T.no_grad():
-                        frozen_cache[0] = backbone_outputs(state, batch)
-                outputs = frozen_cache[0]
-            else:
-                outputs = backbone_outputs(state, batch, rng=rng, training=True)
-            loss = T.cross_entropy(clf.logits(masked_mean_pool(outputs, batch.keep)), targets)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_losses.append(float(loss.data))
-        curve.append(float(np.mean(epoch_losses)))
-
+    curve = _fit_head(state, clf.params, pairs, head_loss, train, freeze_backbone)
     report = evaluate_classifier(state, clf, eval_trajs)
     return clf, report, curve
 

@@ -315,18 +315,22 @@ def forward_loss(
 
 
 # ---------------------------------------------------------------------------
-# pre-training
+# training
 # ---------------------------------------------------------------------------
 
-def pretrain(
-    trajs: list[Trajectory], config: ModelConfig, train: TrainConfig
-) -> tuple[ModelState, list[float]]:
-    """Self-supervised next-location training; returns per-epoch mean loss."""
-    if not trajs:
-        raise ValueError("empty pre-training set")
-    state = ModelState.init(config, seed=train.seed)
+def fit(params: dict[str, Tensor], items: list, loss_fn, train: TrainConfig) -> list[float]:
+    """The one training loop: shuffled minibatches, Adam, per-epoch mean loss.
+
+    Each epoch shuffles `items` and calls `loss_fn(chunk, rng)` on consecutive
+    chunks of up to `train.batch_size`, then steps Adam (built from every
+    `TrainConfig` field) over `params`. `rng` is the run's single generator,
+    seeded by `train.seed`; it shuffles first and is then free for dropout.
+    A non-finite loss raises `TrainingDiverged` before its step moves a parameter.
+    """
+    if not items:
+        raise ValueError("empty training set")
     opt = Adam(
-        state.params,
+        params,
         lr=train.lr,
         betas=train.betas,
         eps=train.eps,
@@ -334,25 +338,33 @@ def pretrain(
         warmup_steps=train.warmup_steps,
     )
     rng = np.random.default_rng(train.seed)
-    order = np.arange(len(trajs))
+    order = np.arange(len(items))
     curve = []
     for epoch in range(train.epochs):
         rng.shuffle(order)
         epoch_losses = []
-        for start in range(0, len(order), train.batch_size):
-            chunk = [trajs[i] for i in order[start : start + train.batch_size]]
-            batch = make_batch(chunk, config.levels)
-            loss = forward_loss(batch, state, rng=rng, training=True)
+        for step, start in enumerate(range(0, len(order), train.batch_size)):
+            loss = loss_fn([items[i] for i in order[start : start + train.batch_size]], rng)
             if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, step {start // train.batch_size}"
-                )
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
             opt.zero_grad()
             loss.backward()
             opt.step()
             epoch_losses.append(float(loss.data))
         curve.append(float(np.mean(epoch_losses)))
-    return state, curve
+    return curve
+
+
+def pretrain(
+    trajs: list[Trajectory], config: ModelConfig, train: TrainConfig
+) -> tuple[ModelState, list[float]]:
+    """Self-supervised next-location training; returns per-epoch mean loss."""
+    state = ModelState.init(config, seed=train.seed)
+
+    def loss_fn(chunk, rng):
+        return forward_loss(make_batch(chunk, config.levels), state, rng=rng, training=True)
+
+    return state, fit(state.params, trajs, loss_fn, train)
 
 
 # ---------------------------------------------------------------------------

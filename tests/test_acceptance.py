@@ -340,8 +340,9 @@ def test_criterion_9_ablation_harness():
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     _, flat_size = flatten_trajectories(trajs)
     premise = sum(vocab.sizes()) < flat_size
-    spec = AblationSpec(epochs=1, batch_size=16, seed=0, hidden=32, layers=1, heads=2)
-    rows = run_ablation(trajs, vocab.sizes(), spec)
+    model = ModelConfig(vocab.sizes(), hidden=32, layers=1, heads=2)
+    train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
+    rows = run_ablation(trajs, model, train, AblationSpec())
     table = render_table(rows)
     by_name = {r["variant"]: r for r in rows}
     ok = (

@@ -14,7 +14,7 @@ from geoseq.bench import (
     run_ablation,
 )
 from geoseq.grid import GridSpec, project
-from geoseq.model import Batch, ModelConfig, ModelState, forward_loss, make_batch
+from geoseq.model import Batch, ModelConfig, ModelState, TrainConfig, forward_loss, make_batch
 from geoseq.optim import Adam
 from geoseq.pipeline import PipelineConfig, preprocess
 from geoseq.synth import SynthConfig, generate_records, records_to_csv
@@ -180,8 +180,9 @@ def test_flatten_assigns_dense_ids(small_corpus):
 
 def test_ablation_emits_all_variants(small_corpus):
     trajs, vocab = small_corpus
-    spec = AblationSpec(epochs=1, batch_size=16, seed=0, hidden=16, layers=1, heads=2)
-    rows = run_ablation(trajs, vocab.sizes(), spec)
+    model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
+    train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
+    rows = run_ablation(trajs, model, train, AblationSpec())
     assert [r["variant"] for r in rows] == [
         "baseline_flat_alm", "gt_independent_alm", "gt_halm",
     ]
@@ -197,31 +198,36 @@ def test_ablation_flat_embeddings_cost_more(small_corpus):
     flat, flat_size = flatten_trajectories(trajs)
     if flat_size <= sum(vocab.sizes()):
         pytest.skip("corpus too small to exercise the compression premise")
-    spec = AblationSpec(epochs=1, batch_size=16, seed=0, hidden=16, layers=1, heads=2)
-    rows = {r["variant"]: r for r in run_ablation(trajs, vocab.sizes(), spec)}
+    model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
+    train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
+    rows = {r["variant"]: r for r in run_ablation(trajs, model, train, AblationSpec())}
     assert rows["baseline_flat_alm"]["embedding_params"] > rows["gt_halm"]["embedding_params"]
     assert rows["gt_halm"]["embedding_params"] == rows["gt_independent_alm"]["embedding_params"]
 
 
 def test_ablation_is_deterministic(small_corpus):
     trajs, vocab = small_corpus
-    spec = AblationSpec(epochs=1, batch_size=16, seed=3, hidden=16, layers=1, heads=2)
-    assert run_ablation(trajs, vocab.sizes(), spec) == run_ablation(trajs, vocab.sizes(), spec)
+    model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
+    train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=3)
+    spec = AblationSpec()
+    assert run_ablation(trajs, model, train, spec) == run_ablation(trajs, model, train, spec)
 
 
 def test_ablation_param_delta_between_gt_variants(small_corpus):
     trajs, vocab = small_corpus
     sizes = vocab.sizes()
-    spec = AblationSpec(epochs=1, batch_size=16, seed=0, hidden=16, layers=1, heads=2)
-    rows = {r["variant"]: r for r in run_ablation(trajs, sizes, spec)}
-    expected_delta = spec.hidden * sum(sizes[:-1])
+    model = ModelConfig(sizes, hidden=16, layers=1, heads=2)
+    train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
+    rows = {r["variant"]: r for r in run_ablation(trajs, model, train, AblationSpec())}
+    expected_delta = model.hidden * sum(sizes[:-1])
     assert rows["gt_halm"]["params"] - rows["gt_independent_alm"]["params"] == expected_delta
 
 
 def test_render_table_alignment(small_corpus):
     trajs, vocab = small_corpus
-    spec = AblationSpec(epochs=1, batch_size=16, seed=0, hidden=16, layers=1, heads=2)
-    text = render_table(run_ablation(trajs, vocab.sizes(), spec))
+    model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
+    train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
+    text = render_table(run_ablation(trajs, model, train, AblationSpec()))
     lines = text.strip().split("\n")
     assert lines[0].startswith("variant")
     assert len(lines) == 5  # header + rule + three variants

@@ -1,5 +1,6 @@
 """Subcommand round trips, exit codes, manifests, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -113,6 +114,33 @@ def test_ablate_smoke(workspace, tmp_path):
     assert (tmp_path / "a" / "ablation.txt").read_text().startswith("variant")
 
 
+def test_optimizer_keys_reach_finetune_and_ablate(workspace, tmp_path):
+    """A key the config accepts must change what the command writes."""
+    root, cfg = workspace
+    data = ["--data", str(root / "p" / "trajectories.ndjson")]
+    splits = ["--splits", str(root / "p" / "splits.json")]
+    vocab = ["--vocab", str(root / "v" / "vocab.json")]
+    assert dispatch(["pretrain", "--config", str(cfg), *data, *splits, *vocab,
+                     "--out", str(tmp_path / "t")]) == 0
+    ckpt = ["--checkpoint", str(tmp_path / "t" / "checkpoint.gsq")]
+
+    def written(command, args, artifact, **overrides):
+        # two epochs, so Adam takes more than the one step that cancels its betas
+        name = "-".join([command, *overrides])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**TINY, "epochs": 2, **overrides}), encoding="utf-8")
+        assert dispatch([command, "--config", str(path), *args,
+                         "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / artifact).read_bytes()
+
+    head = written("finetune", data + splits + ckpt, "head.gsq")
+    for key, value in (("warmup_steps", 5), ("betas", [0.5, 0.9]), ("eps", 1e-2)):
+        assert written("finetune", data + splits + ckpt, "head.gsq", **{key: value}) != head, key
+    table = written("ablate", data + vocab, "ablation.json")
+    for key, value in (("betas", [0.5, 0.9]), ("eps", 1e-2)):
+        assert written("ablate", data + vocab, "ablation.json", **{key: value}) != table, key
+
+
 def test_manifest_accompanies_artifacts(workspace):
     root, _ = workspace
     manifest = json.loads((root / "p" / "manifest.json").read_text())
@@ -173,3 +201,14 @@ def test_config_defaults_and_validation():
 def test_scales_must_match_levels():
     cfg = resolve_config({"h_levels": 2, "scales": [10_000.0, 100.0]})
     assert cfg["h_levels"] == 2
+
+
+def test_resolved_defaults_are_pinned():
+    # deriving the defaults from the config dataclasses must move no default
+    # and no manifest config_hash
+    cfg = resolve_config({})
+    canon = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(canon).hexdigest() == (
+        "dc1f3608e707a33cd0cdc40ea98937b4bdb3d6162b72b336f1ab350ba6a4a31d"
+    )
+    assert cfg["seed"] is None  # the CLI requires one

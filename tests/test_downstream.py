@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from geoseq import downstream
 from geoseq import tensor as T
 from geoseq.downstream import (
     NextLocationHeadFFN,
@@ -19,7 +20,7 @@ from geoseq.downstream import (
     predict_topk,
     pretrained_predict_topk,
 )
-from geoseq.model import Batch, ModelConfig, ModelState, make_batch
+from geoseq.model import Batch, ModelConfig, ModelState, TrainConfig, make_batch
 from geoseq.pipeline import Trajectory
 from geoseq.tensor import Tensor
 
@@ -200,8 +201,10 @@ def test_freeze_backbone_leaves_backbone_untouched():
     state = ModelState.init(config, seed=8)
     before = {k: p.data.copy() for k, p in state.params.items()}
     trajs = make_trajs(6, 4, config.level_sizes)
-    finetune_next_location(state, "ffn", trajs, trajs, epochs=3, lr=1e-2,
-                           freeze_backbone=True, seed=9)
+    finetune_next_location(state, "ffn", trajs, trajs,
+                           TrainConfig(epochs=3, lr=1e-2, weight_decay=0.0, warmup_steps=0,
+                                       seed=9),
+                           freeze_backbone=True)
     for name, p in state.params.items():
         assert np.array_equal(before[name], p.data), name
 
@@ -211,9 +214,60 @@ def test_unfrozen_backbone_moves():
     state = ModelState.init(config, seed=10)
     before = state["embed.h1"].data.copy()
     trajs = make_trajs(6, 4, config.level_sizes)
-    finetune_next_location(state, "ffn", trajs, trajs, epochs=2, lr=1e-2,
-                           freeze_backbone=False, seed=11)
+    finetune_next_location(state, "ffn", trajs, trajs,
+                           TrainConfig(epochs=2, lr=1e-2, weight_decay=0.0, warmup_steps=0,
+                                       seed=11),
+                           freeze_backbone=False)
     assert not np.array_equal(before, state["embed.h1"].data)
+
+
+def _finetune(task, state, trajs, eval_trajs, train, freeze_backbone):
+    if task == "classifier":
+        return finetune_classifier(state, trajs, eval_trajs, train,
+                                   freeze_backbone=freeze_backbone)
+    return finetune_next_location(state, task, trajs, eval_trajs, train,
+                                  freeze_backbone=freeze_backbone)
+
+
+@pytest.mark.parametrize("freeze_backbone", [True, False])
+@pytest.mark.parametrize("task", ["ffn", "lstm", "classifier"])
+def test_finetune_same_seed_bitwise_equal(task, freeze_backbone):
+    config = micro_config(attn_dropout=0.1)
+    trajs = make_trajs(10, 4, config.level_sizes, seed=40, label_from=["a", "b"])
+    train = TrainConfig(epochs=3, batch_size=4, lr=1e-2, warmup_steps=2, seed=41)
+    runs = []
+    for _ in range(2):
+        state = ModelState.init(config, seed=42)
+        head, _, curve = _finetune(task, state, trajs, trajs, train, freeze_backbone)
+        runs.append((curve, {k: p.data.copy() for k, p in head.params.items()}))
+    (curve_a, params_a), (curve_b, params_b) = runs
+    assert curve_a == curve_b
+    assert params_a.keys() == params_b.keys()
+    for name in params_a:
+        assert np.array_equal(params_a[name], params_b[name]), name
+
+
+@pytest.mark.parametrize("task", ["ffn", "lstm", "classifier"])
+def test_frozen_backbone_runs_once_per_trajectory(task, monkeypatch):
+    passes = []
+    real = downstream.decoder_forward
+
+    def counted(*args, **kwargs):
+        passes.append(args[0].data.shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(downstream, "decoder_forward", counted)
+    config = micro_config()
+    trajs = make_trajs(10, 4, config.level_sizes, seed=43, label_from=["a", "b"])
+    counts = []
+    for epochs in (1, 3):
+        passes.clear()
+        state = ModelState.init(config, seed=44)
+        train = TrainConfig(epochs=epochs, batch_size=4, warmup_steps=0, seed=45)
+        _finetune(task, state, trajs, trajs[:1], train, freeze_backbone=True)
+        counts.append(list(passes))
+    # batches of 4, 4 and 2 trajectories before training, then one evaluation pass
+    assert counts[0] == counts[1] == [4, 4, 2, 1]
 
 
 def walk_trajs(n, length, q=4, levels=2):
@@ -237,8 +291,9 @@ def test_overfit_ten_trajectories(head_kind):
                          attn_dropout=0.0, max_seq_len=16)
     state = ModelState.init(config, seed=12)
     _, report, curve = finetune_next_location(
-        state, head_kind, trajs, trajs, epochs=500, lr=1e-2,
-        freeze_backbone=False, seed=14,
+        state, head_kind, trajs, trajs,
+        TrainConfig(epochs=500, lr=1e-2, weight_decay=0.0, warmup_steps=0, seed=14),
+        freeze_backbone=False,
     )
     assert report.acc1 == 1.0
     assert curve[-1] < 0.1
@@ -248,8 +303,10 @@ def test_single_level_reduces_to_plain_next_token():
     trajs = walk_trajs(8, 4, levels=1)
     config = micro_config(level_sizes=(9,))
     state = ModelState.init(config, seed=15)
-    _, report, _ = finetune_next_location(state, "ffn", trajs, trajs, epochs=300,
-                                          lr=1e-2, freeze_backbone=False, seed=17)
+    _, report, _ = finetune_next_location(state, "ffn", trajs, trajs,
+                                          TrainConfig(epochs=300, lr=1e-2, weight_decay=0.0,
+                                                      warmup_steps=0, seed=17),
+                                          freeze_backbone=False)
     assert report.acc1 == 1.0  # plain single-vocabulary next-token prediction
 
 
@@ -316,7 +373,9 @@ def test_classifier_single_class():
     config = micro_config()
     state = ModelState.init(config, seed=27)
     trajs = make_trajs(6, 4, config.level_sizes, seed=28, label_from=["only"])
-    _, report, _ = finetune_classifier(state, trajs, trajs, epochs=5, seed=29,
+    _, report, _ = finetune_classifier(state, trajs, trajs,
+                                       TrainConfig(epochs=5, weight_decay=0.0, warmup_steps=0,
+                                                   seed=29),
                                        freeze_backbone=True)
     assert report.acc1 == 1.0
     assert report.macro_p == 1.0 and len(report.per_class) == 1
@@ -326,8 +385,10 @@ def test_classifier_overfits_ten_labeled():
     config = micro_config(hidden=16, level_sizes=(6, 7))
     state = ModelState.init(config, seed=30)
     trajs = make_trajs(10, 4, config.level_sizes, seed=31, label_from=["a", "b"])
-    _, report, _ = finetune_classifier(state, trajs, trajs, epochs=300, lr=1e-2,
-                                       freeze_backbone=False, seed=32)
+    _, report, _ = finetune_classifier(state, trajs, trajs,
+                                       TrainConfig(epochs=300, lr=1e-2, weight_decay=0.0,
+                                                   warmup_steps=0, seed=32),
+                                       freeze_backbone=False)
     assert report.acc1 == 1.0
 
 
@@ -342,8 +403,10 @@ def test_classifier_chance_level_on_random_labels():
         test = make_trajs(40, 4, config.level_sizes, seed=200 + seed)
         for t in test:
             t.label = ["x", "y"][int(rng.integers(2))]
-        _, report, _ = finetune_classifier(state, train, test, epochs=3, lr=1e-3,
-                                           freeze_backbone=True, seed=seed)
+        _, report, _ = finetune_classifier(state, train, test,
+                                           TrainConfig(epochs=3, lr=1e-3, weight_decay=0.0,
+                                                       warmup_steps=0, seed=seed),
+                                           freeze_backbone=True)
         accs.append(report.acc1)
     assert abs(float(np.mean(accs)) - 0.5) < 0.15
 
@@ -353,7 +416,9 @@ def test_classifier_unseen_label_counts_as_error():
     state = ModelState.init(config, seed=33)
     train = make_trajs(6, 4, config.level_sizes, seed=34, label_from=["a", "b"])
     test = make_trajs(4, 4, config.level_sizes, seed=35, label_from=["zzz"])
-    _, report, _ = finetune_classifier(state, train, test, epochs=2, seed=36,
+    _, report, _ = finetune_classifier(state, train, test,
+                                       TrainConfig(epochs=2, weight_decay=0.0, warmup_steps=0,
+                                                   seed=36),
                                        freeze_backbone=True)
     assert report.acc1 == 0.0
     assert "zzz" in report.per_class

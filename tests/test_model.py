@@ -15,6 +15,7 @@ from geoseq.model import (
     Batch,
     decoder_forward,
     embed_sequence,
+    fit,
     forward_loss,
     load_checkpoint,
     positional_encoding,
@@ -349,6 +350,43 @@ def test_pretrain_divergence_is_reported():
     train = TrainConfig(epochs=5, batch_size=8, lr=1e15, warmup_steps=0, seed=22)
     with pytest.raises(TrainingDiverged):
         pretrain(trajs, config, train)
+
+
+def test_fit_visits_every_item_once_per_epoch_in_a_fresh_order():
+    w = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+    chunks = []
+
+    def loss_fn(chunk, rng):
+        chunks.append(list(chunk))
+        return T.tsum(T.mul(w, w))
+
+    train = TrainConfig(epochs=3, batch_size=4, warmup_steps=0, seed=0)
+    curve = fit({"w": w}, list(range(10)), loss_fn, train)
+    assert len(curve) == 3
+    assert [len(c) for c in chunks] == [4, 4, 2] * 3
+    epochs = [sum(chunks[i : i + 3], []) for i in (0, 3, 6)]
+    assert all(sorted(e) == list(range(10)) for e in epochs)
+    assert len({tuple(e) for e in epochs}) == 3
+
+
+def test_fit_stops_on_non_finite_loss_before_stepping():
+    w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    calls = []
+    before_nan = {}
+
+    def loss_fn(chunk, rng):
+        calls.append(chunk)
+        if len(calls) == 5:  # three steps per epoch: epoch 1, step 1
+            before_nan["w"] = w.data.copy()
+            return T.mul(T.tsum(w), Tensor(np.array(np.nan, dtype=np.float32)))
+        return T.tsum(T.mul(w, w))
+
+    train = TrainConfig(epochs=3, batch_size=2, lr=1e-1, warmup_steps=0, seed=0)
+    with pytest.raises(TrainingDiverged, match="epoch 1, step 1$"):
+        fit({"w": w}, list(range(6)), loss_fn, train)
+    assert len(calls) == 5
+    assert not np.array_equal(before_nan["w"], np.ones(3, dtype=np.float32))
+    assert np.array_equal(w.data, before_nan["w"])
 
 
 # -- checkpoints ---------------------------------------------------------------
