@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .downstream import compute_metrics, pretrained_predict_topk
+from .downstream import evaluate_next_location
 from .model import ModelConfig, TrainConfig, TrainingDiverged, pretrain
 from .optim import NonFiniteGradientError
 from .pipeline import Trajectory, split
@@ -125,18 +125,6 @@ def _variant_config(variant: str, config: ModelConfig, flat_size: int) -> ModelC
     return replace(config, head_mode=mode)
 
 
-def _eval_with_own_heads(state, trajs, k: int):
-    ranked, targets = [], []
-    for traj in trajs:
-        if traj.length < 2:
-            continue
-        prefix = Trajectory(traj.user, traj.ids[:-1], traj.timestamps[:-1], traj.label)
-        top = pretrained_predict_topk(state, prefix, k)
-        ranked.append([tup for tup, _ in top])
-        targets.append(traj.ids[-1])
-    return compute_metrics(ranked, targets)
-
-
 def run_ablation(
     trajs: list[Trajectory],
     config: ModelConfig,
@@ -174,7 +162,7 @@ def run_ablation(
         }
         try:
             state, curve = pretrain(train_set, variant_config, train)
-            report = _eval_with_own_heads(state, eval_set, spec.eval_k)
+            report = evaluate_next_location(state, None, eval_set, k=spec.eval_k)
             row["halm_loss"] = curve[-1]
             row["acc1"] = report.acc1
             row["acc5"] = report.acc5

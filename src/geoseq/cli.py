@@ -28,8 +28,9 @@ from .downstream import (
     finetune_classifier,
     finetune_next_location,
     make_head,
+    # unused here, but bound on purpose: perfbench/tracer.py checks that this
+    # name (and downstream.head_forward) is replaced by its timing wrapper
     pretrained_predict_topk,
-    compute_metrics,
 )
 from .grid import GridError, GridSpec
 from .model import (
@@ -43,7 +44,6 @@ from .model import (
 )
 from .pipeline import (
     PipelineConfig,
-    Trajectory,
     iter_csv_points,
     preprocess,
     read_csv,
@@ -135,6 +135,12 @@ def resolve_config(doc: dict) -> dict:
                 raise ConfigError(f"unknown key '{section}.{key}'")
         cfg[section] = {**defaults, **sub}
     out = {**DEFAULTS, **cfg}
+    _check_number_types(out, DEFAULTS)
+    for key in ("epochs", "batch_size", "hidden", "heads"):
+        if out[key] < 1:
+            raise ConfigError(f"'{key}' must be at least 1, got {out[key]}")
+    if out["hidden"] % out["heads"]:
+        raise ConfigError(f"'hidden' {out['hidden']} is not divisible by 'heads' {out['heads']}")
     if len(out["scales"]) != out["h_levels"]:
         raise ConfigError(
             f"'scales' has {len(out['scales'])} entries but 'h_levels' is {out['h_levels']}"
@@ -149,6 +155,20 @@ def resolve_config(doc: dict) -> dict:
     except (GridError, TypeError) as e:
         raise ConfigError(f"'scales'/'origin': {e}") from None
     return out
+
+
+def _check_number_types(values: dict, defaults: dict, prefix: str = ""):
+    """An int, float or bool value must have its default's type; an int may stand for a float."""
+    for key, default in defaults.items():
+        value = values[key]
+        if isinstance(default, dict):
+            _check_number_types(value, default, f"{prefix}{key}.")
+        elif type(default) in (int, float, bool):
+            allowed = (int, float) if type(default) is float else (type(default),)
+            if type(value) not in allowed:
+                raise ConfigError(
+                    f"'{prefix}{key}' must be {type(default).__name__}, got {value!r}"
+                )
 
 
 def _require_seed(cfg: dict, args) -> int:
@@ -354,15 +374,7 @@ def cmd_eval(cfg: dict, args) -> int:
             report = evaluate_classifier(state, head, test_set)
     else:
         # no fine-tuned head: score the pre-training heads' own predictions
-        ranked, targets = [], []
-        for traj in test_set:
-            if traj.length < 2:
-                continue
-            prefix = Trajectory(traj.user, traj.ids[:-1], traj.timestamps[:-1], traj.label)
-            top = pretrained_predict_topk(state, prefix, 5)
-            ranked.append([tup for tup, _ in top])
-            targets.append(traj.ids[-1])
-        report = compute_metrics(ranked, targets)
+        report = evaluate_next_location(state, None, test_set)
     (out / "report.json").write_text(json.dumps(report.to_json()), encoding="utf-8")
     _log(f"eval: acc@1 {report.acc1:.4f} acc@5 {report.acc5:.4f} on {report.n} samples")
     _write_manifest(out, "eval", cfg, cfg.get("seed"), inputs, ["report.json"])

@@ -21,12 +21,13 @@ from .model import (
     ModelConfig,
     ModelState,
     TrainConfig,
+    chain_one_hot,
+    chained_logits,
     decoder_forward,
     embed_sequence,
     fit,
     head_forward,
     make_batch,
-    one_hot,
 )
 from .pipeline import Trajectory
 from .tensor import Tensor
@@ -221,18 +222,23 @@ def make_head(kind: str, config: ModelConfig, seed: int = 0, dtype=np.float32):
     raise ValueError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
 
 
-def chained_head_logits(head, features) -> list[Tensor]:
-    """All-level logits with the same argmax one-hot chaining as pre-training."""
-    cfg = head.config
-    logits = [head.level_logits(1, features, None)]
-    for h in range(2, cfg.levels + 1):
-        if cfg.head_mode == "chained":
-            prev = np.argmax(logits[-1].data, axis=-1)
-            hot = one_hot(prev, cfg.level_sizes[h - 2], logits[-1].data.dtype)
-        else:
-            hot = None
-        logits.append(head.level_logits(h, features, hot))
-    return logits
+class PretrainingHeads:
+    """The pre-training heads behind the same interface as the fine-tuned heads.
+
+    They read the decoder output at each sequence's last real position, which
+    is what the self-supervised objective trains to predict the next location from.
+    """
+
+    def __init__(self, state: ModelState):
+        self.state = state
+        self.config = state.config
+
+    def features(self, outputs: Tensor, keep: np.ndarray) -> Tensor:
+        last = keep.sum(axis=1) - 1
+        return outputs[np.arange(len(last)), last]
+
+    def level_logits(self, level: int, features: Tensor, hot: np.ndarray | None) -> Tensor:
+        return head_forward(self.state, level, features, hot)
 
 
 # ---------------------------------------------------------------------------
@@ -262,58 +268,38 @@ def beam_topk(level_probs, level_sizes: list[int], k: int) -> list[tuple[tuple[i
     return beams
 
 
-def predict_topk(
-    state: ModelState, head, traj: Trajectory, k: int
-) -> list[tuple[tuple[int, ...], float]]:
-    """Top-k full hierarchical locations following the trajectory, with scores."""
+def _beam_rank(state: ModelState, head, traj: Trajectory, k: int):
+    """One backbone pass over `traj`, then the beam over `head`'s conditional chain.
+
+    Each distinct (level, previous id) the beam asks for costs one head call.
+    """
     batch = make_batch([traj], state.config.levels)
     with T.no_grad():
-        outputs = backbone_outputs(state, batch)
-        features = head.features(outputs, batch.keep)
+        features = head.features(backbone_outputs(state, batch), batch.keep)
         cache: dict = {}
 
         def level_probs(level: int, prev_id: int | None) -> np.ndarray:
             key = (level, prev_id)
             if key not in cache:
-                hot = None
-                if prev_id is not None and state.config.head_mode == "chained":
-                    hot = one_hot(np.array([prev_id]), state.config.level_sizes[level - 2],
-                                  state.dtype)
-                logits = head.level_logits(level, features, hot)
-                cache[key] = T.softmax(logits).data[0]
+                hot = chain_one_hot(state.config, level, [prev_id], state.dtype)
+                cache[key] = T.softmax(head.level_logits(level, features, hot)).data[0]
             return cache[key]
 
         return beam_topk(level_probs, state.config.level_sizes, k)
+
+
+def predict_topk(
+    state: ModelState, head, traj: Trajectory, k: int
+) -> list[tuple[tuple[int, ...], float]]:
+    """Top-k full hierarchical locations following the trajectory, with scores."""
+    return _beam_rank(state, head, traj, k)
 
 
 def pretrained_predict_topk(
     state: ModelState, traj: Trajectory, k: int
 ) -> list[tuple[tuple[int, ...], float]]:
-    """Top-k next locations straight from the pre-training heads.
-
-    Uses the decoder output at the last real position of `traj`, which is
-    exactly what the self-supervised objective trains to predict the next
-    location from.
-    """
-    batch = make_batch([traj], state.config.levels)
-    with T.no_grad():
-        outputs = backbone_outputs(state, batch)
-        last = int(batch.keep[0].sum()) - 1
-        e_last = outputs[0:1, last, :]
-        cache: dict = {}
-
-        def level_probs(level: int, prev_id: int | None) -> np.ndarray:
-            key = (level, prev_id)
-            if key not in cache:
-                features = e_last
-                if prev_id is not None and state.config.head_mode == "chained":
-                    hot = one_hot(np.array([prev_id]), state.config.level_sizes[level - 2],
-                                  state.dtype)
-                    features = T.concat([e_last, Tensor(hot)])
-                cache[key] = T.softmax(head_forward(state, level, features)).data[0]
-            return cache[key]
-
-        return beam_topk(level_probs, state.config.level_sizes, k)
+    """Top-k next locations straight from the pre-training heads."""
+    return _beam_rank(state, PretrainingHeads(state), traj, k)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +390,7 @@ def finetune_next_location(
     head = make_head(head_kind, cfg, seed=train.seed, dtype=state.dtype)
 
     def head_loss(outputs, keep, targets):
-        logits = chained_head_logits(head, head.features(outputs, keep))
+        logits = chained_logits(cfg, head.level_logits, head.features(outputs, keep))
         loss = None
         for h in range(cfg.levels):
             ce = T.cross_entropy(logits[h], targets[:, h])
@@ -419,13 +405,20 @@ def finetune_next_location(
 def evaluate_next_location(
     state: ModelState, head, trajs: list[Trajectory], k: int = 5
 ) -> EvalReport:
-    """Joint all-levels-correct accuracy over ranked beam predictions."""
+    """Joint all-levels-correct accuracy over ranked beam predictions.
+
+    Each trajectory's last location is the target and everything before it
+    the input. `head` None scores the pre-training heads' own predictions.
+    """
     ranked, targets = [], []
     for traj in trajs:
         if traj.length < 2:
             continue
         prefix, target = _prefix_and_target(traj)
-        top = predict_topk(state, head, prefix, k)
+        if head is None:
+            top = pretrained_predict_topk(state, prefix, k)
+        else:
+            top = predict_topk(state, head, prefix, k)
         ranked.append([tup for tup, _ in top])
         targets.append(target)
     if not targets:

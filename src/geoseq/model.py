@@ -12,6 +12,7 @@ coarse predictions steer fine ones without leaking gradients backwards.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -208,8 +209,15 @@ def temporal_encoding(timestamps: np.ndarray, state: ModelState) -> Tensor:
 
 
 def embed_sequence(batch: Batch, state: ModelState) -> Tensor:
-    """Sum of per-level token embeddings + positional table + time transform."""
+    """Sum of per-level token embeddings + positional table + time transform.
+
+    Every forward pass starts here, so this is where the length cap is enforced.
+    """
     cfg = state.config
+    if batch.ids.shape[1] > cfg.max_seq_len:
+        raise ValueError(
+            f"sequence of {batch.ids.shape[1]} positions exceeds max_seq_len {cfg.max_seq_len}"
+        )
     x = T.embedding_lookup(state["embed.h1"], batch.ids[:, :, 0])
     for h in range(2, cfg.levels + 1):
         x = T.add(x, T.embedding_lookup(state[f"embed.h{h}"], batch.ids[:, :, h - 1]))
@@ -260,30 +268,46 @@ def one_hot(indices: np.ndarray, depth: int, dtype) -> np.ndarray:
     return out
 
 
-def head_forward(state: ModelState, level: int, features: Tensor) -> Tensor:
-    """Two affine layers with a ReLU between them."""
+def chain_one_hot(config: ModelConfig, level: int, prev_ids, dtype) -> np.ndarray | None:
+    """The extra input of a chained level: a one-hot of the previous level's ids.
+
+    None at level 1 and in independent mode, where a head reads its features alone.
+    """
+    if level == 1 or config.head_mode != HEAD_CHAINED:
+        return None
+    return one_hot(np.asarray(prev_ids), config.level_sizes[level - 2], dtype)
+
+
+def chained_logits(config: ModelConfig, level_logits, features) -> list[Tensor]:
+    """Logits of every level, each fed the previous level's own prediction.
+
+    `level_logits(level, features, hot)` is one level's head. Level h > 1 gets
+    `chain_one_hot` of level h-1's argmax (lowest index on ties), built outside
+    the graph so no gradient crosses levels through it.
+    """
+    logits = [level_logits(1, features, None)]
+    for h in range(2, config.levels + 1):
+        prev = np.argmax(logits[-1].data, axis=-1)
+        hot = chain_one_hot(config, h, prev, logits[-1].data.dtype)
+        logits.append(level_logits(h, features, hot))
+    return logits
+
+
+def head_forward(
+    state: ModelState, level: int, features: Tensor, hot: np.ndarray | None = None
+) -> Tensor:
+    """Two affine layers with a ReLU between them, over `features` plus the one-hot `hot`."""
+    if hot is not None:
+        features = T.concat([features, Tensor(hot)], axis=-1)
     z = T.relu(T.add(T.matmul(features, state[f"head.h{level}.w1"]), state[f"head.h{level}.b1"]))
     return T.add(T.matmul(z, state[f"head.h{level}.w2"]), state[f"head.h{level}.b2"])
 
 
 def prediction_logits(outputs: Tensor, state: ModelState) -> list[Tensor]:
-    """Per-level next-location logits at every position.
-
-    In chained mode, level h > 1 consumes the decoder output concatenated
-    with a one-hot of level h-1's own argmax (lowest index on ties), built
-    outside the graph so no gradient crosses levels through it.
-    """
-    cfg = state.config
-    logits = [head_forward(state, 1, outputs)]
-    for h in range(2, cfg.levels + 1):
-        if cfg.head_mode == HEAD_CHAINED:
-            prev = np.argmax(logits[-1].data, axis=-1)
-            hot = Tensor(one_hot(prev, cfg.level_sizes[h - 2], state.dtype))
-            features = T.concat([outputs, hot], axis=-1)
-        else:
-            features = outputs
-        logits.append(head_forward(state, h, features))
-    return logits
+    """Per-level next-location logits of the pre-training heads at every position."""
+    return chained_logits(
+        state.config, lambda level, x, hot: head_forward(state, level, x, hot), outputs
+    )
 
 
 def sequence_loss(level_logits: list[Tensor], ids: np.ndarray) -> Tensor:
@@ -408,17 +432,29 @@ def load_tensors(path) -> tuple[dict, dict[str, Tensor]]:
         manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt manifest: {e}") from None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("meta"), dict)
+        and isinstance(manifest.get("tensors"), list)
+    ):
+        raise CheckpointError(f"{path}: manifest needs an object 'meta' and a list 'tensors'")
     offset = 16 + mlen
     tensors: dict[str, Tensor] = {}
     for entry in manifest["tensors"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-        if offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated payload for tensor '{entry['name']}'")
-        data = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)), offset=offset)
-        tensors[entry["name"]] = Tensor(data.reshape(shape).copy(), requires_grad=True)
-        offset += nbytes
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointError(f"{path}: tensor entry without a string 'name'")
+        name, shape, code = entry["name"], entry.get("shape"), entry.get("dtype")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor '{name}' has bad shape {shape!r}")
+        if not isinstance(code, str) or code not in _DTYPE_CODES.values():
+            raise CheckpointError(f"{path}: tensor '{name}' has unsupported dtype {code!r}")
+        dtype = np.dtype(code)
+        count = math.prod(shape)
+        if offset + dtype.itemsize * count > len(raw):
+            raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
+        data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+        tensors[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
+        offset += dtype.itemsize * count
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payloads")
     return manifest["meta"], tensors

@@ -198,6 +198,28 @@ def test_config_defaults_and_validation():
         resolve_config({"synth": {"wat": 1}})
 
 
+@pytest.mark.parametrize("bad, key", [
+    ({"epochs": 0}, "'epochs'"),
+    ({"batch_size": 0}, "'batch_size'"),
+    ({"epochs": "2"}, "'epochs'"),
+    ({"heads": 3}, "'heads'"),  # TINY's hidden is 16
+], ids=["epochs_0", "batch_size_0", "epochs_str", "heads_3"])
+def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
+    root, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, **bad}), encoding="utf-8")
+    code = dispatch([
+        "pretrain", "--config", str(cfg),
+        "--data", str(root / "p" / "trajectories.ndjson"),
+        "--splits", str(root / "p" / "splits.json"),
+        "--vocab", str(root / "v" / "vocab.json"),
+        "--out", str(tmp_path / "t"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and key in err
+
+
 def test_scales_must_match_levels():
     cfg = resolve_config({"h_levels": 2, "scales": [10_000.0, 100.0]})
     assert cfg["h_levels"] == 2

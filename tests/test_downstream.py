@@ -12,7 +12,6 @@ from geoseq.downstream import (
     NextLocationHeadLSTM,
     beam_topk,
     backbone_outputs,
-    chained_head_logits,
     compute_metrics,
     finetune_classifier,
     finetune_next_location,
@@ -20,7 +19,15 @@ from geoseq.downstream import (
     predict_topk,
     pretrained_predict_topk,
 )
-from geoseq.model import Batch, ModelConfig, ModelState, TrainConfig, make_batch
+from geoseq.model import (
+    Batch,
+    ModelConfig,
+    ModelState,
+    TrainConfig,
+    chained_logits,
+    head_forward,
+    make_batch,
+)
 from geoseq.pipeline import Trajectory
 from geoseq.tensor import Tensor
 
@@ -320,7 +327,7 @@ def test_ffn_head_gradients():
 
     def loss_fn():
         outputs = backbone_outputs(state, batch)
-        logits = chained_head_logits(head, head.features(outputs, batch.keep))
+        logits = chained_logits(config, head.level_logits, head.features(outputs, batch.keep))
         loss = None
         for h in range(config.levels):
             ce = T.cross_entropy(logits[h], targets[:, h])
@@ -340,7 +347,7 @@ def test_lstm_head_gradients():
 
     def loss_fn():
         outputs = backbone_outputs(state, batch)
-        logits = chained_head_logits(head, head.features(outputs, batch.keep))
+        logits = chained_logits(config, head.level_logits, head.features(outputs, batch.keep))
         loss = None
         for h in range(config.levels):
             ce = T.cross_entropy(logits[h], targets[:, h])
@@ -428,11 +435,30 @@ def test_classifier_unseen_label_counts_as_error():
 # -- pre-trained-head prediction -------------------------------------------------
 
 def test_pretrained_topk_ranks_all_tuples():
-    config = micro_config(level_sizes=(3, 4))
-    state = ModelState.init(config, seed=37)
-    traj = make_trajs(1, 3, config.level_sizes, seed=38)[0]
-    full = pretrained_predict_topk(state, traj, k=12)
-    assert len(full) == 12
-    assert sorted(tup for tup, _ in full) == sorted(
-        itertools.product(range(3), range(4))
-    )
+    # brute force: every tuple's product of per-level probabilities, read
+    # straight from the pre-training heads, in both head modes
+    for head_mode in ("chained", "independent"):
+        config = micro_config(level_sizes=(3, 4), head_mode=head_mode)
+        state = ModelState.init(config, seed=37)
+        rng = np.random.default_rng(39)
+        for name, p in state.params.items():  # spread the heads' probabilities apart
+            if name.startswith("head."):
+                p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
+        traj = make_trajs(1, 3, config.level_sizes, seed=38)[0]
+        full = pretrained_predict_topk(state, traj, k=12)
+        with T.no_grad():
+            outputs = backbone_outputs(state, make_batch([traj], config.levels)).data
+            e_last = outputs[0, len(traj.ids) - 1][None]
+
+            def probs(level, x):
+                return T.softmax(head_forward(state, level, Tensor(x))).data[0]
+
+            p1 = probs(1, e_last)
+            expected = []
+            for a, b in itertools.product(range(3), range(4)):
+                x2 = e_last
+                if head_mode == "chained":
+                    x2 = np.concatenate([e_last, np.eye(3, dtype=e_last.dtype)[a][None]], axis=1)
+                expected.append(((a, b), float(p1[a]) * float(probs(2, x2)[b])))
+        expected.sort(key=lambda item: (-item[1], item[0]))
+        assert full == expected, head_mode

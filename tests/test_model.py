@@ -1,6 +1,8 @@
 """Model forward pieces, causality, chaining, training loop, checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from geoseq.model import (
     fit,
     forward_loss,
     load_checkpoint,
+    load_tensors,
     positional_encoding,
     prediction_logits,
     pretrain,
@@ -118,6 +121,14 @@ def test_embed_single_level_hierarchy():
         + temporal_encoding(batch.timestamps, state).data
     )
     assert np.allclose(out, manual, atol=1e-7)
+
+
+def test_forward_rejects_sequences_over_the_length_cap():
+    config = micro_config(max_seq_len=4)
+    state = ModelState.init(config, seed=4)
+    embed_sequence(random_batch(config, t1=4), state)  # at the cap is fine
+    with pytest.raises(ValueError, match="10 positions exceeds max_seq_len 4"):
+        forward_loss(random_batch(config, t1=10), state)
 
 
 def test_embed_changing_finest_id_shifts_by_table_rows():
@@ -450,3 +461,44 @@ def test_checkpoint_level_mismatch_names_tensor(tmp_path):
         load_checkpoint(path, config=micro_config(level_sizes=(6, 7)))
     with pytest.raises(CheckpointError, match="'embed.h1'"):
         load_checkpoint(path, config=micro_config(level_sizes=(5, 7, 8)))
+
+
+def _raw_checkpoint(manifest) -> bytes:
+    """A container holding `manifest` and 8 payload bytes (two float32 values)."""
+    blob = json.dumps(manifest).encode("utf-8")
+    return b"GSQ1" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob + bytes(8)
+
+
+def _entry(**kw):
+    return {"meta": {}, "tensors": [{"name": "w", "shape": [2], "dtype": "<f4", **kw}]}
+
+
+@pytest.mark.parametrize("manifest", [
+    [],
+    {"tensors": []},
+    {"meta": {}},
+    {"meta": [], "tensors": []},
+    {"meta": {}, "tensors": {}},
+    {"meta": {}, "tensors": ["w"]},
+    _entry(name=5),
+    _entry(shape="5"),
+    _entry(shape=[-2]),
+    _entry(shape=[2.0]),
+    _entry(shape=[True, 2]),
+    _entry(dtype=5),
+    _entry(dtype="<i4"),
+    _entry(dtype=["<f4"]),
+], ids=[
+    "manifest_list", "no_meta", "no_tensors", "meta_list", "tensors_object", "entry_string",
+    "name_int", "shape_string", "shape_negative", "shape_float", "shape_bool", "dtype_int",
+    "dtype_int32", "dtype_list",
+])
+def test_load_tensors_rejects_malformed_manifests(tmp_path, manifest):
+    good = tmp_path / "good.gsq"
+    good.write_bytes(_raw_checkpoint(_entry()))
+    assert load_tensors(good)[1]["w"].data.shape == (2,)
+    path = tmp_path / "bad.gsq"
+    path.write_bytes(_raw_checkpoint(manifest))
+    # the manifest itself is named, not a later symptom such as trailing bytes
+    with pytest.raises(CheckpointError, match="manifest needs|string 'name'|shape|dtype"):
+        load_tensors(path)
