@@ -2,10 +2,12 @@
 
 Subcommands: synth, vocab, preprocess, pretrain, finetune, eval, ablate.
 Model and pipeline hyperparameters live in a JSON config (unknown keys are
-rejected); flags carry only paths, the seed, and the subcommand. Every
-command writes its artifacts plus a manifest.json (resolved config, config
-hash, seed, input hashes, versions) into --out. Exit codes: 0 success,
-2 bad config/usage, 3 missing file, 1 anything else. Logs go to stderr.
+rejected); flags carry only paths, the seed, and the subcommand. `COMMANDS`
+declares each subcommand's input flags and whether it needs a seed, once;
+`dispatch` checks them and writes a manifest.json (resolved config, config
+hash, effective seed, input hashes, the files the command wrote, versions)
+into --out. Exit codes: 0 success, 2 bad config/usage, 3 missing file,
+1 anything else. Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -17,30 +19,31 @@ import platform
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .bench import AblationSpec, render_table, run_ablation
 from .downstream import (
+    TrajectoryClassifier,
     evaluate_classifier,
     evaluate_next_location,
     finetune_classifier,
     finetune_next_location,
-    make_head,
+    load_head,
     # unused here, but bound on purpose: perfbench/tracer.py checks that this
     # name (and downstream.head_forward) is replaced by its timing wrapper
     pretrained_predict_topk,
+    save_head,
 )
 from .grid import GridError, GridSpec
 from .model import (
     ModelConfig,
     TrainConfig,
     load_checkpoint,
-    load_tensors,
     pretrain,
     save_checkpoint,
-    save_tensors,
 )
 from .pipeline import (
     PipelineConfig,
@@ -49,7 +52,6 @@ from .pipeline import (
     read_csv,
     read_trajectories,
     split,
-    split_from_json,
     split_to_json,
     write_trajectories,
 )
@@ -150,6 +152,14 @@ def resolve_config(doc: dict) -> dict:
             raise ConfigError(f"'{key}' must be one of {choices}, got {out[key]!r}")
     if len(out["betas"]) != 2:
         raise ConfigError(f"'betas' needs two values, got {out['betas']!r}")
+    fractions = out["split_fractions"]
+    if len(fractions) != 3 or not all(0 <= f <= 1 for f in fractions) or sum(fractions[1:]) > 1:
+        raise ConfigError(
+            f"'split_fractions' needs three shares in [0, 1] with train + val <= 1, "
+            f"got {fractions!r}"
+        )
+    if out["seed"] is not None and type(out["seed"]) is not int:
+        raise ConfigError(f"'seed' must be int, got {out['seed']!r}")
     try:
         GridSpec(tuple(out["scales"]), tuple(out["origin"]))
     except (GridError, TypeError) as e:
@@ -157,31 +167,21 @@ def resolve_config(doc: dict) -> dict:
     return out
 
 
-def _check_number_types(values: dict, defaults: dict, prefix: str = ""):
-    """An int, float or bool value must have its default's type; an int may stand for a float."""
-    for key, default in defaults.items():
-        value = values[key]
-        if isinstance(default, dict):
-            _check_number_types(value, default, f"{prefix}{key}.")
-        elif type(default) in (int, float, bool):
-            allowed = (int, float) if type(default) is float else (type(default),)
-            if type(value) not in allowed:
-                raise ConfigError(
-                    f"'{prefix}{key}' must be {type(default).__name__}, got {value!r}"
-                )
-
-
-def _require_seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        raise ConfigError("'seed' is required (set it in the config or pass --seed)")
-    return int(seed)
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _check_number_types(value, default, name: str = ""):
+    """An int, float or bool must have its default's type (an int may stand for a
+    float), in sections key by key and in lists element by element."""
+    if isinstance(default, dict):
+        for key in default:
+            _check_number_types(value[key], default[key], f"{name}.{key}" if name else key)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{name}' must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_number_types(item, default[min(i, len(default) - 1)], f"{name}[{i}]")
+    elif type(default) in (int, float, bool):
+        allowed = (int, float) if type(default) is float else (type(default),)
+        if type(value) not in allowed:
+            raise ConfigError(f"'{name}' must be {type(default).__name__}, got {value!r}")
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs: list, outputs: list):
@@ -191,7 +191,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs: list, 
         "config": cfg,
         "config_hash": hashlib.sha256(canon).hexdigest(),
         "seed": seed,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
         "outputs": outputs,
         "versions": {
             "geoseq": __version__,
@@ -202,33 +202,34 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs: list, 
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _check_inputs(*paths):
-    for p in paths:
-        if p is not None and not Path(p).is_file():
-            raise FileNotFoundError(p)
-
-
 def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _grid_spec(cfg: dict) -> GridSpec:
-    return GridSpec(tuple(cfg["scales"]), tuple(cfg["origin"]))
+def _subset(args, *parts: str) -> list[list]:
+    """The trajectories of `--data` that `--splits` lists under each of `parts`."""
+    trajs = read_trajectories(args.data)
+    doc = json.loads(Path(args.splits).read_text(encoding="utf-8"))
+    subsets = []
+    for part in parts:
+        index = doc.get(part) if isinstance(doc, dict) else None
+        if not isinstance(index, list):
+            raise ValueError(f"{args.splits}: '{part}' must be a list of trajectory indices")
+        bad = [i for i in index if type(i) is not int or not 0 <= i < len(trajs)]
+        if bad:
+            raise ValueError(
+                f"{args.splits}: '{part}' holds {bad[0]!r}, not an index below {len(trajs)}"
+            )
+        subsets.append([trajs[i] for i in index])
+    return subsets
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each gets the resolved config, the parsed flags, the
+# effective seed and the output directory, and returns the files it wrote
 # ---------------------------------------------------------------------------
 
-def cmd_synth(cfg: dict, args) -> int:
-    seed = _require_seed(cfg, args)
-    out = _out_dir(args)
+def cmd_synth(cfg: dict, args, seed, out: Path) -> list[str]:
     s = cfg["synth"]
     synth_cfg = _from_cfg(
         SynthConfig, s, seed=seed, scales=tuple(cfg["scales"]), ref_lat=cfg["ref_lat"]
@@ -236,28 +237,22 @@ def cmd_synth(cfg: dict, args) -> int:
     records = generate_records(synth_cfg)
     write_csv(records, out / "synth.csv")
     _log(f"synth: wrote {len(records)} records for {s['users']} users")
-    _write_manifest(out, "synth", cfg, seed, [], ["synth.csv"])
-    return 0
+    return ["synth.csv"]
 
 
-def cmd_vocab(cfg: dict, args) -> int:
-    _check_inputs(args.input)
-    out = _out_dir(args)
-    vocab = build_vocab(iter_csv_points(args.input, cfg["ref_lat"]), _grid_spec(cfg))
+def cmd_vocab(cfg: dict, args, seed, out: Path) -> list[str]:
+    grid = GridSpec(tuple(cfg["scales"]), tuple(cfg["origin"]))
+    vocab = build_vocab(iter_csv_points(args.input, cfg["ref_lat"]), grid)
     vocab.save(out / "vocab.json")
     sizes = vocab.sizes()
     _log(
         f"vocab: per-level sizes {sizes} (specials included), "
         f"hierarchical total {vocab.total_size()} vs flat {vocab.flat_count}"
     )
-    _write_manifest(out, "vocab", cfg, cfg.get("seed"), [args.input], ["vocab.json"])
-    return 0
+    return ["vocab.json"]
 
 
-def cmd_preprocess(cfg: dict, args) -> int:
-    _check_inputs(args.input, args.vocab)
-    seed = _require_seed(cfg, args)
-    out = _out_dir(args)
+def cmd_preprocess(cfg: dict, args, seed, out: Path) -> list[str]:
     vocab = Vocabulary.load(args.vocab)
     trajs = preprocess(read_csv(args.input), vocab, _from_cfg(PipelineConfig, cfg))
     write_trajectories(trajs, out / "trajectories.ndjson")
@@ -268,123 +263,59 @@ def cmd_preprocess(cfg: dict, args) -> int:
         f"(pretrain {len(parts.pretrain)}, finetune {len(parts.finetune_train)}/"
         f"{len(parts.finetune_val)}/{len(parts.finetune_test)})"
     )
-    _write_manifest(
-        out, "preprocess", cfg, seed, [args.input, args.vocab],
-        ["trajectories.ndjson", "splits.json"],
-    )
-    return 0
+    return ["trajectories.ndjson", "splits.json"]
 
 
-def cmd_pretrain(cfg: dict, args) -> int:
-    _check_inputs(args.data, args.splits, args.vocab)
-    seed = _require_seed(cfg, args)
-    out = _out_dir(args)
-    trajs = read_trajectories(args.data)
-    parts = split_from_json(json.loads(Path(args.splits).read_text(encoding="utf-8")))
+def cmd_pretrain(cfg: dict, args, seed, out: Path) -> list[str]:
+    (pretrain_set,) = _subset(args, "pretrain")
     vocab = Vocabulary.load(args.vocab)
     config = _from_cfg(ModelConfig, cfg, level_sizes=vocab.sizes())
     train = _from_cfg(TrainConfig, cfg, seed=seed)
-    state, curve = pretrain([trajs[i] for i in parts.pretrain], config, train)
+    state, curve = pretrain(pretrain_set, config, train)
     save_checkpoint(state, out / "checkpoint.gsq")
     (out / "losses.json").write_text(json.dumps({"epoch_loss": curve}), encoding="utf-8")
     _log(f"pretrain: {cfg['epochs']} epochs, final loss {curve[-1]:.4f}")
-    _write_manifest(
-        out, "pretrain", cfg, seed, [args.data, args.splits, args.vocab],
-        ["checkpoint.gsq", "losses.json"],
-    )
-    return 0
+    return ["checkpoint.gsq", "losses.json"]
 
 
-def cmd_finetune(cfg: dict, args) -> int:
-    _check_inputs(args.data, args.splits, args.checkpoint)
-    seed = _require_seed(cfg, args)
-    out = _out_dir(args)
-    trajs = read_trajectories(args.data)
-    parts = split_from_json(json.loads(Path(args.splits).read_text(encoding="utf-8")))
+def cmd_finetune(cfg: dict, args, seed, out: Path) -> list[str]:
+    train_set, test_set = _subset(args, "finetune_train", "finetune_test")
     state = load_checkpoint(args.checkpoint)
-    train_set = [trajs[i] for i in parts.finetune_train]
-    test_set = [trajs[i] for i in parts.finetune_test]
     train = _from_cfg(TrainConfig, cfg, seed=seed)
+    frozen = cfg["freeze_backbone"]
     if cfg["task"] == "next_location":
         head, report, curve = finetune_next_location(
-            state, cfg["head"], train_set, test_set, train, freeze_backbone=cfg["freeze_backbone"]
+            state, cfg["head"], train_set, test_set, train, freeze_backbone=frozen
         )
-        meta = {"kind": "head", "head_kind": cfg["head"], "config": state.config.to_json()}
-        save_tensors(out / "head.gsq", head.params, meta)
     else:
-        clf, report, curve = finetune_classifier(
-            state, train_set, test_set, train, freeze_backbone=cfg["freeze_backbone"]
+        head, report, curve = finetune_classifier(
+            state, train_set, test_set, train, freeze_backbone=frozen
         )
-        meta = {
-            "kind": "classifier",
-            "classes": clf.classes,
-            "config": state.config.to_json(),
-        }
-        save_tensors(out / "head.gsq", clf.params, meta)
-    if not cfg["freeze_backbone"]:
+    save_head(head, out / "head.gsq")
+    written = ["head.gsq"]
+    if not frozen:
         save_checkpoint(state, out / "checkpoint.gsq")
+        written.append("checkpoint.gsq")
     (out / "report.json").write_text(json.dumps(report.to_json()), encoding="utf-8")
     (out / "losses.json").write_text(json.dumps({"epoch_loss": curve}), encoding="utf-8")
     _log(f"finetune[{cfg['task']}]: acc@1 {report.acc1:.4f} acc@5 {report.acc5:.4f}")
-    _write_manifest(
-        out, "finetune", cfg, seed, [args.data, args.splits, args.checkpoint],
-        ["head.gsq", "report.json", "losses.json"],
-    )
-    return 0
+    return written + ["report.json", "losses.json"]
 
 
-def _load_head(path, state):
-    meta, tensors = load_tensors(path)
-    if meta.get("kind") == "head":
-        head = make_head(meta["head_kind"], state.config, dtype=state.dtype)
-        _swap_params(head.params, tensors, path)
-        return "head", head
-    if meta.get("kind") == "classifier":
-        from .downstream import TrajectoryClassifier
-
-        clf = TrajectoryClassifier(state.config, meta["classes"], dtype=state.dtype)
-        _swap_params(clf.params, tensors, path)
-        return "classifier", clf
-    raise ConfigError(f"{path} is not a head checkpoint")
-
-
-def _swap_params(params: dict, tensors: dict, path):
-    if set(params) != set(tensors):
-        raise ConfigError(f"{path}: head tensors do not match the expected layout")
-    for name in params:
-        if params[name].data.shape != tensors[name].data.shape:
-            raise ConfigError(f"{path}: tensor '{name}' has the wrong shape")
-        params[name] = tensors[name]
-
-
-def cmd_eval(cfg: dict, args) -> int:
-    _check_inputs(args.data, args.splits, args.checkpoint, args.head_checkpoint)
-    out = _out_dir(args)
-    trajs = read_trajectories(args.data)
-    parts = split_from_json(json.loads(Path(args.splits).read_text(encoding="utf-8")))
+def cmd_eval(cfg: dict, args, seed, out: Path) -> list[str]:
+    (test_set,) = _subset(args, "finetune_test")
     state = load_checkpoint(args.checkpoint)
-    test_set = [trajs[i] for i in parts.finetune_test]
-    inputs = [args.data, args.splits, args.checkpoint]
-    if args.head_checkpoint is not None:
-        kind, head = _load_head(args.head_checkpoint, state)
-        inputs.append(args.head_checkpoint)
-        if kind == "head":
-            report = evaluate_next_location(state, head, test_set)
-        else:
-            report = evaluate_classifier(state, head, test_set)
-    else:
-        # no fine-tuned head: score the pre-training heads' own predictions
-        report = evaluate_next_location(state, None, test_set)
+    head = None if args.head_checkpoint is None else load_head(args.head_checkpoint, state)
+    if isinstance(head, TrajectoryClassifier):
+        report = evaluate_classifier(state, head, test_set)
+    else:  # a next-location head, or None for the pre-training heads' own predictions
+        report = evaluate_next_location(state, head, test_set)
     (out / "report.json").write_text(json.dumps(report.to_json()), encoding="utf-8")
     _log(f"eval: acc@1 {report.acc1:.4f} acc@5 {report.acc5:.4f} on {report.n} samples")
-    _write_manifest(out, "eval", cfg, cfg.get("seed"), inputs, ["report.json"])
-    return 0
+    return ["report.json"]
 
 
-def cmd_ablate(cfg: dict, args) -> int:
-    _check_inputs(args.data, args.vocab)
-    seed = _require_seed(cfg, args)
-    out = _out_dir(args)
+def cmd_ablate(cfg: dict, args, seed, out: Path) -> list[str]:
     trajs = read_trajectories(args.data)
     if args.vocab is not None:
         level_sizes = Vocabulary.load(args.vocab).sizes()
@@ -403,14 +334,55 @@ def cmd_ablate(cfg: dict, args) -> int:
     table = render_table(rows)
     (out / "ablation.txt").write_text(table, encoding="utf-8")
     _log(table.rstrip())
-    inputs = [args.data] + ([args.vocab] if args.vocab else [])
-    _write_manifest(out, "ablate", cfg, seed, inputs, ["ablation.json", "ablation.txt"])
-    return 0
+    return ["ablation.json", "ablation.txt"]
 
 
 # ---------------------------------------------------------------------------
-# argument parsing / dispatch
+# the subcommand table, argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    handler: Callable  # (cfg, args, seed, out) -> names of the files written in out
+    help: str
+    required: tuple[str, ...] = ()  # input file flags
+    optional: tuple[str, ...] = ()
+    seeded: bool = True  # the command needs a seed
+
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "generate a synthetic GPS CSV"),
+    "vocab": Command(
+        cmd_vocab, "build the hierarchical vocabulary from a CSV", ("--input",), seeded=False
+    ),
+    "preprocess": Command(
+        cmd_preprocess, "filter, segment, tokenize, window, split", ("--input", "--vocab")
+    ),
+    "pretrain": Command(
+        cmd_pretrain, "self-supervised training of the location model",
+        ("--data", "--splits", "--vocab"),
+    ),
+    "finetune": Command(
+        cmd_finetune, "train a downstream head on a checkpoint",
+        ("--data", "--splits", "--checkpoint"),
+    ),
+    "eval": Command(
+        cmd_eval, "evaluate a checkpoint (with or without a head)",
+        ("--data", "--splits", "--checkpoint"), ("--head-checkpoint",), seeded=False,
+    ),
+    "ablate": Command(
+        cmd_ablate, "train and compare the model variants", ("--data",), ("--vocab",)
+    ),
+}
+
+_INPUT_HELP = {
+    "--input": "raw CSV (user_id,timestamp,lat,lon[,label])",
+    "--vocab": "vocab.json",
+    "--data": "trajectories.ndjson",
+    "--splits": "splits.json",
+    "--checkpoint": "model checkpoint.gsq",
+    "--head-checkpoint": "fine-tuned head.gsq",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -418,64 +390,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hierarchical location tokenization and causal trajectory models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, config_required=False):
-        p.add_argument("--config", required=config_required, help="JSON config file")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("synth", help="generate a synthetic GPS CSV")
-    common(p)
-    p.set_defaults(handler=cmd_synth)
-
-    p = sub.add_parser("vocab", help="build the hierarchical vocabulary from a CSV")
-    common(p)
-    p.add_argument("--input", required=True, help="raw CSV (user_id,timestamp,lat,lon[,label])")
-    p.set_defaults(handler=cmd_vocab)
-
-    p = sub.add_parser("preprocess", help="filter, segment, tokenize, window, split")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.set_defaults(handler=cmd_preprocess)
-
-    p = sub.add_parser("pretrain", help="self-supervised training of the location model")
-    common(p)
-    p.add_argument("--data", required=True, help="trajectories.ndjson")
-    p.add_argument("--splits", required=True, help="splits.json")
-    p.add_argument("--vocab", required=True)
-    p.set_defaults(handler=cmd_pretrain)
-
-    p = sub.add_parser("finetune", help="train a downstream head on a checkpoint")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(handler=cmd_finetune)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint (with or without a head)")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--splits", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--head-checkpoint", default=None)
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("ablate", help="train and compare the model variants")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", default=None)
-    p.set_defaults(handler=cmd_ablate)
-
+        for flag in command.required + command.optional:
+            p.add_argument(flag, required=flag in command.required, help=_INPUT_HELP[flag])
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve the config (exit 2), check the given inputs exist (3), resolve the
+    seed (2), run the handler, then write the manifest of what it read and wrote."""
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        return args.handler(cfg, args)
+        flags = command.required + command.optional
+        given = (getattr(args, flag[2:].replace("-", "_")) for flag in flags)
+        inputs = [path for path in given if path is not None]
+        for path in inputs:
+            if not Path(path).is_file():
+                raise FileNotFoundError(path)
+        seed = cfg["seed"] if args.seed is None else args.seed
+        if seed is None and command.seeded:
+            raise ConfigError("'seed' is required (set it in the config or pass --seed)")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = command.handler(cfg, args, seed, out)
+        _write_manifest(out, args.command, cfg, seed, inputs, outputs)
+        return 0
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 2

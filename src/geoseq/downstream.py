@@ -18,6 +18,7 @@ import numpy as np
 from . import tensor as T
 from .model import (
     Batch,
+    CheckpointError,
     ModelConfig,
     ModelState,
     TrainConfig,
@@ -27,7 +28,10 @@ from .model import (
     embed_sequence,
     fit,
     head_forward,
+    load_tensors,
     make_batch,
+    meta_config,
+    save_tensors,
 )
 from .pipeline import Trajectory
 from .tensor import Tensor
@@ -220,6 +224,39 @@ def make_head(kind: str, config: ModelConfig, seed: int = 0, dtype=np.float32):
     if kind == "lstm":
         return NextLocationHeadLSTM(config, seed=seed, dtype=dtype)
     raise ValueError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
+
+
+def save_head(head, path):
+    """Write a next-location head or a `TrajectoryClassifier` for `load_head`."""
+    if isinstance(head, TrajectoryClassifier):
+        meta = {"kind": "classifier", "classes": head.classes}
+    else:
+        meta = {"kind": "head", "head_kind": head.kind}
+    save_tensors(path, head.params, {**meta, "config": head.config.to_json()})
+
+
+def load_head(path, state: ModelState):
+    """A head written by `save_head`, rebuilt on `state`; `CheckpointError` if it does not fit."""
+    meta, tensors = load_tensors(path)
+    if meta.get("kind") == "head":
+        if meta.get("head_kind") not in HEAD_KINDS:
+            raise CheckpointError(
+                f"{path}: 'head_kind' must be one of {HEAD_KINDS}, got {meta.get('head_kind')!r}"
+            )
+        head = make_head(meta["head_kind"], state.config, dtype=state.dtype)
+    elif meta.get("kind") == "classifier":
+        classes = meta.get("classes")
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise CheckpointError(f"{path}: 'classes' must be a list of strings, got {classes!r}")
+        head = TrajectoryClassifier(state.config, classes, dtype=state.dtype)
+    else:
+        raise CheckpointError(f"{path}: not a head checkpoint")
+    meta_config(meta, path)  # checked only: the head is rebuilt on `state`'s config
+    expected = {name: t.data.shape for name, t in head.params.items()}
+    if {name: t.data.shape for name, t in tensors.items()} != expected:
+        raise CheckpointError(f"{path}: head tensors do not match the expected layout")
+    head.params.update(tensors)
+    return head
 
 
 class PretrainingHeads:

@@ -464,12 +464,23 @@ def save_checkpoint(state: ModelState, path):
     save_tensors(path, state.params, {"kind": "model", "config": state.config.to_json()})
 
 
+def meta_config(meta: dict, path) -> ModelConfig:
+    """The `ModelConfig` a checkpoint's `meta` records, or `CheckpointError`."""
+    doc = meta.get("config")
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: meta needs an object 'config', got {doc!r}")
+    try:
+        return ModelConfig.from_json(doc)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad model config in meta: {e}") from None
+
+
 def load_checkpoint(path, config: ModelConfig | None = None) -> ModelState:
     """Load a model; with `config` given, verify the layout matches it."""
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "model":
         raise CheckpointError(f"{path}: not a model checkpoint")
-    stored = ModelConfig.from_json(meta["config"])
+    stored = meta_config(meta, path)
     target = config if config is not None else stored
     for name, shape in _param_layout(target):
         if name not in tensors:

@@ -365,13 +365,3 @@ def split_to_json(s: DatasetSplit) -> dict:
         "finetune_val": s.finetune_val,
         "finetune_test": s.finetune_test,
     }
-
-
-def split_from_json(doc: dict) -> DatasetSplit:
-    return DatasetSplit(
-        pretrain=list(doc["pretrain"]),
-        finetune_train=list(doc["finetune_train"]),
-        finetune_val=list(doc["finetune_val"]),
-        finetune_test=list(doc["finetune_test"]),
-        seed=int(doc.get("seed", 0)),
-    )

@@ -6,6 +6,9 @@ import json
 import pytest
 
 from geoseq.cli import dispatch, resolve_config, ConfigError
+from geoseq.downstream import make_head
+from geoseq.model import ModelConfig, ModelState, save_checkpoint, save_tensors
+from geoseq.vocab import Vocabulary
 
 
 TINY = {
@@ -151,6 +154,41 @@ def test_manifest_accompanies_artifacts(workspace):
     assert "geoseq" in manifest["versions"]
 
 
+def test_manifests_list_what_each_command_read_and_wrote(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY), encoding="utf-8")
+    csv, vocab = tmp_path / "synth" / "synth.csv", tmp_path / "vocab" / "vocab.json"
+    data = {
+        "--data": tmp_path / "preprocess" / "trajectories.ndjson",
+        "--splits": tmp_path / "preprocess" / "splits.json",
+    }
+    ckpt = tmp_path / "pretrain" / "checkpoint.gsq"
+    runs = [  # (command, input flags given, --seed given); finetune keeps the backbone unfrozen
+        ("synth", {}, None),
+        ("vocab", {"--input": csv}, 5),
+        ("preprocess", {"--input": csv, "--vocab": vocab}, None),
+        ("pretrain", {**data, "--vocab": vocab}, None),
+        ("finetune", {**data, "--checkpoint": ckpt}, None),
+        ("eval", {**data, "--checkpoint": ckpt,
+                  "--head-checkpoint": tmp_path / "finetune" / "head.gsq"}, 5),
+        ("ablate", {"--data": data["--data"]}, None),
+    ]
+    seeds = {}
+    for command, inputs, seed in runs:
+        out = tmp_path / command
+        argv = [command, "--config", cfg, "--out", out, *sum(inputs.items(), ())]
+        if seed is not None:
+            argv += ["--seed", seed]
+        assert dispatch([str(a) for a in argv]) == 0, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert sorted(manifest["outputs"]) == sorted(written), command
+        assert set(manifest["inputs"]) == {str(p) for p in inputs.values()}, command
+        seeds[command] = manifest["seed"]
+    # the effective seed: --seed over the config's
+    assert seeds == {command: seed or TINY["seed"] for command, _, seed in runs}
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"wat": 1}), encoding="utf-8")
@@ -185,6 +223,73 @@ def test_missing_seed_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_check_order_config_then_inputs_then_seed(tmp_path, capsys):
+    missing = ["--data", str(tmp_path / "nope.ndjson"), "--splits", str(tmp_path / "nope.json"),
+               "--vocab", str(tmp_path / "nope_vocab.json"), "--out", str(tmp_path / "o")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "wat": 1}), encoding="utf-8")
+    assert dispatch(["pretrain", "--config", str(cfg), *missing]) == 2
+    assert "'wat'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({k: v for k, v in TINY.items() if k != "seed"}), encoding="utf-8")
+    assert dispatch(["pretrain", "--config", str(cfg), *missing]) == 3
+    assert "missing-file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pretrain", [None, [0, 10**6], ["0"]],
+                         ids=["missing_key", "out_of_range", "string_index"])
+def test_malformed_splits_exit_1_naming_file_and_key(workspace, tmp_path, capsys, pretrain):
+    root, cfg = workspace
+    doc = json.loads((root / "p" / "splits.json").read_text())
+    if pretrain is None:
+        del doc["pretrain"]
+    else:
+        doc["pretrain"] = pretrain
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps(doc), encoding="utf-8")
+    code = dispatch([
+        "pretrain", "--config", str(cfg),
+        "--data", str(root / "p" / "trajectories.ndjson"), "--splits", str(splits),
+        "--vocab", str(root / "v" / "vocab.json"), "--out", str(tmp_path / "t"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and str(splits) in err and "'pretrain'" in err
+
+
+@pytest.mark.parametrize("override", [
+    {"head_kind": None},
+    {"head_kind": "gru"},
+    {"config": None},
+    {"config": [1, 2]},
+    {"config": {"level_sizes": [5], "wat": 1}},
+    {"head_kind": "lstm"},  # FFN tensors under an LSTM label
+    {"kind": "model"},
+    {"kind": "classifier", "head_kind": None},
+    {"kind": "classifier", "head_kind": None, "classes": [1]},
+], ids=["no_head_kind", "unknown_head_kind", "no_config", "config_list", "config_unknown_key",
+        "layout_mismatch", "not_a_head", "no_classes", "classes_int"])
+def test_malformed_head_checkpoint_exits_1(workspace, tmp_path, capsys, override):
+    root, cfg = workspace
+    sizes = Vocabulary.load(root / "v" / "vocab.json").sizes()
+    config = ModelConfig(sizes, hidden=16, layers=1, heads=2)
+    ckpt = tmp_path / "checkpoint.gsq"
+    save_checkpoint(ModelState.init(config, seed=0), ckpt)
+    good = {"kind": "head", "head_kind": "ffn", "config": config.to_json()}
+    meta = {k: v for k, v in {**good, **override}.items() if v is not None}
+    head = tmp_path / "head.gsq"
+    save_tensors(head, make_head("ffn", config).params, meta)
+    argv = [
+        "eval", "--config", str(cfg),
+        "--data", str(root / "p" / "trajectories.ndjson"),
+        "--splits", str(root / "p" / "splits.json"),
+        "--checkpoint", str(ckpt), "--head-checkpoint", str(head), "--out", str(tmp_path / "e"),
+    ]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: CheckpointError: {head}:")
+    save_tensors(head, make_head("ffn", config).params, good)
+    assert dispatch(argv) == 0  # the same files with a well-formed head load and evaluate
+
+
 def test_config_defaults_and_validation():
     cfg = resolve_config({})
     assert cfg["hidden"] == 256 and cfg["layers"] == 6 and cfg["heads"] == 8
@@ -203,7 +308,9 @@ def test_config_defaults_and_validation():
     ({"batch_size": 0}, "'batch_size'"),
     ({"epochs": "2"}, "'epochs'"),
     ({"heads": 3}, "'heads'"),  # TINY's hidden is 16
-], ids=["epochs_0", "batch_size_0", "epochs_str", "heads_3"])
+    ({"betas": ["x", 0.999]}, "'betas[0]'"),
+    ({"split_fractions": [1.5, 0.8, 0.1]}, "'split_fractions'"),
+], ids=["epochs_0", "batch_size_0", "epochs_str", "heads_3", "betas_str", "split_over_1"])
 def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     root, _ = workspace
     cfg = tmp_path / "cfg.json"

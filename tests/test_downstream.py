@@ -15,9 +15,11 @@ from geoseq.downstream import (
     compute_metrics,
     finetune_classifier,
     finetune_next_location,
+    load_head,
     masked_mean_pool,
     predict_topk,
     pretrained_predict_topk,
+    save_head,
 )
 from geoseq.model import (
     Batch,
@@ -252,6 +254,22 @@ def test_finetune_same_seed_bitwise_equal(task, freeze_backbone):
     assert params_a.keys() == params_b.keys()
     for name in params_a:
         assert np.array_equal(params_a[name], params_b[name]), name
+
+
+@pytest.mark.parametrize("task", ["ffn", "lstm", "classifier"])
+def test_saved_head_loads_back_bitwise_equal(task, tmp_path):
+    config = micro_config()
+    state = ModelState.init(config, seed=50)
+    trajs = make_trajs(6, 4, config.level_sizes, seed=51, label_from=["a", "b"])
+    train = TrainConfig(epochs=1, batch_size=4, warmup_steps=0, seed=52)
+    head, _, _ = _finetune(task, state, trajs, trajs, train, freeze_backbone=True)
+    save_head(head, tmp_path / "head.gsq")
+    loaded = load_head(tmp_path / "head.gsq", state)
+    assert type(loaded) is type(head)
+    assert getattr(loaded, "classes", None) == getattr(head, "classes", None)
+    assert loaded.params.keys() == head.params.keys()
+    for name, p in head.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
 
 
 @pytest.mark.parametrize("task", ["ffn", "lstm", "classifier"])

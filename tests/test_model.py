@@ -25,6 +25,7 @@ from geoseq.model import (
     prediction_logits,
     pretrain,
     save_checkpoint,
+    save_tensors,
     sequence_loss,
     temporal_encoding,
 )
@@ -502,3 +503,19 @@ def test_load_tensors_rejects_malformed_manifests(tmp_path, manifest):
     # the manifest itself is named, not a later symptom such as trailing bytes
     with pytest.raises(CheckpointError, match="manifest needs|string 'name'|shape|dtype"):
         load_tensors(path)
+
+
+@pytest.mark.parametrize("config", [
+    None,
+    [8, 1],
+    {"level_sizes": [6, 7], "wat": 1},
+    {"hidden": 8},
+    {"level_sizes": "67", "hidden": 8, "layers": 1, "heads": 2},
+], ids=["no_config", "config_list", "config_unknown_key", "no_level_sizes", "level_sizes_str"])
+def test_load_checkpoint_rejects_malformed_meta_config(tmp_path, config):
+    state = ModelState.init(micro_config(), seed=0)
+    meta = {"kind": "model"} if config is None else {"kind": "model", "config": config}
+    path = tmp_path / "model.gsq"
+    save_tensors(path, state.params, meta)
+    with pytest.raises(CheckpointError, match="config"):
+        load_checkpoint(path)
