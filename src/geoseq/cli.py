@@ -206,9 +206,10 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _subset(args, *parts: str) -> list[list]:
-    """The trajectories of `--data` that `--splits` lists under each of `parts`."""
-    trajs = read_trajectories(args.data)
+def _subset(args, level_sizes, *parts: str) -> list[list]:
+    """The trajectories of `--data` that `--splits` lists under each of `parts`;
+    every id must lie inside the model's `level_sizes`."""
+    trajs = read_trajectories(args.data, level_sizes)
     doc = json.loads(Path(args.splits).read_text(encoding="utf-8"))
     subsets = []
     for part in parts:
@@ -267,8 +268,8 @@ def cmd_preprocess(cfg: dict, args, seed, out: Path) -> list[str]:
 
 
 def cmd_pretrain(cfg: dict, args, seed, out: Path) -> list[str]:
-    (pretrain_set,) = _subset(args, "pretrain")
     vocab = Vocabulary.load(args.vocab)
+    (pretrain_set,) = _subset(args, vocab.sizes(), "pretrain")
     config = _from_cfg(ModelConfig, cfg, level_sizes=vocab.sizes())
     train = _from_cfg(TrainConfig, cfg, seed=seed)
     state, curve = pretrain(pretrain_set, config, train)
@@ -279,8 +280,10 @@ def cmd_pretrain(cfg: dict, args, seed, out: Path) -> list[str]:
 
 
 def cmd_finetune(cfg: dict, args, seed, out: Path) -> list[str]:
-    train_set, test_set = _subset(args, "finetune_train", "finetune_test")
     state = load_checkpoint(args.checkpoint)
+    train_set, test_set = _subset(
+        args, state.config.level_sizes, "finetune_train", "finetune_test"
+    )
     train = _from_cfg(TrainConfig, cfg, seed=seed)
     frozen = cfg["freeze_backbone"]
     if cfg["task"] == "next_location":
@@ -303,8 +306,8 @@ def cmd_finetune(cfg: dict, args, seed, out: Path) -> list[str]:
 
 
 def cmd_eval(cfg: dict, args, seed, out: Path) -> list[str]:
-    (test_set,) = _subset(args, "finetune_test")
     state = load_checkpoint(args.checkpoint)
+    (test_set,) = _subset(args, state.config.level_sizes, "finetune_test")
     head = None if args.head_checkpoint is None else load_head(args.head_checkpoint, state)
     if isinstance(head, TrajectoryClassifier):
         report = evaluate_classifier(state, head, test_set)
@@ -316,10 +319,11 @@ def cmd_eval(cfg: dict, args, seed, out: Path) -> list[str]:
 
 
 def cmd_ablate(cfg: dict, args, seed, out: Path) -> list[str]:
-    trajs = read_trajectories(args.data)
-    if args.vocab is not None:
-        level_sizes = Vocabulary.load(args.vocab).sizes()
-    else:
+    level_sizes = None if args.vocab is None else Vocabulary.load(args.vocab).sizes()
+    trajs = read_trajectories(args.data, level_sizes)
+    if not trajs:
+        raise ValueError(f"{args.data}: no trajectories")
+    if level_sizes is None:
         levels = len(trajs[0].ids[0])
         level_sizes = [
             max(tup[h] for t in trajs for tup in t.ids) + 1 for h in range(levels)

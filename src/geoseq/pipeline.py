@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import GridSpec, project
 from .vocab import Vocabulary, tokenize
 
@@ -339,22 +341,78 @@ def write_trajectories(trajs: list[Trajectory], path):
             f.write("\n")
 
 
-def read_trajectories(path) -> list[Trajectory]:
-    trajs = []
+def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
+    """Read `write_trajectories`'s NDJSON as untrusted input.
+
+    A line that is not an object with `user`, `ids` and `ts`, whose `ids` and
+    `ts` differ in length, or whose id tuples are not non-negative ints of the
+    file's one width raises ValueError naming the file and the line. Given
+    `level_sizes`, every id must also lie below its level's size. The id
+    checks run once, vectorised, over the whole file; a line-by-line scan
+    runs only to name the line of a fault.
+    """
+    trajs, line_of = [], []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            trajs.append(
-                Trajectory(
-                    user=doc["user"],
-                    ids=[tuple(tup) for tup in doc["ids"]],
-                    timestamps=list(doc["ts"]),
-                    label=doc.get("label"),
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}, line {lineno}: not JSON ({e})") from None
+            if not (isinstance(doc, dict) and "user" in doc and "ids" in doc and "ts" in doc):
+                raise ValueError(
+                    f"{path}, line {lineno}: needs an object with 'user', 'ids' and 'ts'"
                 )
-            )
+            ids, ts = doc["ids"], doc["ts"]
+            if not (isinstance(ids, list) and isinstance(ts, list) and len(ids) == len(ts)
+                    and all(isinstance(tup, list) for tup in ids)):
+                raise ValueError(
+                    f"{path}, line {lineno}: 'ids' (a list of id lists) and 'ts' must be "
+                    f"lists of one length"
+                )
+            trajs.append(Trajectory(
+                user=doc["user"],
+                ids=[tuple(tup) for tup in ids],
+                timestamps=ts,
+                label=doc.get("label"),
+            ))
+            line_of.append(lineno)
+    _check_ids(path, trajs, line_of, level_sizes)
     return trajs
+
+
+def _check_ids(path, trajs: list[Trajectory], line_of: list[int], level_sizes):
+    """Every id tuple holds non-negative ints, one width across the file (the
+    level count when `level_sizes` is given), each below its level's size when
+    `level_sizes` is given."""
+    rows = [tup for t in trajs for tup in t.ids]
+    if not rows:
+        return
+    width = len(rows[0]) if level_sizes is None else len(level_sizes)
+    try:
+        ids = np.array(rows)
+    except ValueError:  # ragged rows
+        ids = None
+    if ids is None or ids.shape != (len(rows), width) or ids.dtype.kind != "i":
+        for t, lineno in zip(trajs, line_of):
+            if any(len(tup) != width or not all(type(i) is int for i in tup) for tup in t.ids):
+                raise ValueError(
+                    f"{path}, line {lineno}: each id tuple must hold {width} ints"
+                )
+        raise ValueError(f"{path}: ids must be 64-bit ints")
+    bad = ids < 0
+    if level_sizes is not None:
+        bad |= ids >= np.asarray(level_sizes)
+    if bad.any():
+        row, level = np.argwhere(bad)[0]
+        ends = np.cumsum([len(t.ids) for t in trajs])
+        lineno = line_of[int(np.searchsorted(ends, row, side="right"))]
+        upper = "inf" if level_sizes is None else level_sizes[level]
+        raise ValueError(
+            f"{path}, line {lineno}: id {ids[row, level]} at level {level + 1} "
+            f"is outside [0, {upper})"
+        )
 
 
 def split_to_json(s: DatasetSplit) -> dict:

@@ -13,6 +13,7 @@ FLOP instrumentation (see `count_macs`).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -108,7 +109,12 @@ class Tensor:
         return float(self.data)
 
     def backward(self, retain_graph: bool = False):
-        """Reverse-mode gradient accumulation from this scalar into all leaves."""
+        """Reverse-mode gradient accumulation from this scalar into all leaves.
+
+        Leaves accumulate across calls; an interior node's gradient is this
+        call's alone, so a retained graph run twice gives its leaves exactly
+        twice the gradient.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
@@ -121,6 +127,8 @@ class Tensor:
         while stack:
             node, expanded = stack.pop()
             if expanded:
+                if node._backward is not None:
+                    node.grad = None
                 order.append(node)
                 continue
             if id(node) in visited:
@@ -140,8 +148,10 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    # a copy: closures may hand one array to two parents
+                    parent.grad = np.array(g, dtype=parent.data.dtype)
+                else:
+                    parent.grad += g
             if not retain_graph:
                 node._parents = ()
                 node._backward = None
@@ -212,12 +222,31 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """`a @ b`; an activation of any rank times a 2-D weight is one 2-D GEMM.
+
+    Folding the leading axes of `a` into rows runs `(rows, k) @ (k, n)` in
+    both directions, so the weight gradient is one `a2.T @ g2` instead of a
+    per-batch `[..., k, n]` stack summed afterwards. Operands that are both
+    batched (attention's scores and context) take the broadcasting path.
+    """
     global _MACS
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2:
+        k, n = b.data.shape
+        rows = math.prod(a.data.shape[:-1])
+        a2 = a.data.reshape(rows, k)
+        _MACS += rows * k * n
+
+        def backward(g):
+            g2 = g.reshape(rows, n)
+            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+
+        return _make((a2 @ b.data).reshape(*a.data.shape[:-1], n), (a, b), backward)
+
     out = np.matmul(a.data, b.data)
     m, k, n = a.data.shape[-2], a.data.shape[-1], b.data.shape[-1]
     _MACS += int(np.prod(out.shape[:-2], dtype=np.int64)) * m * k * n

@@ -28,6 +28,18 @@ class OutOfVocabularyError(KeyError):
         super().__init__(f"unseen key {key!r} at level {level}")
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _is_entry(entry) -> bool:
+    """A `[key, id]` pair: the key an int or a list of ints, the id an int."""
+    if not (isinstance(entry, list) and len(entry) == 2 and type(entry[1]) is int):
+        return False
+    key = entry[0]
+    return type(key) is int or isinstance(key, list) and all(type(c) is int for c in key)
+
+
 @dataclass(frozen=True)
 class TokenizedLocation:
     """Per-level token ids for one point, plus the raw keys they came from."""
@@ -82,17 +94,36 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Vocabulary":
-        spec = GridSpec(tuple(doc["scales"]), tuple(doc["origin"]))
+        """Rebuild from `to_json`'s document; a missing or ill-typed key raises
+        ValueError naming it."""
+        if not isinstance(doc, dict):
+            raise ValueError("a vocabulary must be a JSON object")
+        for key in ("scales", "origin", "levels", "flat_count"):
+            if key not in doc:
+                raise ValueError(f"missing key '{key}'")
+        scales, origin, levels = doc["scales"], doc["origin"], doc["levels"]
+        if not (isinstance(scales, list) and scales and all(map(_is_number, scales))):
+            raise ValueError(f"'scales' must be a non-empty list of numbers, got {scales!r}")
+        if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_number, origin))):
+            raise ValueError(f"'origin' must be two numbers, got {origin!r}")
+        if not (isinstance(levels, list) and len(levels) == len(scales)):
+            raise ValueError(f"'levels' must be a list of {len(scales)} levels, one per scale")
+        if type(doc["flat_count"]) is not int or doc["flat_count"] < 0:
+            raise ValueError(f"'flat_count' must be a non-negative int, got {doc['flat_count']!r}")
+        spec = GridSpec(tuple(scales), tuple(origin))
         maps = []
-        for h, lev in enumerate(doc["levels"], start=1):
+        for h, lev in enumerate(levels, start=1):
+            entries = lev.get("entries") if isinstance(lev, dict) else None
+            if not (isinstance(entries, list) and all(map(_is_entry, entries))):
+                raise ValueError(f"level {h} 'entries' must be a list of [key, int id] pairs")
             m = {}
-            for key, tid in lev["entries"]:
+            for key, tid in entries:
                 m[tuple(key) if isinstance(key, list) else key] = tid
             expected = set(range(NUM_SPECIALS, NUM_SPECIALS + len(m)))
             if set(m.values()) != expected:
                 raise ValueError(f"level {h} ids are not dense after specials")
             maps.append(m)
-        return cls(spec, maps, int(doc["flat_count"]))
+        return cls(spec, maps, doc["flat_count"])
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -100,8 +131,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read `save`'s file; malformed JSON or a malformed document raises
+        ValueError naming the file."""
         with open(path, encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
+            try:
+                return cls.from_json(json.load(f))
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
 
 
 def build_vocab(points, spec: GridSpec) -> Vocabulary:

@@ -94,6 +94,27 @@ def test_flops_match_instrumented_forward_within_5pct():
     assert abs(box.macs - est) / est < 0.05
 
 
+def test_forward_macs_scale_exactly_with_batch():
+    # folding [B, T, k] @ [k, n] into one GEMM counts B*T*k*n, as the
+    # per-batch matmuls did
+    config = ModelConfig([6, 7], hidden=16, layers=2, heads=2, attn_dropout=0.0)
+    state = ModelState.init(config, seed=1)
+    rng = np.random.default_rng(2)
+    t1 = 9
+
+    def forward_macs(b):
+        batch = Batch(
+            ids=rng.integers(2, 6, size=(b, t1, 2)),
+            timestamps=np.full((b, t1), 1e9),
+            keep=np.ones((b, t1), dtype=bool),
+        )
+        with T.no_grad(), T.count_macs() as box:
+            forward_loss(batch, state)
+        return box.macs
+
+    assert forward_macs(4) == 4 * forward_macs(1)
+
+
 # -- synthetic corpus ------------------------------------------------------------
 
 def test_synth_same_seed_same_bytes():

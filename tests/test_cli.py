@@ -341,3 +341,95 @@ def test_resolved_defaults_are_pinned():
         "dc1f3608e707a33cd0cdc40ea98937b4bdb3d6162b72b336f1ab350ba6a4a31d"
     )
     assert cfg["seed"] is None  # the CLI requires one
+
+
+def _ndjson_faults(sizes):
+    """Each fault as a function editing one decoded trajectory line in place."""
+    def drop(key):
+        return lambda doc: doc.pop(key)
+
+    def set_id(level, value):
+        return lambda doc: doc["ids"][2].__setitem__(level, value)
+
+    return {
+        "no_user": drop("user"),
+        "no_ids": drop("ids"),
+        "no_ts": drop("ts"),
+        "ragged_tuple": lambda doc: doc["ids"][2].pop(),
+        "ts_shorter": lambda doc: doc["ts"].pop(),
+        "id_float": set_id(0, 2.5),
+        "id_at_size": set_id(1, sizes[1]),
+        "id_negative": set_id(2, -1),
+    }
+
+
+@pytest.mark.parametrize("fault", [
+    "no_user", "no_ids", "no_ts", "ragged_tuple", "ts_shorter", "id_float", "id_at_size",
+    "id_negative",
+])
+@pytest.mark.parametrize("command", ["pretrain", "eval"])
+def test_malformed_trajectories_exit_1_naming_file_and_line(
+    workspace, tmp_path, capsys, fault, command
+):
+    root, cfg = workspace
+    sizes = Vocabulary.load(root / "v" / "vocab.json").sizes()
+    lines = (root / "p" / "trajectories.ndjson").read_text().splitlines()
+    doc = json.loads(lines[2])
+    _ndjson_faults(sizes)[fault](doc)
+    lines[2] = json.dumps(doc)
+    data = tmp_path / "trajectories.ndjson"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inputs = ["--data", str(data), "--splits", str(root / "p" / "splits.json")]
+    if command == "pretrain":
+        inputs += ["--vocab", str(root / "v" / "vocab.json")]
+    else:  # the range check reads the level sizes from the checkpoint
+        ckpt = tmp_path / "checkpoint.gsq"
+        save_checkpoint(ModelState.init(ModelConfig(sizes, hidden=16, layers=1, heads=2)), ckpt)
+        inputs += ["--checkpoint", str(ckpt)]
+    code = dispatch([command, "--config", str(cfg), *inputs, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {data}, line 3:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("scales", None), ("origin", None), ("levels", None), ("flat_count", None),
+    ("scales", "100"), ("origin", [0.0]), ("levels", {}), ("flat_count", "3"),
+    ("entries", None), ("entries", [[[0, 0], "2"]]),
+], ids=["no_scales", "no_origin", "no_levels", "no_flat_count", "scales_str", "origin_short",
+        "levels_object", "flat_count_str", "no_entries", "entry_id_str"])
+def test_malformed_vocab_exits_1_naming_file_and_key(workspace, tmp_path, capsys, key, value):
+    root, cfg = workspace
+    doc = json.loads((root / "v" / "vocab.json").read_text())
+    target = doc["levels"][0] if key == "entries" else doc
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(doc), encoding="utf-8")
+    code = dispatch([
+        "preprocess", "--config", str(cfg), "--input", str(root / "d" / "synth.csv"),
+        "--vocab", str(vocab), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {vocab}:") and f"'{key}'" in err
+
+
+def test_ablate_without_vocab_rejects_negative_ids_and_empty_data(workspace, tmp_path, capsys):
+    # without --vocab the level sizes come from the data, so only a negative
+    # id or an empty file can slip past them
+    root, cfg = workspace
+    lines = (root / "p" / "trajectories.ndjson").read_text().splitlines()
+    doc = json.loads(lines[2])
+    doc["ids"][2][0] = -1
+    lines[2] = json.dumps(doc)
+    data = tmp_path / "negative.ndjson"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("", encoding="utf-8")
+    for path, message in ((data, f"{data}, line 3:"), (empty, f"{empty}: no trajectories")):
+        code = dispatch(["ablate", "--config", str(cfg), "--data", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {message}")

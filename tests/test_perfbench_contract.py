@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from geoseq import cli, downstream, model
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -25,10 +27,15 @@ def _bound():
     ]
 
 
-def test_tracer_installs_and_unwraps_the_ranking_functions():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module
+
+
+def test_tracer_installs_and_unwraps_the_ranking_functions():
+    tracer_module = _tracer_module()
     before = _bound()
     tracer = tracer_module.Tracer()
     try:
@@ -39,3 +46,27 @@ def test_tracer_installs_and_unwraps_the_ranking_functions():
     after = _bound()
     assert all(a is b for a, b in zip(after, before))
     assert not any(hasattr(fn, "__wrapped__") for fn in after)
+
+
+def test_tracer_times_matmul_forward_and_backward():
+    # every matmul node of one forward/backward is timed in both directions,
+    # folded (activation @ weight) and batched (attention) alike
+    config = model.ModelConfig([6, 7], hidden=16, layers=1, heads=2, attn_dropout=0.0)
+    state = model.ModelState.init(config, seed=0)
+    batch = model.Batch(
+        ids=np.full((2, 5, 2), 3, dtype=np.int64),
+        timestamps=np.full((2, 5), 1e9),
+        keep=np.ones((2, 5), dtype=bool),
+    )
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        tracer.phase = "run"
+        model.forward_loss(batch, state).backward()
+    finally:
+        tracer.phase = None
+        tracer.uninstall()
+    fwd = tracer.stat("run", "tensor.matmul.fwd")
+    bwd = tracer.stat("run", "tensor.matmul.bwd")
+    assert fwd.calls > 0 and bwd.calls == fwd.calls
+    assert bwd.total > 0

@@ -217,3 +217,83 @@ def test_mac_counter_counts_matmul_work():
     with T.count_macs() as box:
         T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
     assert box.macs == 2 * 3 * 4 * 5
+    # the folded path counts rows * k * n; the batched path batch * m * k * n;
+    # backward counts nothing
+    x = Tensor(np.ones((2, 3, 5, 4)), requires_grad=True)
+    with T.count_macs() as box:
+        out = T.matmul(T.matmul(x, Tensor(np.ones((4, 6)))), Tensor(np.ones((2, 3, 6, 7))))
+        T.tsum(out).backward()
+    assert box.macs == 2 * 3 * 5 * 4 * 6 + 2 * 3 * 5 * 6 * 7
+
+
+def test_folded_matmul_gradients():
+    # an activation of 2 or more leading axes times a weight runs as one 2-D
+    # GEMM; the activation may be a non-contiguous view
+    rng = np.random.default_rng(12)
+    x3 = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    x4 = Tensor(rng.normal(size=(2, 5, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    assert not T.swapaxes(x4, 1, 2).data.flags.c_contiguous
+
+    def loss_fn():
+        a = T.matmul(x3, w)
+        b = T.matmul(T.swapaxes(x4, 1, 2), w)  # [2, 3, 5, 4]
+        return T.add(T.mean(T.mul(a, a)), T.mean(T.tanh(b)))
+
+    assert_grads_match(loss_fn, {"x3": x3, "x4": x4, "w": w})
+
+
+def test_batched_matmul_gradients():
+    # both operands batched (attention's 4-D @ 4-D), one of them broadcast
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 5, 2)), requires_grad=True)
+    c = Tensor(rng.normal(size=(1, 3, 2, 3)), requires_grad=True)
+
+    def loss_fn():
+        out = T.matmul(T.matmul(a, b), c)
+        return T.mean(T.mul(out, out))
+
+    assert_grads_match(loss_fn, {"a": a, "b": b, "c": c})
+
+
+def test_folded_matmul_matches_numpy():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 2, 7, 6))
+    w = rng.normal(size=(6, 4))
+    assert np.allclose(T.matmul(Tensor(x), Tensor(w)).data, np.matmul(x, w), rtol=1e-12, atol=0)
+
+
+def test_gradient_of_one_tensor_through_both_operands():
+    x = Tensor(np.array([1.5, -2.0, 3.25]), requires_grad=True)
+    c = np.array([0.5, 3.0, -1.0])
+    y = T.add(x, x)
+    T.tsum(T.mul(y, c)).backward()
+    assert np.array_equal(x.grad, 2 * c)
+    assert np.array_equal(y.grad, c)  # add hands one array to both parents
+
+    x = Tensor(np.array([1.5, -2.0, 3.25]), requires_grad=True)
+    T.tsum(T.mul(T.mul(x, x), c)).backward()
+    assert np.array_equal(x.grad, 2 * c * x.data)
+
+
+def test_leaf_read_by_two_ops_sums_both_gradients():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    c1, c2 = rng.normal(size=(6,)), rng.normal(size=(2, 3))
+    r = T.reshape(x, (6,))  # its backward returns a view of r.grad
+    T.add(T.tsum(T.mul(r, c1)), T.tsum(T.mul(x, c2))).backward()
+    assert np.array_equal(x.grad, c1.reshape(2, 3) + c2)
+    assert np.array_equal(r.grad, c1)
+
+
+def test_retained_graph_backward_twice_doubles_leaf_gradients():
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    loss = T.mean(T.tanh(T.matmul(T.relu(x), w)))
+    loss.backward(retain_graph=True)
+    once = {"x": x.grad.copy(), "w": w.grad.copy()}
+    loss.backward(retain_graph=True)
+    assert np.array_equal(x.grad, 2 * once["x"])
+    assert np.array_equal(w.grad, 2 * once["w"])

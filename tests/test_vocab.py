@@ -1,7 +1,10 @@
 """Vocabulary building, closed-vocabulary tokenization, JSON persistence."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoseq.grid import GridSpec
 from geoseq.vocab import (
@@ -101,4 +104,29 @@ def test_dense_id_validation_on_load():
     doc = build_vocab([(50.0, 50.0)], SPEC3).to_json()
     doc["levels"][0]["entries"][0][1] = 7  # break density
     with pytest.raises(ValueError, match="dense"):
+        Vocabulary.from_json(doc)
+
+
+_points = st.lists(
+    st.tuples(st.floats(-300_000.0, 300_000.0), st.floats(-300_000.0, 300_000.0)),
+    min_size=1, max_size=40,
+)
+_specs = st.sampled_from([SPEC3, GridSpec((1_000.0,)), GridSpec((10_000.0, 100.0), (5.0, -7.0))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=_points, spec=_specs)
+def test_json_round_trip_property(points, spec):
+    doc = build_vocab(points, spec).to_json()
+    clone = Vocabulary.from_json(json.loads(json.dumps(doc)))
+    assert clone.to_json() == doc
+    assert clone.spec == spec
+
+
+@settings(max_examples=20, deadline=None)
+@given(points=_points, key=st.sampled_from(["scales", "origin", "levels", "flat_count"]))
+def test_missing_top_level_key_is_named(points, key):
+    doc = build_vocab(points, SPEC3).to_json()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"'{key}'"):
         Vocabulary.from_json(doc)
