@@ -93,7 +93,9 @@ class AblationSpec:
     def __post_init__(self):
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
-            raise ValueError(f"unknown variants {sorted(unknown)}")
+            raise ValueError(f"'variants' holds unknown variants {sorted(unknown)}")
+        if self.eval_k < 1:
+            raise ValueError(f"'eval_k' must be at least 1, got {self.eval_k}")
 
 
 def flatten_trajectories(trajs: list[Trajectory]) -> tuple[list[Trajectory], int]:

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .bench import AblationSpec, render_table, run_ablation
 from .downstream import (
+    HEAD_KINDS,
     TrajectoryClassifier,
     evaluate_classifier,
     evaluate_next_location,
@@ -37,7 +38,7 @@ from .downstream import (
     pretrained_predict_topk,
     save_head,
 )
-from .grid import GridError, GridSpec
+from .grid import GridSpec
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -77,15 +78,14 @@ def _from_cfg(cls, cfg: dict, **given):
     kwargs = {
         f.name: tuple(cfg[f.name]) if isinstance(f.default, tuple) else cfg[f.name]
         for f in fields(cls)
-        if f.name not in given
+        if f.init and f.name not in given
     }
     return cls(**kwargs, **given)
 
 
 DEFAULTS = {
-    "h_levels": 3,
-    "scales": [100_000.0, 1_000.0, 100.0],
-    "origin": [0.0, 0.0],
+    "scales": [100_000.0, 1_000.0, 100.0],  # one grid level per scale, coarse to fine
+    **_defaults(GridSpec),
     **_defaults(ModelConfig),
     **_defaults(TrainConfig),
     "seed": None,  # required: set it in the config or pass --seed
@@ -99,10 +99,8 @@ DEFAULTS = {
 }
 
 _CHOICES = {
-    "profile": ("gps", "signal"),
     "task": ("next_location", "classification"),
-    "head": ("ffn", "lstm"),
-    "head_mode": ("chained", "independent"),
+    "head": HEAD_KINDS,
 }
 
 
@@ -138,20 +136,9 @@ def resolve_config(doc: dict) -> dict:
         cfg[section] = {**defaults, **sub}
     out = {**DEFAULTS, **cfg}
     _check_number_types(out, DEFAULTS)
-    for key in ("epochs", "batch_size", "hidden", "heads"):
-        if out[key] < 1:
-            raise ConfigError(f"'{key}' must be at least 1, got {out[key]}")
-    if out["hidden"] % out["heads"]:
-        raise ConfigError(f"'hidden' {out['hidden']} is not divisible by 'heads' {out['heads']}")
-    if len(out["scales"]) != out["h_levels"]:
-        raise ConfigError(
-            f"'scales' has {len(out['scales'])} entries but 'h_levels' is {out['h_levels']}"
-        )
     for key, choices in _CHOICES.items():
         if out[key] not in choices:
             raise ConfigError(f"'{key}' must be one of {choices}, got {out[key]!r}")
-    if len(out["betas"]) != 2:
-        raise ConfigError(f"'betas' needs two values, got {out['betas']!r}")
     fractions = out["split_fractions"]
     if len(fractions) != 3 or not all(0 <= f <= 1 for f in fractions) or sum(fractions[1:]) > 1:
         raise ConfigError(
@@ -160,10 +147,22 @@ def resolve_config(doc: dict) -> dict:
         )
     if out["seed"] is not None and type(out["seed"]) is not int:
         raise ConfigError(f"'seed' must be int, got {out['seed']!r}")
-    try:
-        GridSpec(tuple(out["scales"]), tuple(out["origin"]))
-    except (GridError, TypeError) as e:
-        raise ConfigError(f"'scales'/'origin': {e}") from None
+    # build each config dataclass once, so every rule it owns runs before any work:
+    # a rule's message opens with its field, quoted, and the prefix makes that the key
+    scales = tuple(out["scales"])
+    for prefix, cls, values, given in (
+        ("", GridSpec, out, {}),
+        ("", ModelConfig, out, {"level_sizes": [1] * len(scales)}),  # real sizes come later
+        ("", TrainConfig, out, {}),
+        ("", PipelineConfig, out, {}),
+        ("synth.", SynthConfig, out["synth"],
+         {"seed": out["seed"], "scales": scales, "ref_lat": out["ref_lat"]}),
+        ("ablation.", AblationSpec, out["ablation"], {}),
+    ):
+        try:
+            _from_cfg(cls, values, **given)
+        except ValueError as e:  # GridError included
+            raise ConfigError(str(e).replace("'", f"'{prefix}", 1)) from None
     return out
 
 
@@ -242,8 +241,7 @@ def cmd_synth(cfg: dict, args, seed, out: Path) -> list[str]:
 
 
 def cmd_vocab(cfg: dict, args, seed, out: Path) -> list[str]:
-    grid = GridSpec(tuple(cfg["scales"]), tuple(cfg["origin"]))
-    vocab = build_vocab(iter_csv_points(args.input, cfg["ref_lat"]), grid)
+    vocab = build_vocab(iter_csv_points(args.input, cfg["ref_lat"]), _from_cfg(GridSpec, cfg))
     vocab.save(out / "vocab.json")
     sizes = vocab.sizes()
     _log(

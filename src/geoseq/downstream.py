@@ -11,7 +11,7 @@ joint predictions come from a per-level beam over the conditional chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,14 +54,9 @@ class EvalReport:
     per_class: dict
 
     def to_json(self) -> dict:
-        return {
-            "acc1": self.acc1,
-            "acc5": self.acc5,
-            "macro_p": self.macro_p,
-            "macro_r": self.macro_r,
-            "macro_f1": self.macro_f1,
-            "n": self.n,
-        }
+        doc = asdict(self)
+        del doc["per_class"]
+        return doc
 
 
 def compute_metrics(ranked_predictions: list[list], targets: list) -> EvalReport:

@@ -55,16 +55,18 @@ class GridSpec:
     def __post_init__(self):
         scales = tuple(float(s) for s in self.scales)
         if len(scales) < 1:
-            raise GridError("need at least one scale")
+            raise GridError("'scales' needs at least one scale")
         if any(s <= 0 for s in scales):
-            raise GridError(f"scales must be positive: {scales}")
+            raise GridError(f"'scales' must be positive, got {scales}")
+        if len(self.origin) != 2:
+            raise GridError(f"'origin' must be two numbers, got {self.origin!r}")
         ratios = []
         for h in range(1, len(scales)):
             q = scales[h - 1] / scales[h]
             q_int = round(q)
             if q_int < 2 or abs(q - q_int) > 1e-9 * q:
                 raise GridError(
-                    f"scale {scales[h - 1]} is not an integer multiple (>=2) of {scales[h]}"
+                    f"'scales': {scales[h - 1]} is not an integer multiple (>=2) of {scales[h]}"
                 )
             ratios.append(q_int)
         object.__setattr__(self, "scales", scales)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,11 +51,17 @@ class ModelConfig:
 
     def __post_init__(self):
         if not self.level_sizes or any(s < 1 for s in self.level_sizes):
-            raise ValueError(f"bad level sizes {self.level_sizes}")
+            raise ValueError(f"'level_sizes' must be positive, got {self.level_sizes}")
+        _at_least_1(self, "hidden", "heads")
         if self.hidden % self.heads != 0:
-            raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
+            raise ValueError(f"'hidden' {self.hidden} is not divisible by 'heads' {self.heads}")
+        if not 0 <= self.attn_dropout < 1:
+            raise ValueError(f"'attn_dropout' must lie in [0, 1), got {self.attn_dropout}")
         if self.head_mode not in (HEAD_CHAINED, HEAD_INDEPENDENT):
-            raise ValueError(f"unknown head mode {self.head_mode!r}")
+            raise ValueError(
+                f"'head_mode' must be one of {(HEAD_CHAINED, HEAD_INDEPENDENT)}, "
+                f"got {self.head_mode!r}"
+            )
 
     @property
     def levels(self) -> int:
@@ -68,15 +74,7 @@ class ModelConfig:
         return self.hidden
 
     def to_json(self) -> dict:
-        return {
-            "level_sizes": list(self.level_sizes),
-            "hidden": self.hidden,
-            "layers": self.layers,
-            "heads": self.heads,
-            "attn_dropout": self.attn_dropout,
-            "max_seq_len": self.max_seq_len,
-            "head_mode": self.head_mode,
-        }
+        return {**asdict(self), "level_sizes": list(self.level_sizes)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelConfig":
@@ -93,6 +91,17 @@ class TrainConfig:
     weight_decay: float = 1e-2
     warmup_steps: int = 10000
     seed: int = 0
+
+    def __post_init__(self):
+        _at_least_1(self, "epochs", "batch_size")
+        if len(self.betas) != 2:
+            raise ValueError(f"'betas' needs two values, got {self.betas!r}")
+
+
+def _at_least_1(config, *names: str):
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"'{name}' must be at least 1, got {getattr(config, name)}")
 
 
 def _param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:

@@ -18,11 +18,12 @@ import csv
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, project
+from .grid import GridSpec, finest_cell, project
 from .vocab import Vocabulary, tokenize
 
 STOP_SPEED_KMH = 4.0
@@ -85,9 +86,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.profile not in ("gps", "signal"):
-            raise ValueError(f"unknown profile {self.profile!r}")
+            raise ValueError(f"'profile' must be one of ('gps', 'signal'), got {self.profile!r}")
+        if self.resample_interval < 1:
+            raise ValueError(
+                f"'resample_interval' must be at least 1, got {self.resample_interval}"
+            )
         if self.max_seq_len < 2:
-            raise ValueError("max_seq_len must be at least 2 (SOS plus one location)")
+            raise ValueError(
+                f"'max_seq_len' must be at least 2 (SOS plus one location), got {self.max_seq_len}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +157,8 @@ def filter_short_stays(
     record keeps the arrival (first) record's fields. Lone records have
     duration zero and are dropped.
     """
-    r_fine = spec.scales[-1]
-    x0, y0 = spec.origin
-
     def cell(r: RawRecord):
-        return (math.floor((r.x - x0) / r_fine), math.floor((r.y - y0) / r_fine))
+        return finest_cell(r.x, r.y, spec)
 
     kept = []
     i = 0
@@ -345,9 +349,10 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
     """Read `write_trajectories`'s NDJSON as untrusted input.
 
     A line that is not an object with `user`, `ids` and `ts`, whose `ids` and
-    `ts` differ in length, or whose id tuples are not non-negative ints of the
-    file's one width raises ValueError naming the file and the line. Given
-    `level_sizes`, every id must also lie below its level's size. The id
+    `ts` differ in length, whose id tuples are not non-negative ints of the
+    file's one width, or whose `ts` holds anything but finite numbers > 0
+    raises ValueError naming the file and the line. Given `level_sizes`,
+    every id must also lie below its level's size. The id and timestamp
     checks run once, vectorised, over the whole file; a line-by-line scan
     runs only to name the line of a fault.
     """
@@ -379,6 +384,7 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
             ))
             line_of.append(lineno)
     _check_ids(path, trajs, line_of, level_sizes)
+    _check_timestamps(path, trajs, line_of)
     return trajs
 
 
@@ -413,6 +419,25 @@ def _check_ids(path, trajs: list[Trajectory], line_of: list[int], level_sizes):
             f"{path}, line {lineno}: id {ids[row, level]} at level {level + 1} "
             f"is outside [0, {upper})"
         )
+
+
+def _check_timestamps(path, trajs: list[Trajectory], line_of: list[int]):
+    """Every `ts` entry is an int or float (not a bool), finite and > 0."""
+    stamps = [x for t in trajs for x in t.timestamps]
+    if {int, float}.issuperset(map(type, stamps)):
+        try:
+            ts = np.array(stamps, dtype=np.float64)
+        except OverflowError:  # an int beyond float range, which the scan names
+            pass
+        else:
+            if np.all(ts > 0) and np.all(np.isfinite(ts)):
+                return
+    for t, lineno in zip(trajs, line_of):
+        for x in t.timestamps:
+            if type(x) not in (int, float) or not 0 < x <= sys.float_info.max:
+                raise ValueError(
+                    f"{path}, line {lineno}: 'ts' entry {x!r} is not a finite number > 0"
+                )
 
 
 def split_to_json(s: DatasetSplit) -> dict:

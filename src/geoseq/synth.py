@@ -39,10 +39,16 @@ class SynthConfig:
     def __post_init__(self):
         if self.extent_m <= self.scales[0]:
             raise ValueError(
-                f"extent {self.extent_m} m cannot span two coarse cells of {self.scales[0]} m"
+                f"'extent_m' {self.extent_m} cannot span two coarse cells of {self.scales[0]} m"
             )
-        if self.users < 1 or self.anchors_per_user < 2:
-            raise ValueError("need at least one user and two anchors per user")
+        if self.users < 1:
+            raise ValueError(f"'users' must be at least 1, got {self.users}")
+        if self.anchors_per_user < 2:
+            raise ValueError(f"'anchors_per_user' must be at least 2, got {self.anchors_per_user}")
+        for name in ("burst_len", "dwell_minutes"):
+            span = getattr(self, name)
+            if len(span) != 2 or span[0] > span[1]:
+                raise ValueError(f"'{name}' must be two values lo <= hi, got {span!r}")
 
 
 def generate_records(cfg: SynthConfig) -> list[RawRecord]:

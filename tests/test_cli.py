@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from geoseq.cli import dispatch, resolve_config, ConfigError
+from geoseq.cli import DEFAULTS, dispatch, resolve_config, ConfigError
 from geoseq.downstream import make_head
 from geoseq.model import ModelConfig, ModelState, save_checkpoint, save_tensors
 from geoseq.vocab import Vocabulary
@@ -298,8 +300,6 @@ def test_config_defaults_and_validation():
     with pytest.raises(ConfigError):
         resolve_config({"profile": "bogus"})
     with pytest.raises(ConfigError):
-        resolve_config({"scales": [1000.0, 100.0]})  # h_levels says 3
-    with pytest.raises(ConfigError):
         resolve_config({"synth": {"wat": 1}})
 
 
@@ -310,7 +310,11 @@ def test_config_defaults_and_validation():
     ({"heads": 3}, "'heads'"),  # TINY's hidden is 16
     ({"betas": ["x", 0.999]}, "'betas[0]'"),
     ({"split_fractions": [1.5, 0.8, 0.1]}, "'split_fractions'"),
-], ids=["epochs_0", "batch_size_0", "epochs_str", "heads_3", "betas_str", "split_over_1"])
+    ({"hidden": 0}, "'hidden'"),
+    ({"heads": 0}, "'heads'"),
+    ({"betas": [0.9]}, "'betas'"),
+], ids=["epochs_0", "batch_size_0", "epochs_str", "heads_3", "betas_str", "split_over_1",
+        "hidden_0", "heads_0", "betas_one"])
 def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     root, _ = workspace
     cfg = tmp_path / "cfg.json"
@@ -327,9 +331,52 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     assert err.startswith("error: config:") and key in err
 
 
-def test_scales_must_match_levels():
-    cfg = resolve_config({"h_levels": 2, "scales": [10_000.0, 100.0]})
-    assert cfg["h_levels"] == 2
+@pytest.mark.parametrize("bad, key", [
+    ({"synth": {"extent_m": 50_000.0}}, "'synth.extent_m'"),
+    ({"synth": {"users": 0}}, "'synth.users'"),
+    ({"synth": {"burst_len": [5]}}, "'synth.burst_len'"),
+    ({"synth": {"dwell_minutes": [9, 3]}}, "'synth.dwell_minutes'"),
+    ({"max_seq_len": 1}, "'max_seq_len'"),
+    ({"resample_interval": 0}, "'resample_interval'"),
+    ({"attn_dropout": 1.0}, "'attn_dropout'"),
+    ({"ablation": {"variants": ["bogus"]}}, "'ablation.variants'"),
+    ({"ablation": {"eval_k": 0}}, "'ablation.eval_k'"),
+    ({"origin": [0.0]}, "'origin'"),
+], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed", "max_seq_len_1",
+        "resample_interval_0", "attn_dropout_1", "variant_bogus", "eval_k_0", "origin_one"])
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, command):
+    # every subcommand checks the whole config before it looks at its inputs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad), encoding="utf-8")
+    inputs = {"synth": [], "preprocess": ["--input", "in.csv", "--vocab", "vocab.json"]}
+    code = dispatch([command, "--config", str(cfg), "--seed", "1", *inputs[command],
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and key in err
+
+
+def test_hierarchy_depth_is_the_number_of_scales(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "h_levels": 2}), encoding="utf-8")
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'h_levels'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({**TINY, "scales": [10_000.0, 100.0]}), encoding="utf-8")
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    assert dispatch(["vocab", "--config", str(cfg), "--input", str(tmp_path / "d" / "synth.csv"),
+                     "--out", str(tmp_path / "v")]) == 0
+    assert len(Vocabulary.load(tmp_path / "v" / "vocab.json").sizes()) == 2
+
+
+def test_readme_config_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys and defaults", 1)[1].split("\n\n| key |", 1)[1]
+    rows = [line for line in table.split("\n\n", 1)[0].splitlines() if line.startswith("| `")]
+    named = sorted(key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1]))
+    expected = [key for key, value in DEFAULTS.items() if not isinstance(value, dict)]
+    expected += ["synth.*", *(f"ablation.{key}" for key in DEFAULTS["ablation"])]
+    assert named == sorted(expected)
 
 
 def test_resolved_defaults_are_pinned():
@@ -338,7 +385,7 @@ def test_resolved_defaults_are_pinned():
     cfg = resolve_config({})
     canon = json.dumps(cfg, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(canon).hexdigest() == (
-        "dc1f3608e707a33cd0cdc40ea98937b4bdb3d6162b72b336f1ab350ba6a4a31d"
+        "ad06e537c01470d416f69db3c2ae2eaf74b4182a97bd16a75093a75e143e3860"
     )
     assert cfg["seed"] is None  # the CLI requires one
 
@@ -351,6 +398,9 @@ def _ndjson_faults(sizes):
     def set_id(level, value):
         return lambda doc: doc["ids"][2].__setitem__(level, value)
 
+    def set_ts(value):
+        return lambda doc: doc["ts"].__setitem__(2, value)
+
     return {
         "no_user": drop("user"),
         "no_ids": drop("ids"),
@@ -360,12 +410,17 @@ def _ndjson_faults(sizes):
         "id_float": set_id(0, 2.5),
         "id_at_size": set_id(1, sizes[1]),
         "id_negative": set_id(2, -1),
+        "ts_str": set_ts("noon"),
+        "ts_zero": set_ts(0),
+        "ts_negative": set_ts(-60),
+        "ts_nan": set_ts(float("nan")),
+        "ts_bool": set_ts(True),
     }
 
 
 @pytest.mark.parametrize("fault", [
     "no_user", "no_ids", "no_ts", "ragged_tuple", "ts_shorter", "id_float", "id_at_size",
-    "id_negative",
+    "id_negative", "ts_str", "ts_zero", "ts_negative", "ts_nan", "ts_bool",
 ])
 @pytest.mark.parametrize("command", ["pretrain", "eval"])
 def test_malformed_trajectories_exit_1_naming_file_and_line(

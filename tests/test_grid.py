@@ -58,6 +58,8 @@ def test_grid_spec_validation():
         GridSpec((1000.0, 300.0))  # not an integer ratio
     with pytest.raises(GridError):
         GridSpec((100.0, 100.0))  # ratio 1 < 2
+    with pytest.raises(GridError, match="'origin'"):
+        GridSpec((100.0,), origin=(0.0,))
     assert GridSpec((100.0,)).levels == 1
     assert SPEC3.ratios == (100, 10)
 

@@ -342,6 +342,19 @@ def _walk_corpus(n=8, length=6):
     return trajs
 
 
+@pytest.mark.parametrize("make, key", [
+    (lambda: ModelConfig([5], heads=0), "'heads'"),
+    (lambda: ModelConfig([5], hidden=0), "'hidden'"),
+    (lambda: ModelConfig([5], attn_dropout=1.0), "'attn_dropout'"),
+    (lambda: TrainConfig(batch_size=0), "'batch_size'"),
+    (lambda: TrainConfig(epochs=0), "'epochs'"),
+    (lambda: TrainConfig(betas=(0.9,)), "'betas'"),
+], ids=["heads_0", "hidden_0", "attn_dropout_1", "batch_size_0", "epochs_0", "betas_one"])
+def test_configs_reject_out_of_range_fields(make, key):
+    with pytest.raises(ValueError, match=key):
+        make()
+
+
 def test_pretrain_same_seed_same_curve():
     trajs = _walk_corpus()
     sizes = [max(t[0] for tr in trajs for t in tr.ids) + 1,
