@@ -24,10 +24,12 @@ from .model import (
     TrainConfig,
     chain_one_hot,
     chained_logits,
+    check_layout,
     decoder_forward,
     embed_sequence,
     fit,
     head_forward,
+    init_params,
     load_tensors,
     make_batch,
     meta_config,
@@ -35,8 +37,6 @@ from .model import (
 )
 from .pipeline import Trajectory
 from .tensor import Tensor
-
-HEAD_KINDS = ("ffn", "lstm")
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +128,35 @@ def backbone_outputs(
     return decoder_forward(x, batch.keep, state, rng=rng, training=training)
 
 
-def _init_affine(rng, n_in: int, n_out: int, dtype) -> tuple[Tensor, Tensor]:
-    w = Tensor(rng.normal(0.0, 0.02, size=(n_in, n_out)).astype(dtype), requires_grad=True)
-    b = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
-    return w, b
-
-
 # ---------------------------------------------------------------------------
 # next-location heads
 # ---------------------------------------------------------------------------
+
+# Each head is built from `(config, params)`; its `layout` is what `init_params`
+# draws and `check_layout` checks.
 
 class NextLocationHeadFFN:
     """One affine layer per level over the pooled vector (plus chained one-hot)."""
 
     kind = "ffn"
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
-        for h, size in enumerate(config.level_sizes, start=1):
-            w, b = _init_affine(rng, config.head_input_width(h), size, dtype)
-            self.params[f"g{h}.w"] = w
-            self.params[f"g{h}.b"] = b
+        self.params = params
+
+    @staticmethod
+    def layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+        return [
+            pair
+            for h, size in enumerate(config.level_sizes, start=1)
+            for pair in ((f"g{h}.w", (config.head_input_width(h), size)), (f"g{h}.b", (size,)))
+        ]
 
     def features(self, outputs: Tensor, keep: np.ndarray) -> Tensor:
         return masked_mean_pool(outputs, keep)
 
     def level_logits(self, level: int, pooled: Tensor, hot: np.ndarray | None) -> Tensor:
-        x = pooled if hot is None else T.concat([pooled, Tensor(hot.astype(pooled.data.dtype))])
+        x = pooled if hot is None else T.concat([pooled, Tensor(hot)])
         return T.add(T.matmul(x, self.params[f"g{level}.w"]), self.params[f"g{level}.b"])
 
 
@@ -165,21 +165,21 @@ class NextLocationHeadLSTM:
 
     kind = "lstm"
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
-        rng = np.random.default_rng(seed)
+        self.params = params
+
+    @staticmethod
+    def layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         w = config.hidden
-        self.params: dict[str, Tensor] = {}
-        for h, size in enumerate(config.level_sizes, start=1):
-            n_in = config.head_input_width(h)
-            wx, bg = _init_affine(rng, n_in, 4 * w, dtype)
-            wh, _ = _init_affine(rng, w, 4 * w, dtype)
-            ow, ob = _init_affine(rng, w, size, dtype)
-            self.params[f"g{h}.wx"] = wx
-            self.params[f"g{h}.wh"] = wh
-            self.params[f"g{h}.b"] = bg
-            self.params[f"g{h}.out_w"] = ow
-            self.params[f"g{h}.out_b"] = ob
+        return [
+            pair
+            for h, size in enumerate(config.level_sizes, start=1)
+            for pair in (
+                (f"g{h}.wx", (config.head_input_width(h), 4 * w)), (f"g{h}.wh", (w, 4 * w)),
+                (f"g{h}.b", (4 * w,)), (f"g{h}.out_w", (w, size)), (f"g{h}.out_b", (size,)),
+            )
+        ]
 
     def features(self, outputs: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
         return outputs, keep
@@ -187,38 +187,37 @@ class NextLocationHeadLSTM:
     def level_logits(self, level: int, features, hot: np.ndarray | None) -> Tensor:
         outputs, keep = features
         b, t1, w = outputs.data.shape
-        dtype = outputs.data.dtype
-        wx = self.params[f"g{level}.wx"]
-        wh = self.params[f"g{level}.wh"]
-        bias = self.params[f"g{level}.b"]
-        h_t = Tensor(np.zeros((b, w), dtype=dtype))
-        c_t = Tensor(np.zeros((b, w), dtype=dtype))
+        p = lambda name: self.params[f"g{level}.{name}"]
+        x = outputs
+        if hot is not None:  # the same one-hot at every step
+            x = T.concat([x, Tensor(np.broadcast_to(hot[:, None, :], (b, t1, hot.shape[-1])))])
+        x_gates = T.add(T.matmul(x, p("wx")), p("b"))  # the input side of every step at once
+        h_t = c_t = Tensor(np.zeros((b, w), dtype=outputs.data.dtype))
+        states = []
         for t in range(t1):
-            x_t = outputs[:, t, :]
-            if hot is not None:
-                x_t = T.concat([x_t, Tensor(hot.astype(dtype))])
-            gates = T.add(T.add(T.matmul(x_t, wx), T.matmul(h_t, wh)), bias)
+            gates = T.add(x_gates[:, t, :], T.matmul(h_t, p("wh")))
             i_g = T.sigmoid(gates[:, 0 * w : 1 * w])
             f_g = T.sigmoid(gates[:, 1 * w : 2 * w])
             g_g = T.tanh(gates[:, 2 * w : 3 * w])
             o_g = T.sigmoid(gates[:, 3 * w : 4 * w])
-            c_new = T.add(T.mul(f_g, c_t), T.mul(i_g, g_g))
-            h_new = T.mul(o_g, T.tanh(c_new))
-            # PAD steps hold the previous state, so the final state is the
-            # one at each sample's last real position
-            m = Tensor(keep[:, t : t + 1].astype(dtype))
-            keep_inv = Tensor(1.0 - keep[:, t : t + 1].astype(dtype))
-            c_t = T.add(T.mul(c_new, m), T.mul(c_t, keep_inv))
-            h_t = T.add(T.mul(h_new, m), T.mul(h_t, keep_inv))
-        return T.add(T.matmul(h_t, self.params[f"g{level}.out_w"]), self.params[f"g{level}.out_b"])
+            c_t = T.add(T.mul(f_g, c_t), T.mul(i_g, g_g))
+            h_t = T.mul(o_g, T.tanh(c_t))
+            states.append(h_t)
+        # row t * b + i is sample i's state after step t; PAD steps come after
+        # every real one, so each sample's final state is at its last real step
+        last = T.concat(states, axis=0)[(keep.sum(axis=1) - 1) * b + np.arange(b)]
+        return T.add(T.matmul(last, p("out_w")), p("out_b"))
+
+
+HEADS = {"ffn": NextLocationHeadFFN, "lstm": NextLocationHeadLSTM}
+HEAD_KINDS = tuple(HEADS)
 
 
 def make_head(kind: str, config: ModelConfig, seed: int = 0, dtype=np.float32):
-    if kind == "ffn":
-        return NextLocationHeadFFN(config, seed=seed, dtype=dtype)
-    if kind == "lstm":
-        return NextLocationHeadLSTM(config, seed=seed, dtype=dtype)
-    raise ValueError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
+    """A freshly initialised next-location head of `kind`, one of `HEAD_KINDS`."""
+    if kind not in HEADS:
+        raise ValueError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
+    return HEADS[kind](config, init_params(HEADS[kind].layout(config), seed, dtype))
 
 
 def save_head(head, path):
@@ -238,20 +237,17 @@ def load_head(path, state: ModelState):
             raise CheckpointError(
                 f"{path}: 'head_kind' must be one of {HEAD_KINDS}, got {meta.get('head_kind')!r}"
             )
-        head = make_head(meta["head_kind"], state.config, dtype=state.dtype)
+        cls, extra = HEADS[meta["head_kind"]], ()
     elif meta.get("kind") == "classifier":
         classes = meta.get("classes")
         if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
             raise CheckpointError(f"{path}: 'classes' must be a list of strings, got {classes!r}")
-        head = TrajectoryClassifier(state.config, classes, dtype=state.dtype)
+        cls, extra = TrajectoryClassifier, (classes,)
     else:
         raise CheckpointError(f"{path}: not a head checkpoint")
     meta_config(meta, path)  # checked only: the head is rebuilt on `state`'s config
-    expected = {name: t.data.shape for name, t in head.params.items()}
-    if {name: t.data.shape for name, t in tensors.items()} != expected:
-        raise CheckpointError(f"{path}: head tensors do not match the expected layout")
-    head.params.update(tensors)
-    return head
+    params = check_layout(path, tensors, cls.layout(state.config, *extra))
+    return cls(state.config, params, *extra)
 
 
 class PretrainingHeads:
@@ -465,12 +461,14 @@ def evaluate_next_location(
 class TrajectoryClassifier:
     """Single affine layer over the pooled trajectory vector."""
 
-    def __init__(self, config: ModelConfig, classes: list[str], seed: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor], classes: list[str]):
         self.config = config
+        self.params = params
         self.classes = list(classes)
-        rng = np.random.default_rng(seed)
-        w, b = _init_affine(rng, config.hidden, len(self.classes), dtype)
-        self.params = {"w": w, "b": b}
+
+    @staticmethod
+    def layout(config: ModelConfig, classes: list[str]) -> list[tuple[str, tuple[int, ...]]]:
+        return [("w", (config.hidden, len(classes))), ("b", (len(classes),))]
 
     def logits(self, pooled: Tensor) -> Tensor:
         return T.add(T.matmul(pooled, self.params["w"]), self.params["b"])
@@ -495,7 +493,8 @@ def finetune_classifier(
     if classes is None:
         classes = sorted({t.label for t in labeled})
     index = {c: i for i, c in enumerate(classes)}
-    clf = TrajectoryClassifier(state.config, classes, seed=train.seed, dtype=state.dtype)
+    layout = TrajectoryClassifier.layout(state.config, classes)
+    clf = TrajectoryClassifier(state.config, init_params(layout, train.seed, state.dtype), classes)
     pairs = [(t, index[t.label]) for t in labeled]
 
     def head_loss(outputs, keep, targets):

@@ -52,7 +52,8 @@ class ModelConfig:
     def __post_init__(self):
         if not self.level_sizes or any(s < 1 for s in self.level_sizes):
             raise ValueError(f"'level_sizes' must be positive, got {self.level_sizes}")
-        _at_least_1(self, "hidden", "heads")
+        _at_least(self, 1, "hidden", "heads")
+        _at_least(self, 0, "layers")
         if self.hidden % self.heads != 0:
             raise ValueError(f"'hidden' {self.hidden} is not divisible by 'heads' {self.heads}")
         if not 0 <= self.attn_dropout < 1:
@@ -93,15 +94,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _at_least_1(self, "epochs", "batch_size")
-        if len(self.betas) != 2:
-            raise ValueError(f"'betas' needs two values, got {self.betas!r}")
+        _at_least(self, 1, "epochs", "batch_size")
+        _at_least(self, 0, "lr", "eps", strict=True)
+        _at_least(self, 0, "weight_decay", "warmup_steps")
+        if len(self.betas) != 2 or not all(0 <= beta < 1 for beta in self.betas):
+            raise ValueError(f"'betas' needs two values in [0, 1), got {self.betas!r}")
 
 
-def _at_least_1(config, *names: str):
+def _at_least(config, low, *names: str, strict: bool = False):
+    """Raise naming the first of `names` below `low` (or equal to it, when `strict`)."""
     for name in names:
-        if getattr(config, name) < 1:
-            raise ValueError(f"'{name}' must be at least 1, got {getattr(config, name)}")
+        value = getattr(config, name)
+        if not (value > low if strict else value >= low):  # NaN fails both
+            bound = f"above {low}" if strict else f"at least {low}"
+            raise ValueError(f"'{name}' must be {bound}, got {value}")
 
 
 def _param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -137,6 +143,22 @@ def _param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
+def init_params(layout, seed: int = 0, dtype=np.float32) -> dict[str, Tensor]:
+    """Trainable tensors for `layout`: matrices ~ N(0, 0.02) drawn in layout
+    order, 1-D tensors zero, norm gains (`.g`) one."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape in layout:
+        if name.endswith(".g"):
+            data = np.ones(shape, dtype=dtype)
+        elif len(shape) == 1:
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
 class ModelState:
     """Named trainable tensors plus the config that shaped them."""
 
@@ -146,18 +168,7 @@ class ModelState:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0, dtype=np.float32) -> "ModelState":
-        """Matrices ~ N(0, 0.02), biases zero, norm gains one."""
-        rng = np.random.default_rng(seed)
-        params: dict[str, Tensor] = {}
-        for name, shape in _param_layout(config):
-            if name.endswith(".g"):
-                data = np.ones(shape, dtype=dtype)
-            elif len(shape) == 1:
-                data = np.zeros(shape, dtype=dtype)
-            else:
-                data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-            params[name] = Tensor(data, requires_grad=True)
-        return cls(config, params)
+        return cls(config, init_params(_param_layout(config), seed, dtype))
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -484,14 +495,9 @@ def meta_config(meta: dict, path) -> ModelConfig:
         raise CheckpointError(f"{path}: bad model config in meta: {e}") from None
 
 
-def load_checkpoint(path, config: ModelConfig | None = None) -> ModelState:
-    """Load a model; with `config` given, verify the layout matches it."""
-    meta, tensors = load_tensors(path)
-    if meta.get("kind") != "model":
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    stored = meta_config(meta, path)
-    target = config if config is not None else stored
-    for name, shape in _param_layout(target):
+def check_layout(path, tensors: dict[str, Tensor], layout) -> dict[str, Tensor]:
+    """`tensors` in `layout` order, or `CheckpointError` naming one that does not fit."""
+    for name, shape in layout:
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor '{name}' for target config")
         if tuple(tensors[name].data.shape) != shape:
@@ -499,7 +505,17 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> ModelState:
                 f"{path}: tensor '{name}' has shape {tuple(tensors[name].data.shape)}, "
                 f"config wants {shape}"
             )
-    extra = set(tensors) - {name for name, _ in _param_layout(target)}
+    extra = set(tensors) - {name for name, _ in layout}
     if extra:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(extra)}")
-    return ModelState(target, tensors)
+    return {name: tensors[name] for name, _ in layout}
+
+
+def load_checkpoint(path, config: ModelConfig | None = None) -> ModelState:
+    """Load a model; with `config` given, verify the layout matches it."""
+    meta, tensors = load_tensors(path)
+    if meta.get("kind") != "model":
+        raise CheckpointError(f"{path}: not a model checkpoint")
+    stored = meta_config(meta, path)
+    target = config if config is not None else stored
+    return ModelState(target, check_layout(path, tensors, _param_layout(target)))

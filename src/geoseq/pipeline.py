@@ -91,6 +91,12 @@ class PipelineConfig:
             raise ValueError(
                 f"'resample_interval' must be at least 1, got {self.resample_interval}"
             )
+        if not self.stop_speed_kmh > 0:
+            raise ValueError(f"'stop_speed_kmh' must be above 0, got {self.stop_speed_kmh}")
+        if self.min_trajectory_records < 1:
+            raise ValueError(
+                f"'min_trajectory_records' must be at least 1, got {self.min_trajectory_records}"
+            )
         if self.max_seq_len < 2:
             raise ValueError(
                 f"'max_seq_len' must be at least 2 (SOS plus one location), got {self.max_seq_len}"

@@ -228,6 +228,7 @@ def matmul(a, b) -> Tensor:
     both directions, so the weight gradient is one `a2.T @ g2` instead of a
     per-batch `[..., k, n]` stack summed afterwards. Operands that are both
     batched (attention's scores and context) take the broadcasting path.
+    Backward computes only the gradients of operands that require one.
     """
     global _MACS
     a, b = as_tensor(a), as_tensor(b)
@@ -243,7 +244,9 @@ def matmul(a, b) -> Tensor:
 
         def backward(g):
             g2 = g.reshape(rows, n)
-            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+            ga = (g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
+            gb = a2.T @ g2 if b.requires_grad else None
+            return ga, gb
 
         return _make((a2 @ b.data).reshape(*a.data.shape[:-1], n), (a, b), backward)
 
@@ -252,9 +255,12 @@ def matmul(a, b) -> Tensor:
     _MACS += int(np.prod(out.shape[:-2], dtype=np.int64)) * m * k * n
 
     def backward(g):
-        ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        gb = np.matmul(a.data.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+        return ga, gb
 
     return _make(out, (a, b), backward)
 

@@ -23,7 +23,7 @@ from geoseq.bench import (
     render_table,
     run_ablation,
 )
-from geoseq.downstream import NextLocationHeadFFN, predict_topk
+from geoseq.downstream import make_head, predict_topk
 from geoseq.grid import GridSpec, project
 from geoseq.model import (
     Batch,
@@ -268,7 +268,7 @@ def test_criterion_7_beam_vs_bruteforce():
             sizes[-1] = max(3, sizes[-1] // 2)
         config = ModelConfig(sizes, hidden=8, layers=0, heads=2, attn_dropout=0.0)
         state = ModelState.init(config, seed=seed)
-        head = NextLocationHeadFFN(config, seed=seed + 1, dtype=state.dtype)
+        head = make_head("ffn", config, seed=seed + 1, dtype=state.dtype)
         for p in head.params.values():  # spread the random logits
             p.data *= 40.0
         traj = Trajectory(

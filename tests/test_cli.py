@@ -342,8 +342,19 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"ablation": {"variants": ["bogus"]}}, "'ablation.variants'"),
     ({"ablation": {"eval_k": 0}}, "'ablation.eval_k'"),
     ({"origin": [0.0]}, "'origin'"),
+    ({"layers": -1}, "'layers'"),
+    ({"lr": -1.0}, "'lr'"),
+    ({"eps": 0.0}, "'eps'"),
+    ({"weight_decay": -1.0}, "'weight_decay'"),
+    ({"warmup_steps": -3}, "'warmup_steps'"),
+    ({"betas": [1.5, 0.999]}, "'betas'"),
+    ({"stop_speed_kmh": -1.0}, "'stop_speed_kmh'"),
+    ({"min_trajectory_records": -5}, "'min_trajectory_records'"),
 ], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed", "max_seq_len_1",
-        "resample_interval_0", "attn_dropout_1", "variant_bogus", "eval_k_0", "origin_one"])
+        "resample_interval_0", "attn_dropout_1", "variant_bogus", "eval_k_0", "origin_one",
+        "layers_negative", "lr_negative", "eps_0", "weight_decay_negative",
+        "warmup_steps_negative", "beta_1_5", "stop_speed_negative",
+        "min_trajectory_records_negative"])
 @pytest.mark.parametrize("command", ["synth", "preprocess"])
 def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, command):
     # every subcommand checks the whole config before it looks at its inputs

@@ -8,14 +8,13 @@ import pytest
 from geoseq import downstream
 from geoseq import tensor as T
 from geoseq.downstream import (
-    NextLocationHeadFFN,
-    NextLocationHeadLSTM,
     beam_topk,
     backbone_outputs,
     compute_metrics,
     finetune_classifier,
     finetune_next_location,
     load_head,
+    make_head,
     masked_mean_pool,
     predict_topk,
     pretrained_predict_topk,
@@ -23,12 +22,15 @@ from geoseq.downstream import (
 )
 from geoseq.model import (
     Batch,
+    CheckpointError,
     ModelConfig,
     ModelState,
     TrainConfig,
     chained_logits,
     head_forward,
+    init_params,
     make_batch,
+    save_tensors,
 )
 from geoseq.pipeline import Trajectory
 from geoseq.tensor import Tensor
@@ -194,7 +196,7 @@ def test_beam_breaks_ties_lexicographically():
 def test_predict_topk_products_match_enumeration():
     config = micro_config(level_sizes=(3, 4))
     state = ModelState.init(config, seed=6)
-    head = NextLocationHeadFFN(config, seed=7, dtype=state.dtype)
+    head = make_head("ffn", config, seed=7, dtype=state.dtype)
     traj = make_trajs(1, 3, config.level_sizes)[0]
     full = predict_topk(state, head, traj, k=12)
     assert len(full) == 12
@@ -338,7 +340,7 @@ def test_single_level_reduces_to_plain_next_token():
 def test_ffn_head_gradients():
     config = micro_config(level_sizes=(4, 5))
     state = ModelState.init(config, seed=18, dtype=np.float64)
-    head = NextLocationHeadFFN(config, seed=19, dtype=np.float64)
+    head = make_head("ffn", config, seed=19, dtype=np.float64)
     trajs = make_trajs(3, 3, config.level_sizes, seed=20)
     batch = make_batch(trajs, config.levels)
     targets = np.asarray([t.ids[-1] for t in trajs], dtype=np.int64)
@@ -358,7 +360,7 @@ def test_ffn_head_gradients():
 def test_lstm_head_gradients():
     config = micro_config(level_sizes=(4, 5))
     state = ModelState.init(config, seed=21, dtype=np.float64)
-    head = NextLocationHeadLSTM(config, seed=22, dtype=np.float64)
+    head = make_head("lstm", config, seed=22, dtype=np.float64)
     trajs = make_trajs(2, 3, config.level_sizes, seed=23)
     batch = make_batch(trajs, config.levels)
     targets = np.asarray([t.ids[-1] for t in trajs], dtype=np.int64)
@@ -378,7 +380,7 @@ def test_lstm_head_gradients():
 def test_lstm_final_state_ignores_padding():
     config = micro_config(level_sizes=(4, 5))
     state = ModelState.init(config, seed=24)
-    head = NextLocationHeadLSTM(config, seed=25, dtype=state.dtype)
+    head = make_head("lstm", config, seed=25, dtype=state.dtype)
     trajs = make_trajs(1, 4, config.level_sizes, seed=26)
     batch = make_batch(trajs, config.levels)
     padded = Batch(
@@ -390,6 +392,57 @@ def test_lstm_final_state_ignores_padding():
         a = head.level_logits(1, head.features(backbone_outputs(state, batch), batch.keep), None)
         b = head.level_logits(1, head.features(backbone_outputs(state, padded), padded.keep), None)
     assert np.array_equal(a.data, b.data)
+
+
+def test_lstm_batch_rows_equal_each_trajectory_alone():
+    # two trajectories of different lengths, padded into one batch the way the
+    # frozen-backbone fine-tune pads its cached decoder outputs
+    config = micro_config(level_sizes=(4, 5))
+    state = ModelState.init(config, seed=61)
+    head = make_head("lstm", config, seed=62, dtype=state.dtype)
+    trajs = [make_trajs(1, 5, config.level_sizes, seed=63)[0],
+             make_trajs(1, 2, config.level_sizes, seed=64)[0]]
+    with T.no_grad():
+        alone = [backbone_outputs(state, make_batch([t], config.levels)).data[0] for t in trajs]
+        padded = np.zeros((2, len(alone[0]), config.hidden), dtype=state.dtype)
+        keep = np.zeros((2, len(alone[0])), dtype=bool)
+        for i, out in enumerate(alone):
+            padded[i, : len(out)] = out
+            keep[i, : len(out)] = True
+        both = chained_logits(config, head.level_logits, head.features(Tensor(padded), keep))
+        for i, out in enumerate(alone):
+            one = chained_logits(config, head.level_logits,
+                                 head.features(Tensor(out[None]), keep[i : i + 1, : len(out)]))
+            for level in range(config.levels):
+                assert np.array_equal(both[level].data[i], one[level].data[0]), (i, level)
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape", "extra"])
+@pytest.mark.parametrize("task", ["ffn", "lstm", "classifier"])
+def test_head_that_does_not_fit_names_file_and_tensor(task, fault, tmp_path):
+    config = micro_config()
+    if task == "classifier":
+        meta = {"kind": "classifier", "classes": ["a", "b"]}
+        layout = downstream.TrajectoryClassifier.layout(config, meta["classes"])
+    else:
+        meta = {"kind": "head", "head_kind": task}
+        layout = downstream.HEADS[task].layout(config)
+    params = init_params(layout)
+    name = layout[-1][0]
+    if fault == "missing":
+        del params[name]
+    else:
+        params[name if fault == "shape" else "stray"] = Tensor(np.zeros(3, dtype=np.float32))
+    path = tmp_path / "head.gsq"
+    save_tensors(path, params, {**meta, "config": config.to_json()})
+    message = {
+        "missing": f"missing tensor '{name}'",
+        "shape": f"tensor '{name}' has shape (3,)",
+        "extra": "unexpected tensors ['stray']",
+    }[fault]
+    with pytest.raises(CheckpointError) as err:
+        load_head(path, ModelState.init(config, seed=65))
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
 
 
 # -- classification --------------------------------------------------------------

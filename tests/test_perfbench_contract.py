@@ -18,7 +18,7 @@ RANKING = [
     (cli, "pretrained_predict_topk"),
     (model, "head_forward"),
 ]
-HEAD_CLASSES = (downstream.NextLocationHeadFFN, downstream.NextLocationHeadLSTM)
+HEAD_CLASSES = tuple(downstream.HEADS.values())  # every head in the table is traced
 
 
 def _bound():
