@@ -17,9 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .downstream import evaluate_next_location
-from .model import ModelConfig, TrainConfig, TrainingDiverged, pretrain
+from .model import (
+    HEAD_CHAINED,
+    HEAD_INDEPENDENT,
+    ModelConfig,
+    TrainConfig,
+    TrainingDiverged,
+    pretrain,
+)
 from .optim import NonFiniteGradientError
-from .pipeline import Trajectory, split
+from .pipeline import PipelineConfig, Trajectory, split
 from .vocab import SOS_ID
 
 VARIANTS = ("baseline_flat_alm", "gt_independent_alm", "gt_halm")
@@ -122,8 +129,8 @@ def flatten_trajectories(trajs: list[Trajectory]) -> tuple[list[Trajectory], int
 
 def _variant_config(variant: str, config: ModelConfig, flat_size: int) -> ModelConfig:
     if variant == "baseline_flat_alm":
-        return replace(config, level_sizes=[flat_size], head_mode="independent")
-    mode = "independent" if variant == "gt_independent_alm" else "chained"
+        return replace(config, level_sizes=[flat_size], head_mode=HEAD_INDEPENDENT)
+    mode = HEAD_INDEPENDENT if variant == "gt_independent_alm" else HEAD_CHAINED
     return replace(config, head_mode=mode)
 
 
@@ -132,20 +139,21 @@ def run_ablation(
     config: ModelConfig,
     train: TrainConfig,
     spec: AblationSpec = AblationSpec(),
+    split_fractions: tuple[float, float, float] = PipelineConfig.split_fractions,
 ) -> list[dict]:
     """Train every variant with one budget/seed and report the comparison.
 
     `config` gives the hierarchical level sizes and the shape every variant
     shares; each variant sets its own vocabulary and head mode.
 
-    Training uses the shuffled 80% share; accuracy is the model's own
-    next-location prediction on the held-out test share, with correctness
-    meaning the full finest-resolution location (all levels at once for the
-    hierarchical variants, the flat token for the baseline). A diverging
-    variant is recorded and the run continues.
+    Training uses the pretrain share of `split_fractions`; accuracy is the
+    model's own next-location prediction on the held-out test share, with
+    correctness meaning the full finest-resolution location (all levels at
+    once for the hierarchical variants, the flat token for the baseline). A
+    diverging variant is recorded and the run continues.
     """
     flat_trajs, flat_size = flatten_trajectories(trajs)
-    parts = split(len(trajs), train.seed)
+    parts = split(len(trajs), train.seed, split_fractions)
     rows = []
     for variant in spec.variants:
         data = flat_trajs if variant == "baseline_flat_alm" else trajs

@@ -84,7 +84,6 @@ def _from_cfg(cls, cfg: dict, **given):
 
 
 DEFAULTS = {
-    "scales": [100_000.0, 1_000.0, 100.0],  # one grid level per scale, coarse to fine
     **_defaults(GridSpec),
     **_defaults(ModelConfig),
     **_defaults(TrainConfig),
@@ -93,7 +92,6 @@ DEFAULTS = {
     "head": "ffn",
     "freeze_backbone": False,
     **_defaults(PipelineConfig),
-    "split_fractions": [0.8, 0.8, 0.1],
     "synth": _defaults(SynthConfig, skip=("seed", "scales", "ref_lat")),
     "ablation": _defaults(AblationSpec),
 }
@@ -139,12 +137,6 @@ def resolve_config(doc: dict) -> dict:
     for key, choices in _CHOICES.items():
         if out[key] not in choices:
             raise ConfigError(f"'{key}' must be one of {choices}, got {out[key]!r}")
-    fractions = out["split_fractions"]
-    if len(fractions) != 3 or not all(0 <= f <= 1 for f in fractions) or sum(fractions[1:]) > 1:
-        raise ConfigError(
-            f"'split_fractions' needs three shares in [0, 1] with train + val <= 1, "
-            f"got {fractions!r}"
-        )
     if out["seed"] is not None and type(out["seed"]) is not int:
         raise ConfigError(f"'seed' must be int, got {out['seed']!r}")
     # build each config dataclass once, so every rule it owns runs before any work:
@@ -253,9 +245,10 @@ def cmd_vocab(cfg: dict, args, seed, out: Path) -> list[str]:
 
 def cmd_preprocess(cfg: dict, args, seed, out: Path) -> list[str]:
     vocab = Vocabulary.load(args.vocab)
-    trajs = preprocess(read_csv(args.input), vocab, _from_cfg(PipelineConfig, cfg))
+    pipeline = _from_cfg(PipelineConfig, cfg)
+    trajs = preprocess(read_csv(args.input), vocab, pipeline)
     write_trajectories(trajs, out / "trajectories.ndjson")
-    parts = split(len(trajs), seed, tuple(cfg["split_fractions"]))
+    parts = split(len(trajs), seed, pipeline.split_fractions)
     (out / "splits.json").write_text(json.dumps(split_to_json(parts)), encoding="utf-8")
     _log(
         f"preprocess: {len(trajs)} trajectories "
@@ -331,6 +324,7 @@ def cmd_ablate(cfg: dict, args, seed, out: Path) -> list[str]:
         _from_cfg(ModelConfig, cfg, level_sizes=level_sizes),
         _from_cfg(TrainConfig, cfg, seed=seed),
         _from_cfg(AblationSpec, cfg["ablation"]),
+        tuple(cfg["split_fractions"]),
     )
     (out / "ablation.json").write_text(json.dumps(rows, indent=2), encoding="utf-8")
     table = render_table(rows)

@@ -48,7 +48,7 @@ class GridSpec:
     integer multiple (>= 2) of the next, so cells nest without overlap.
     """
 
-    scales: tuple[float, ...]
+    scales: tuple[float, ...] = (100_000.0, 1_000.0, 100.0)
     origin: tuple[float, float] = (0.0, 0.0)
     ratios: tuple[int, ...] = field(init=False)  # ratios[h] = scales[h-1] / scales[h]
 

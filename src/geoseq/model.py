@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .optim import Adam
-from .pipeline import Trajectory
+from .pipeline import MAX_SEQ_LEN, Trajectory
 from .tensor import Tensor
 from .vocab import PAD_ID
 
@@ -46,7 +46,7 @@ class ModelConfig:
     layers: int = 6
     heads: int = 8
     attn_dropout: float = 0.1
-    max_seq_len: int = 32
+    max_seq_len: int = MAX_SEQ_LEN
     head_mode: str = HEAD_CHAINED
 
     def __post_init__(self):
@@ -373,14 +373,7 @@ def fit(params: dict[str, Tensor], items: list, loss_fn, train: TrainConfig) -> 
     """
     if not items:
         raise ValueError("empty training set")
-    opt = Adam(
-        params,
-        lr=train.lr,
-        betas=train.betas,
-        eps=train.eps,
-        weight_decay=train.weight_decay,
-        warmup_steps=train.warmup_steps,
-    )
+    opt = Adam(params, train)
     rng = np.random.default_rng(train.seed)
     order = np.arange(len(items))
     curve = []

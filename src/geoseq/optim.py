@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .tensor import Tensor
+
+if TYPE_CHECKING:  # model imports this module
+    from .model import TrainConfig
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -14,35 +19,25 @@ class NonFiniteGradientError(RuntimeError):
 class Adam:
     """Decoupled-weight-decay Adam over a named parameter dict.
 
-    Weight decay is applied directly to the parameter (scaled by the current
-    learning rate) before the moment update. With `warmup_steps` > 0 the
-    effective rate is `lr * min(1, step / warmup_steps)`.
+    Every setting comes from `train`: `lr`, `betas`, `eps`, `weight_decay`
+    and `warmup_steps`. Weight decay is applied directly to the parameter
+    (scaled by the current learning rate) before the moment update. With
+    `warmup_steps` > 0 the effective rate is `lr * min(1, step / warmup_steps)`.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        warmup_steps: int = 0,
-    ):
+    def __init__(self, params: dict[str, Tensor], train: TrainConfig):
         self.params = dict(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.warmup_steps = warmup_steps
+        self.train = train
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def effective_lr(self, step: int | None = None) -> float:
         t = self.step_count if step is None else step
-        if self.warmup_steps > 0:
-            return self.lr * min(1.0, t / self.warmup_steps)
-        return self.lr
+        lr, warmup = self.train.lr, self.train.warmup_steps
+        if warmup > 0:
+            return lr * min(1.0, t / warmup)
+        return lr
 
     def zero_grad(self):
         for p in self.params.values():
@@ -51,7 +46,8 @@ class Adam:
     def step(self):
         self.step_count += 1
         lr_t = self.effective_lr()
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.train.betas
+        decay, eps = self.train.weight_decay, self.train.eps
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for name, p in self.params.items():
@@ -60,8 +56,8 @@ class Adam:
                 continue
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(f"non-finite gradient in parameter '{name}'")
-            if self.weight_decay:
-                p.data -= (lr_t * self.weight_decay) * p.data
+            if decay:
+                p.data -= (lr_t * decay) * p.data
             m = self._m[name]
             v = self._v[name]
             m *= b1
@@ -70,4 +66,4 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= (lr_t * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            p.data -= (lr_t * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)

@@ -20,6 +20,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +31,7 @@ STOP_SPEED_KMH = 4.0
 MIN_STAY_SECONDS = 300
 MIN_TRAJECTORY_RECORDS = 10
 RESAMPLE_INTERVAL_S = 60
+MAX_SEQ_LEN = 32  # the model's cap and the window length, SOS included
 
 
 @dataclass
@@ -44,7 +46,6 @@ class RawRecord:
     y: float = 0.0
     speed_kmh: float = 0.0
     is_stop: bool = False
-    duplicate_ts: bool = False
 
 
 @dataclass
@@ -82,7 +83,9 @@ class PipelineConfig:
     stop_speed_kmh: float = STOP_SPEED_KMH
     min_stay_seconds: int = MIN_STAY_SECONDS
     min_trajectory_records: int = MIN_TRAJECTORY_RECORDS
-    max_seq_len: int = 32
+    max_seq_len: int = MAX_SEQ_LEN
+    # pretrain share of all trajectories; then train and val shares of the rest
+    split_fractions: tuple[float, float, float] = (0.8, 0.8, 0.1)
 
     def __post_init__(self):
         if self.profile not in ("gps", "signal"):
@@ -100,6 +103,12 @@ class PipelineConfig:
         if self.max_seq_len < 2:
             raise ValueError(
                 f"'max_seq_len' must be at least 2 (SOS plus one location), got {self.max_seq_len}"
+            )
+        shares = self.split_fractions
+        if len(shares) != 3 or not all(0 <= f <= 1 for f in shares) or sum(shares[1:]) > 1:
+            raise ValueError(
+                f"'split_fractions' needs three shares in [0, 1] with train + val <= 1, "
+                f"got {shares!r}"
             )
 
 
@@ -130,7 +139,7 @@ def compute_velocity(records: list[RawRecord]) -> list[RawRecord]:
     """Instantaneous speed in km/h between consecutive projected points.
 
     The first record copies the second's speed; a zero time delta repeats
-    the previous record's speed and flags the duplicate timestamp.
+    the previous record's speed.
     """
     if len(records) < 2:
         raise ValueError("velocity needs at least two records per user")
@@ -139,7 +148,6 @@ def compute_velocity(records: list[RawRecord]) -> list[RawRecord]:
         dt = cur.timestamp - prev.timestamp
         if dt <= 0:
             cur.speed_kmh = prev.speed_kmh
-            cur.duplicate_ts = True
             continue
         dist_m = math.hypot(cur.x - prev.x, cur.y - prev.y)
         cur.speed_kmh = (dist_m / dt) * 3.6
@@ -197,7 +205,7 @@ def segment_trajectories(
     return segments
 
 
-def window(traj: Trajectory, max_seq_len: int = 32) -> list[Trajectory]:
+def window(traj: Trajectory, max_seq_len: int) -> list[Trajectory]:
     """Split into non-overlapping chunks of <= max_seq_len - 1 real locations.
 
     Each chunk is re-prefixed with SOS; a trailing chunk of a single location
@@ -224,7 +232,7 @@ def window(traj: Trajectory, max_seq_len: int = 32) -> list[Trajectory]:
     return out
 
 
-def split(n_trajectories: int, seed: int, fractions=(0.8, 0.8, 0.1)) -> DatasetSplit:
+def split(n_trajectories: int, seed: int, fractions=PipelineConfig.split_fractions) -> DatasetSplit:
     """Deterministic shuffled split: pretrain vs finetune, then train/val/test.
 
     `fractions` = (pretrain share of total, train share of the finetune pool,
@@ -355,9 +363,10 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
     """Read `write_trajectories`'s NDJSON as untrusted input.
 
     A line that is not an object with `user`, `ids` and `ts`, whose `ids` and
-    `ts` differ in length, whose id tuples are not non-negative ints of the
-    file's one width, or whose `ts` holds anything but finite numbers > 0
-    raises ValueError naming the file and the line. Given `level_sizes`,
+    `ts` differ in length, whose id tuples are not non-negative ints (not
+    bools) of the file's one width, whose `ts` holds anything but finite
+    numbers > 0, or whose `label` is neither a string nor null raises
+    ValueError naming the file and the line. Given `level_sizes`,
     every id must also lie below its level's size. The id and timestamp
     checks run once, vectorised, over the whole file; a line-by-line scan
     runs only to name the line of a fault.
@@ -382,11 +391,16 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
                     f"{path}, line {lineno}: 'ids' (a list of id lists) and 'ts' must be "
                     f"lists of one length"
                 )
+            label = doc.get("label")
+            if label is not None and not isinstance(label, str):
+                raise ValueError(
+                    f"{path}, line {lineno}: 'label' {label!r} is not a string or null"
+                )
             trajs.append(Trajectory(
                 user=doc["user"],
                 ids=[tuple(tup) for tup in ids],
                 timestamps=ts,
-                label=doc.get("label"),
+                label=label,
             ))
             line_of.append(lineno)
     _check_ids(path, trajs, line_of, level_sizes)
@@ -402,10 +416,12 @@ def _check_ids(path, trajs: list[Trajectory], line_of: list[int], level_sizes):
     if not rows:
         return
     width = len(rows[0]) if level_sizes is None else len(level_sizes)
-    try:
-        ids = np.array(rows)
-    except ValueError:  # ragged rows
-        ids = None
+    ids = None
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):  # no bool, float or str
+        try:
+            ids = np.array(rows)
+        except ValueError:  # ragged rows
+            pass
     if ids is None or ids.shape != (len(rows), width) or ids.dtype.kind != "i":
         for t, lineno in zip(trajs, line_of):
             if any(len(tup) != width or not all(type(i) is int for i in tup) for tup in t.ids):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import unproject
-from .pipeline import RawRecord
+from .grid import GridSpec, unproject
+from .pipeline import PipelineConfig, RawRecord
 
 # per-minute step ranges (meters) per movement mode; all > 4 km/h at 60 s spacing
 MODES = (("walk", 90.0, 150.0), ("bike", 200.0, 380.0), ("car", 450.0, 900.0))
@@ -33,8 +33,8 @@ class SynthConfig:
     jitter_m: float = 25.0  # dwell wobble; keeps dwell speeds < 4 km/h
     heading_noise: float = 0.15  # lateral fraction of the step length
     seed: int = 0
-    scales: tuple[float, ...] = (100_000.0, 1_000.0, 100.0)
-    ref_lat: float = 0.0
+    scales: tuple[float, ...] = GridSpec.scales
+    ref_lat: float = PipelineConfig.ref_lat
 
     def __post_init__(self):
         if self.extent_m <= self.scales[0]:

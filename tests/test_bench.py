@@ -171,7 +171,7 @@ def test_hierarchy_depths_train_one_step(scales):
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     config = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2, attn_dropout=0.0)
     state = ModelState.init(config, seed=6)
-    opt = Adam(state.params, lr=1e-3)
+    opt = Adam(state.params, TrainConfig(lr=1e-3, weight_decay=0.0, warmup_steps=0))
     batch = make_batch(trajs[:4], config.levels)
     loss = forward_loss(batch, state)
     loss.backward()

@@ -3,13 +3,18 @@
 import hashlib
 import json
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
+from geoseq.bench import AblationSpec
 from geoseq.cli import DEFAULTS, dispatch, resolve_config, ConfigError
 from geoseq.downstream import make_head
-from geoseq.model import ModelConfig, ModelState, save_checkpoint, save_tensors
+from geoseq.grid import GridSpec
+from geoseq.model import ModelConfig, ModelState, TrainConfig, save_checkpoint, save_tensors
+from geoseq.pipeline import PipelineConfig
+from geoseq.synth import SynthConfig
 from geoseq.vocab import Vocabulary
 
 
@@ -142,8 +147,21 @@ def test_optimizer_keys_reach_finetune_and_ablate(workspace, tmp_path):
     for key, value in (("warmup_steps", 5), ("betas", [0.5, 0.9]), ("eps", 1e-2)):
         assert written("finetune", data + splits + ckpt, "head.gsq", **{key: value}) != head, key
     table = written("ablate", data + vocab, "ablation.json")
-    for key, value in (("betas", [0.5, 0.9]), ("eps", 1e-2)):
+    for key, value in (("betas", [0.5, 0.9]), ("eps", 1e-2), ("split_fractions", [0.6, 0.5, 0.2])):
         assert written("ablate", data + vocab, "ablation.json", **{key: value}) != table, key
+
+
+def test_shared_config_fields_have_one_default():
+    """A field name two config dataclasses share gets one default value."""
+    defaults = {}
+    for cls in (GridSpec, ModelConfig, TrainConfig, PipelineConfig, SynthConfig, AblationSpec):
+        for f in fields(cls):
+            if f.default is not MISSING:
+                defaults.setdefault(f.name, []).append((cls.__name__, f.default))
+    shared = {name: owners for name, owners in defaults.items() if len(owners) > 1}
+    assert sorted(shared) == ["max_seq_len", "ref_lat", "scales", "seed"]
+    for name, owners in shared.items():
+        assert len({value for _, value in owners}) == 1, (name, owners)
 
 
 def test_manifest_accompanies_artifacts(workspace):
@@ -426,12 +444,16 @@ def _ndjson_faults(sizes):
         "ts_negative": set_ts(-60),
         "ts_nan": set_ts(float("nan")),
         "ts_bool": set_ts(True),
+        "id_bool": set_id(0, True),
+        "label_int": lambda doc: doc.__setitem__("label", 3),
+        "label_list": lambda doc: doc.__setitem__("label", ["walk"]),
     }
 
 
 @pytest.mark.parametrize("fault", [
     "no_user", "no_ids", "no_ts", "ragged_tuple", "ts_shorter", "id_float", "id_at_size",
-    "id_negative", "ts_str", "ts_zero", "ts_negative", "ts_nan", "ts_bool",
+    "id_negative", "ts_str", "ts_zero", "ts_negative", "ts_nan", "ts_bool", "id_bool",
+    "label_int", "label_list",
 ])
 @pytest.mark.parametrize("command", ["pretrain", "eval"])
 def test_malformed_trajectories_exit_1_naming_file_and_line(
@@ -455,6 +477,28 @@ def test_malformed_trajectories_exit_1_naming_file_and_line(
     code = dispatch([command, "--config", str(cfg), *inputs, "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: ValueError: {data}, line 3:")
+
+
+def test_integer_labels_fail_classification_finetune(workspace, tmp_path, capsys):
+    # a classifier saved with integer classes could never be loaded again
+    root, _ = workspace
+    sizes = Vocabulary.load(root / "v" / "vocab.json").sizes()
+    lines = (root / "p" / "trajectories.ndjson").read_text().splitlines()
+    docs = [json.loads(line) for line in lines]
+    for i, doc in enumerate(docs):
+        doc["label"] = i % 2
+    data = tmp_path / "trajectories.ndjson"
+    data.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    ckpt = tmp_path / "checkpoint.gsq"
+    save_checkpoint(ModelState.init(ModelConfig(sizes, hidden=16, layers=1, heads=2)), ckpt)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "task": "classification"}), encoding="utf-8")
+    code = dispatch(["finetune", "--config", str(cfg), "--data", str(data),
+                     "--splits", str(root / "p" / "splits.json"), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "f")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {data}, line 1:")
+    assert not (tmp_path / "f" / "head.gsq").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geoseq.model import TrainConfig
 from geoseq.optim import Adam, NonFiniteGradientError
 from geoseq.tensor import Tensor
 
@@ -11,9 +12,14 @@ def _param(value=1.0):
     return Tensor(np.array([value], dtype=np.float64), requires_grad=True)
 
 
+def _train(**settings):
+    """Adam's settings with no decay and no warmup unless a test sets them."""
+    return TrainConfig(**{"weight_decay": 0.0, "warmup_steps": 0, **settings})
+
+
 def test_first_step_moves_by_lr():
     p = _param(0.0)
-    opt = Adam({"p": p}, lr=1e-3, eps=1e-8, weight_decay=0.0)
+    opt = Adam({"p": p}, _train(lr=1e-3, eps=1e-8))
     p.grad = np.array([1.0])
     opt.step()
     # bias-corrected m = g, v = g^2, so the step is lr * 1/(1 + eps)
@@ -22,7 +28,7 @@ def test_first_step_moves_by_lr():
 
 def test_zero_gradient_leaves_params_alone():
     p = _param(0.7)
-    opt = Adam({"p": p}, lr=1e-2, weight_decay=0.0)
+    opt = Adam({"p": p}, _train(lr=1e-2))
     for _ in range(5):
         p.grad = np.array([0.0])
         opt.step()
@@ -31,8 +37,8 @@ def test_zero_gradient_leaves_params_alone():
 
 def test_warmup_halves_lr_at_half_warmup():
     warm, plain = _param(), _param()
-    opt_warm = Adam({"p": warm}, lr=1e-3, warmup_steps=100)
-    opt_plain = Adam({"p": plain}, lr=1e-3, warmup_steps=0)
+    opt_warm = Adam({"p": warm}, _train(lr=1e-3, warmup_steps=100))
+    opt_plain = Adam({"p": plain}, _train(lr=1e-3))
     opt_warm.step_count = opt_plain.step_count = 49  # the next step is number 50
     warm.grad = plain.grad = np.array([1.0])
     opt_warm.step()
@@ -43,7 +49,7 @@ def test_warmup_halves_lr_at_half_warmup():
 
 
 def test_warmup_schedule_caps_at_base_lr():
-    opt = Adam({"p": _param()}, lr=2e-3, warmup_steps=10)
+    opt = Adam({"p": _param()}, _train(lr=2e-3, warmup_steps=10))
     assert opt.effective_lr(step=5) == pytest.approx(1e-3)
     assert opt.effective_lr(step=10) == pytest.approx(2e-3)
     assert opt.effective_lr(step=500) == pytest.approx(2e-3)
@@ -51,7 +57,7 @@ def test_warmup_schedule_caps_at_base_lr():
 
 def test_decoupled_weight_decay_shrinks_before_update():
     p = _param(2.0)
-    opt = Adam({"p": p}, lr=1e-2, weight_decay=0.1)
+    opt = Adam({"p": p}, _train(lr=1e-2, weight_decay=0.1))
     p.grad = np.array([0.0])
     opt.step()
     # zero gradient: the only movement is the decay term lr * wd * param
@@ -60,7 +66,7 @@ def test_decoupled_weight_decay_shrinks_before_update():
 
 def test_non_finite_gradient_raises():
     p = _param()
-    opt = Adam({"p": p})
+    opt = Adam({"p": p}, _train())
     p.grad = np.array([np.nan])
     with pytest.raises(NonFiniteGradientError, match="'p'"):
         opt.step()
@@ -68,7 +74,7 @@ def test_non_finite_gradient_raises():
 
 def test_descends_a_quadratic():
     p = _param(3.0)
-    opt = Adam({"p": p}, lr=0.1)
+    opt = Adam({"p": p}, _train(lr=0.1))
     for _ in range(200):
         opt.zero_grad()
         p.grad = 2 * p.data  # d/dp p^2

