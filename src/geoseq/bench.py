@@ -150,10 +150,16 @@ def run_ablation(
     model's own next-location prediction on the held-out test share, with
     correctness meaning the full finest-resolution location (all levels at
     once for the hierarchical variants, the flat token for the baseline). A
-    diverging variant is recorded and the run continues.
+    diverging variant is recorded and the run continues. A pretrain or test
+    share without a trajectory of length >= 2 raises `ValueError` before any
+    variant trains.
     """
-    flat_trajs, flat_size = flatten_trajectories(trajs)
     parts = split(len(trajs), train.seed, split_fractions)
+    if not any(trajs[i].length >= 2 for i in parts.pretrain):
+        raise ValueError("no trainable trajectories (need length >= 2)")
+    if not any(trajs[i].length >= 2 for i in parts.finetune_test):
+        raise ValueError("no evaluable trajectories (need length >= 2)")
+    flat_trajs, flat_size = flatten_trajectories(trajs)
     rows = []
     for variant in spec.variants:
         data = flat_trajs if variant == "baseline_flat_alm" else trajs

@@ -157,7 +157,7 @@ class NextLocationHeadFFN:
 
     def level_logits(self, level: int, pooled: Tensor, hot: np.ndarray | None) -> Tensor:
         x = pooled if hot is None else T.concat([pooled, Tensor(hot)])
-        return T.add(T.matmul(x, self.params[f"g{level}.w"]), self.params[f"g{level}.b"])
+        return T.matmul(x, self.params[f"g{level}.w"], self.params[f"g{level}.b"])
 
 
 class NextLocationHeadLSTM:
@@ -191,7 +191,7 @@ class NextLocationHeadLSTM:
         x = outputs
         if hot is not None:  # the same one-hot at every step
             x = T.concat([x, Tensor(np.broadcast_to(hot[:, None, :], (b, t1, hot.shape[-1])))])
-        x_gates = T.add(T.matmul(x, p("wx")), p("b"))  # the input side of every step at once
+        x_gates = T.matmul(x, p("wx"), p("b"))  # the input side of every step at once
         h_t = c_t = Tensor(np.zeros((b, w), dtype=outputs.data.dtype))
         states = []
         for t in range(t1):
@@ -206,7 +206,7 @@ class NextLocationHeadLSTM:
         # row t * b + i is sample i's state after step t; PAD steps come after
         # every real one, so each sample's final state is at its last real step
         last = T.concat(states, axis=0)[(keep.sum(axis=1) - 1) * b + np.arange(b)]
-        return T.add(T.matmul(last, p("out_w")), p("out_b"))
+        return T.matmul(last, p("out_w"), p("out_b"))
 
 
 HEADS = {"ffn": NextLocationHeadFFN, "lstm": NextLocationHeadLSTM}
@@ -471,7 +471,7 @@ class TrajectoryClassifier:
         return [("w", (config.hidden, len(classes))), ("b", (len(classes),))]
 
     def logits(self, pooled: Tensor) -> Tensor:
-        return T.add(T.matmul(pooled, self.params["w"]), self.params["b"])
+        return T.matmul(pooled, self.params["w"], self.params["b"])
 
 
 def finetune_classifier(

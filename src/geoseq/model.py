@@ -225,7 +225,7 @@ def temporal_encoding(timestamps: np.ndarray, state: ModelState) -> Tensor:
     if np.any(timestamps <= 0):
         raise ValueError("timestamps must be positive for the log transform")
     logt = np.log(timestamps.astype(np.float64)).astype(state.dtype)[..., None]
-    return T.relu(T.add(T.matmul(Tensor(logt), state["temporal.w"]), state["temporal.b"]))
+    return T.relu(T.matmul(Tensor(logt), state["temporal.w"], state["temporal.b"]))
 
 
 def embed_sequence(batch: Batch, state: ModelState) -> Tensor:
@@ -266,17 +266,17 @@ def decoder_forward(
     for i in range(cfg.layers):
         pre = lambda s: state[f"layer{i}.{s}"]
         h = T.layer_norm(x, pre("ln1.g"), pre("ln1.b"))
-        q = split_heads(T.add(T.matmul(h, pre("attn.wq")), pre("attn.bq")))
-        k = split_heads(T.add(T.matmul(h, pre("attn.wk")), pre("attn.bk")))
-        v = split_heads(T.add(T.matmul(h, pre("attn.wv")), pre("attn.bv")))
+        q = split_heads(T.matmul(h, pre("attn.wq"), pre("attn.bq")))
+        k = split_heads(T.matmul(h, pre("attn.wk"), pre("attn.bk")))
+        v = split_heads(T.matmul(h, pre("attn.wv"), pre("attn.bv")))
         ctx = T.scaled_dot_product_attention(
             q, k, v, attend, dropout_p=cfg.attn_dropout, rng=rng, training=training
         )
         ctx = T.reshape(T.swapaxes(ctx, 1, 2), (b, t1, w))
-        x = T.add(x, T.add(T.matmul(ctx, pre("attn.wo")), pre("attn.bo")))
+        x = T.add(x, T.matmul(ctx, pre("attn.wo"), pre("attn.bo")))
         h2 = T.layer_norm(x, pre("ln2.g"), pre("ln2.b"))
-        f = T.relu(T.add(T.matmul(h2, pre("ff.w1")), pre("ff.b1")))
-        x = T.add(x, T.add(T.matmul(f, pre("ff.w2")), pre("ff.b2")))
+        f = T.relu(T.matmul(h2, pre("ff.w1"), pre("ff.b1")))
+        x = T.add(x, T.matmul(f, pre("ff.w2"), pre("ff.b2")))
     if cfg.layers > 0:
         x = T.layer_norm(x, state["final_ln.g"], state["final_ln.b"])
     return x
@@ -319,8 +319,8 @@ def head_forward(
     """Two affine layers with a ReLU between them, over `features` plus the one-hot `hot`."""
     if hot is not None:
         features = T.concat([features, Tensor(hot)], axis=-1)
-    z = T.relu(T.add(T.matmul(features, state[f"head.h{level}.w1"]), state[f"head.h{level}.b1"]))
-    return T.add(T.matmul(z, state[f"head.h{level}.w2"]), state[f"head.h{level}.b2"])
+    z = T.relu(T.matmul(features, state[f"head.h{level}.w1"], state[f"head.h{level}.b1"]))
+    return T.matmul(z, state[f"head.h{level}.w2"], state[f"head.h{level}.b2"])
 
 
 def prediction_logits(outputs: Tensor, state: ModelState) -> list[Tensor]:

@@ -16,6 +16,11 @@ class NonFiniteGradientError(RuntimeError):
     """A gradient went NaN/inf; training must halt and report."""
 
 
+# Elements per in-place update slice: two scratch slices of this many stay in
+# cache while a parameter of millions of elements streams through once.
+CHUNK = 32768
+
+
 class Adam:
     """Decoupled-weight-decay Adam over a named parameter dict.
 
@@ -23,14 +28,19 @@ class Adam:
     and `warmup_steps`. Weight decay is applied directly to the parameter
     (scaled by the current learning rate) before the moment update. With
     `warmup_steps` > 0 the effective rate is `lr * min(1, step / warmup_steps)`.
+
+    `step` updates each parameter in place, `CHUNK` elements at a time, with
+    the same operations in the same order as the whole-array formula, so the
+    result is bit-identical to it; only the temporaries shrink.
     """
 
     def __init__(self, params: dict[str, Tensor], train: TrainConfig):
         self.params = dict(params)
         self.train = train
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._m = {k: np.zeros(p.data.shape, p.data.dtype) for k, p in self.params.items()}
+        self._v = {k: np.zeros(p.data.shape, p.data.dtype) for k, p in self.params.items()}
+        self._scratch = {}  # dtype -> two CHUNK-sized buffers
 
     def effective_lr(self, step: int | None = None) -> float:
         t = self.step_count if step is None else step
@@ -50,20 +60,41 @@ class Adam:
         decay, eps = self.train.weight_decay, self.train.eps
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
+        finite = np.empty(CHUNK, dtype=bool)
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient in parameter '{name}'")
-            if decay:
-                p.data -= (lr_t * decay) * p.data
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= (lr_t * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+            # C-order flat views; a non-contiguous parameter is updated in a
+            # contiguous copy that is written back below
+            contiguous = p.data.flags.c_contiguous
+            data = p.data if contiguous else np.ascontiguousarray(p.data)
+            flat = data.reshape(-1)
+            g = np.asarray(p.grad, dtype=data.dtype).reshape(-1)
+            m = self._m[name].reshape(-1)
+            v = self._v[name].reshape(-1)
+            for lo in range(0, flat.size, CHUNK):
+                gc = g[lo:lo + CHUNK]
+                if not np.isfinite(gc, out=finite[:gc.size]).all():
+                    raise NonFiniteGradientError(f"non-finite gradient in parameter '{name}'")
+            if data.dtype not in self._scratch:
+                self._scratch[data.dtype] = np.empty((2, CHUNK), data.dtype)
+            buf_a, buf_b = self._scratch[data.dtype]
+            for lo in range(0, flat.size, CHUNK):
+                pc, gc = flat[lo:lo + CHUNK], g[lo:lo + CHUNK]
+                mc, vc = m[lo:lo + CHUNK], v[lo:lo + CHUNK]
+                ta, tb = buf_a[:pc.size], buf_b[:pc.size]
+                if decay:
+                    pc -= np.multiply(lr_t * decay, pc, out=ta)
+                mc *= b1
+                mc += np.multiply(1.0 - b1, gc, out=ta)
+                vc *= b2
+                np.multiply(1.0 - b2, gc, out=ta)
+                vc += np.multiply(ta, gc, out=ta)
+                np.divide(vc, bias2, out=ta)  # v_hat
+                np.sqrt(ta, out=ta)
+                ta += eps
+                np.divide(mc, bias1, out=tb)  # m_hat
+                np.multiply(lr_t, tb, out=tb)
+                pc -= np.divide(tb, ta, out=tb)
+            if not contiguous:
+                p.data[...] = data

@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy arrays.
 
-Implements the small operation set the sequence models need: matmul, add/mul,
-concat, embedding lookup, relu/sigmoid/tanh, layer norm, softmax, masked fill,
-dropout, log, mean/sum, reshape/swapaxes, basic indexing, and a masked
-cross-entropy. Every operation registers a backward closure; `Tensor.backward`
-runs reverse-mode accumulation over the recorded graph.
+Implements the small operation set the sequence models need: matmul (with an
+optional bias added in place), add/sub/neg/mul, concat, embedding lookup,
+relu/sigmoid/tanh, layer norm, softmax, masked fill, dropout, log, mean/sum,
+reshape/swapaxes, basic indexing, and a masked cross-entropy. Every operation
+registers a backward closure; `Tensor.backward` runs reverse-mode accumulation
+over the recorded graph.
 
 Training runs in float32; pass float64 arrays for verification-grade gradient
 checks. A module-level multiply-accumulate counter tracks matmul work for
@@ -123,17 +124,40 @@ class Tensor:
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
+            taken = []
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    # a copy: closures may hand one array to two parents
-                    parent.grad = np.array(g, dtype=parent.data.dtype)
-                else:
+                if parent.grad is not None:
                     parent.grad += g
+                elif _owns(g, parent.data.dtype, node.grad, taken):
+                    parent.grad = g  # fresh: kept as it is, never copied
+                    taken.append(g)
+                else:
+                    # a copy in the view's own memory order, which the bits
+                    # of later reductions over this gradient depend on
+                    parent.grad = np.array(g, dtype=parent.data.dtype)
             if not retain_graph:
                 node._parents = ()
                 node._backward = None
+
+
+def _owns(g, dtype, node_grad, taken) -> bool:
+    """Whether a first gradient may become the parent's own `.grad` uncopied.
+
+    Later contributions are added into `.grad` in place, so it must be a
+    writable array of the parent's dtype that shares memory with neither the
+    node's own gradient (interior gradients are kept, and `add`, `reshape` and
+    `swapaxes` hand back views of it) nor a gradient this node already gave
+    to another parent. A fresh array from a closure passes them all.
+    """
+    return (
+        isinstance(g, np.ndarray)
+        and g.flags.writeable
+        and g.dtype == dtype
+        and not np.may_share_memory(g, node_grad)
+        and not any(np.may_share_memory(g, t) for t in taken)
+    )
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -200,13 +224,15 @@ def mul(a, b) -> Tensor:
     )
 
 
-def matmul(a, b) -> Tensor:
-    """`a @ b`; an activation of any rank times a 2-D weight is one 2-D GEMM.
+def matmul(a, b, bias=None) -> Tensor:
+    """`a @ b (+ bias)`; an activation of any rank times a 2-D weight is one 2-D GEMM.
 
     Folding the leading axes of `a` into rows runs `(rows, k) @ (k, n)` in
     both directions, so the weight gradient is one `a2.T @ g2` instead of a
-    per-batch `[..., k, n]` stack summed afterwards. Operands that are both
-    batched (attention's scores and context) take the broadcasting path.
+    per-batch `[..., k, n]` stack summed afterwards. A `bias` (2-D `b` only)
+    is added into the GEMM's output in place and is a third parent, with the
+    gradient an `add` node would give it. Operands that are both batched
+    (attention's scores and context) take the broadcasting path.
     Backward computes only the gradients of operands that require one.
     """
     global _MACS
@@ -220,15 +246,27 @@ def matmul(a, b) -> Tensor:
         rows = math.prod(a.data.shape[:-1])
         a2 = a.data.reshape(rows, k)
         _MACS += rows * k * n
+        out = (a2 @ b.data).reshape(*a.data.shape[:-1], n)
+        parents = (a, b)
+        if bias is not None:
+            bias = as_tensor(bias)
+            if bias.data.shape != (n,):
+                raise ShapeError(f"matmul bias must be [{n}], got {bias.data.shape}")
+            out += bias.data
+            parents = (a, b, bias)
 
         def backward(g):
             g2 = g.reshape(rows, n)
             ga = (g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
             gb = a2.T @ g2 if b.requires_grad else None
-            return ga, gb
+            if bias is None:
+                return ga, gb
+            return ga, gb, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
 
-        return _make((a2 @ b.data).reshape(*a.data.shape[:-1], n), (a, b), backward)
+        return _make(out, parents, backward)
 
+    if bias is not None:
+        raise ShapeError(f"matmul bias needs a 2-D weight, got {b.data.shape}")
     out = np.matmul(a.data, b.data)
     m, k, n = a.data.shape[-2], a.data.shape[-1], b.data.shape[-1]
     _MACS += int(np.prod(out.shape[:-2], dtype=np.int64)) * m * k * n
@@ -338,19 +376,25 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out = xhat * xhat
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward(g):
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in that
+        # order, in two buffers
+        dx = g * gain.data
+        tmp = dx * xhat
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        dx_mean = dx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=tmp)
+        dx -= dx_mean
+        dx -= tmp
+        dx *= inv
         return (
             dx,
             _unbroadcast(g * xhat, gain.data.shape),
@@ -455,11 +499,10 @@ def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
     loss = -(picked * valid).sum() / n_valid
 
     def backward(g):
-        probs = np.exp(logp)
-        dl = probs.copy()
+        dl = np.exp(logp)
         dl[np.arange(targets.shape[0]), safe_targets] -= 1.0
         dl *= (valid[:, None] / n_valid) * g
-        return (dl.astype(logits.data.dtype),)
+        return (dl,)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
 

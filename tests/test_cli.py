@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from geoseq import bench
 from geoseq.bench import AblationSpec
 from geoseq.cli import DEFAULTS, dispatch, resolve_config, ConfigError
 from geoseq.downstream import make_head
@@ -149,6 +150,26 @@ def test_optimizer_keys_reach_finetune_and_ablate(workspace, tmp_path):
     table = written("ablate", data + vocab, "ablation.json")
     for key, value in (("betas", [0.5, 0.9]), ("eps", 1e-2), ("split_fractions", [0.6, 0.5, 0.2])):
         assert written("ablate", data + vocab, "ablation.json", **{key: value}) != table, key
+
+
+@pytest.mark.parametrize("shares, message", [
+    ([0.8, 1.0, 0.0], "no evaluable trajectories"),
+    ([0.0, 0.8, 0.1], "no trainable trajectories"),
+])
+def test_ablate_rejects_an_empty_share_before_training(
+    workspace, tmp_path, monkeypatch, capsys, shares, message
+):
+    root, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "split_fractions": shares}), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(bench, "pretrain", lambda *args: calls.append(args))
+    code = dispatch(["ablate", "--config", str(cfg),
+                     "--data", str(root / "p" / "trajectories.ndjson"),
+                     "--out", str(tmp_path / "a")])
+    assert calls == []
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {message}")
 
 
 def test_shared_config_fields_have_one_default():

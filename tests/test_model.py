@@ -532,3 +532,14 @@ def test_load_checkpoint_rejects_malformed_meta_config(tmp_path, config):
     save_tensors(path, state.params, meta)
     with pytest.raises(CheckpointError, match="config"):
         load_checkpoint(path)
+
+
+def test_parameter_gradients_share_no_memory():
+    # first gradients are kept uncopied when fresh; none may alias another
+    state = ModelState.init(micro_config(), seed=0)
+    forward_loss(random_batch(state.config), state).backward()
+    grads = [(name, p.grad) for name, p in state.params.items() if p.grad is not None]
+    assert len(grads) == len(state.params)
+    for i, (name, g) in enumerate(grads):
+        for other, h in grads[i + 1:]:
+            assert not np.shares_memory(g, h), (name, other)

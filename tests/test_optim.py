@@ -1,10 +1,10 @@
-"""Adam: first-step analytics, warmup schedule, decay, divergence handling."""
+"""Adam: first-step analytics, warmup schedule, decay, divergence handling, chunking."""
 
 import numpy as np
 import pytest
 
 from geoseq.model import TrainConfig
-from geoseq.optim import Adam, NonFiniteGradientError
+from geoseq.optim import CHUNK, Adam, NonFiniteGradientError
 from geoseq.tensor import Tensor
 
 
@@ -80,3 +80,60 @@ def test_descends_a_quadratic():
         p.grad = 2 * p.data  # d/dp p^2
         opt.step()
     assert abs(p.data[0]) < 1e-2
+
+
+def _reference_steps(init, grads, train):
+    """The whole-array update, written out: what the chunked step must equal bit for bit."""
+    p, m, v = init.copy(), np.zeros_like(init), np.zeros_like(init)
+    b1, b2 = train.betas
+    for t, g in enumerate(grads, start=1):
+        lr_t = train.lr * min(1.0, t / train.warmup_steps) if train.warmup_steps else train.lr
+        if train.weight_decay:
+            p -= (lr_t * train.weight_decay) * p
+        m = m * b1 + (1.0 - b1) * g
+        v = v * b2 + ((1.0 - b2) * g) * g
+        p -= (lr_t * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + train.eps)
+    return p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_chunked_step_is_bit_identical_to_whole_array_formula(dtype, weight_decay, size):
+    rng = np.random.default_rng(size)
+    init = rng.normal(size=size).astype(dtype)
+    grads = [rng.normal(size=size).astype(dtype) for _ in range(4)]
+    train = _train(lr=1e-2, weight_decay=weight_decay, warmup_steps=2)
+    p = Tensor(init.copy(), requires_grad=True)
+    opt = Adam({"p": p}, train)
+    for g in grads:
+        p.grad = g.copy()
+        opt.step()
+    assert p.data.dtype == dtype
+    assert p.data.tobytes() == _reference_steps(init, grads, train).tobytes()
+
+
+def test_non_finite_in_last_chunk_leaves_the_parameter_untouched():
+    p = Tensor(np.ones(2 * CHUNK + 3, dtype=np.float32), requires_grad=True)
+    opt = Adam({"p": p}, _train())
+    before = p.data.tobytes()
+    p.grad = np.ones_like(p.data)  # every finite chunk would move
+    p.grad[-1] = np.inf
+    with pytest.raises(NonFiniteGradientError, match="'p'"):
+        opt.step()
+    assert p.data.tobytes() == before
+
+
+def test_non_contiguous_parameter_is_updated_in_place():
+    base = np.arange(12, dtype=np.float64).reshape(3, 4) + 1.0
+    p = Tensor(base.T, requires_grad=True)  # a transposed view of `base`
+    assert not p.data.flags.c_contiguous
+    q = Tensor(base.T.copy(), requires_grad=True)
+    opt_p, opt_q = Adam({"p": p}, _train(lr=0.1)), Adam({"q": q}, _train(lr=0.1))
+    g = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    for _ in range(3):
+        p.grad, q.grad = g.copy(), g.copy()
+        opt_p.step()
+        opt_q.step()
+    assert np.array_equal(p.data, q.data)
+    assert np.shares_memory(p.data, base)  # the update landed in the parameter itself

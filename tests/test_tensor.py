@@ -89,28 +89,38 @@ def test_backward_requires_scalar():
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(ShapeError, match=r"matmul"):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+    with pytest.raises(ShapeError, match=r"bias needs a 2-D weight"):
+        T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match=r"bias must be \[4\]"):
+        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))))
 
 
 def test_mlp_gradients_match_finite_differences():
-    # random 3-layer MLP in float64, every parameter
-    rng = np.random.default_rng(3)
-    params = {
-        "w1": Tensor(rng.normal(size=(4, 8)), requires_grad=True),
-        "b1": Tensor(rng.normal(size=(8,)), requires_grad=True),
-        "w2": Tensor(rng.normal(size=(8, 8)), requires_grad=True),
-        "b2": Tensor(rng.normal(size=(8,)), requires_grad=True),
-        "w3": Tensor(rng.normal(size=(8, 3)), requires_grad=True),
-        "b3": Tensor(rng.normal(size=(3,)), requires_grad=True),
-    }
-    x = rng.normal(size=(5, 4))
-    targets = rng.integers(0, 3, size=5)
+    # random 3-layer MLP in float64, every parameter; each bias is a separate
+    # `add` node or fused into `matmul`, over a [5, 4] or a [2, 5, 4] input
+    for form, x_shape in (("add", (5, 4)), ("fused", (5, 4)), ("fused", (2, 5, 4))):
+        rng = np.random.default_rng(3)
+        params = {
+            "w1": Tensor(rng.normal(size=(4, 8)), requires_grad=True),
+            "b1": Tensor(rng.normal(size=(8,)), requires_grad=True),
+            "w2": Tensor(rng.normal(size=(8, 8)), requires_grad=True),
+            "b2": Tensor(rng.normal(size=(8,)), requires_grad=True),
+            "w3": Tensor(rng.normal(size=(8, 3)), requires_grad=True),
+            "b3": Tensor(rng.normal(size=(3,)), requires_grad=True),
+        }
+        x = rng.normal(size=x_shape)
+        targets = rng.integers(0, 3, size=x.size // 4)
 
-    def loss_fn():
-        h1 = T.relu(T.add(T.matmul(Tensor(x), params["w1"]), params["b1"]))
-        h2 = T.relu(T.add(T.matmul(h1, params["w2"]), params["b2"]))
-        return T.cross_entropy(T.add(T.matmul(h2, params["w3"]), params["b3"]), targets)
+        def linear(a, i):
+            w, b = params[f"w{i}"], params[f"b{i}"]
+            return T.add(T.matmul(a, w), b) if form == "add" else T.matmul(a, w, b)
 
-    assert_grads_match(loss_fn, params)
+        def loss_fn():
+            h1 = T.relu(linear(Tensor(x), 1))
+            h2 = T.relu(linear(h1, 2))
+            return T.cross_entropy(T.reshape(linear(h2, 3), (-1, 3)), targets)
+
+        assert_grads_match(loss_fn, params)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -224,6 +234,10 @@ def test_mac_counter_counts_matmul_work():
         out = T.matmul(T.matmul(x, Tensor(np.ones((4, 6)))), Tensor(np.ones((2, 3, 6, 7))))
         T.tsum(out).backward()
     assert box.macs == 2 * 3 * 5 * 4 * 6 + 2 * 3 * 5 * 6 * 7
+    # a fused bias is not matmul work
+    with T.count_macs() as box:
+        T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+    assert box.macs == 2 * 3 * 4 * 5
 
 
 def test_folded_matmul_gradients():
@@ -297,3 +311,51 @@ def test_retained_graph_backward_twice_doubles_leaf_gradients():
     loss.backward(retain_graph=True)
     assert np.array_equal(x.grad, 2 * once["x"])
     assert np.array_equal(w.grad, 2 * once["w"])
+
+
+def test_fused_bias_matches_separate_add_bit_for_bit():
+    rng = np.random.default_rng(17)
+    x, w, b, c = (rng.normal(size=shape).astype(np.float32)
+                  for shape in ((2, 5, 4), (4, 3), (3,), (2, 5, 3)))
+    results = []
+    for fused in (False, True):
+        xt, wt, bt = (Tensor(v.copy(), requires_grad=True) for v in (x, w, b))
+        out = T.matmul(xt, wt, bt) if fused else T.add(T.matmul(xt, wt), bt)
+        T.tsum(T.mul(T.tanh(out), c)).backward()
+        results.append([out.data, xt.grad, wt.grad, bt.grad])
+    for unfused, fused in zip(*results):
+        assert unfused.tobytes() == fused.tobytes()
+
+
+def _op(parents, backward):
+    """A node with a hand-written backward, for the engine's copy rule."""
+    return T._make(sum(p.data for p in parents), parents, backward)
+
+
+@pytest.mark.parametrize("op_first", [True, False])
+def test_read_only_first_gradient_is_copied_before_accumulating(op_first):
+    # a 0-d `mean` hands back a numpy scalar and a broadcast is a read-only
+    # view; either may be a leaf's first gradient, and the next one is added in
+    x = Tensor(np.array(1.5), requires_grad=True)
+    terms = [T.mean(x), T.mul(x, x)]
+    T.add(*(terms if op_first else terms[::-1])).backward()
+    assert isinstance(x.grad, np.ndarray) and x.grad == 1.0 + 2 * 1.5
+
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    c = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
+    spread = _op((x,), lambda g: (np.broadcast_to(g[0, 0], x.data.shape),))
+    terms = [T.tsum(spread), T.tsum(T.mul(x, c))]
+    T.add(*(terms if op_first else terms[::-1])).backward()
+    assert np.array_equal(x.grad, 1.0 + c)
+
+
+@pytest.mark.parametrize("op_first", [True, False])
+def test_one_array_given_to_two_parents_is_not_shared(op_first):
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    c = np.array([2.0, -1.0, 4.0])
+    both = _op((a, b), lambda g: (g * 1.0,) * 2)  # one fresh array for both
+    terms = [T.tsum(both), T.tsum(T.mul(a, c))]
+    T.add(*(terms if op_first else terms[::-1])).backward()
+    assert np.array_equal(a.grad, 1.0 + c)
+    assert np.array_equal(b.grad, np.ones(3))
