@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import (
+    HEAD_CHAINED,
     Batch,
     CheckpointError,
     ModelConfig,
@@ -277,39 +278,56 @@ def beam_topk(level_probs, level_sizes: list[int], k: int) -> list[tuple[tuple[i
     """Rank complete tuples by the product of per-level conditional probabilities.
 
     `level_probs(level, prev_id)` returns the probability vector of a level
-    given the previous level's chosen id (`None` for level 1). Expands each
-    kept candidate over the whole next level and keeps the k best running
-    products; ties order lexicographically by tuple. With k equal to the
-    number of complete tuples this is exhaustive enumeration.
+    given the previous level's chosen id (`None` for level 1); it is called
+    once per kept candidate per level. Each level stacks those vectors into
+    a [candidates, V] matrix of float64 running products, finds the k-th
+    best with `np.partition` and orders the candidates at least that good
+    with one `np.lexsort`; ties order lexicographically by tuple, and none
+    is dropped at the k-th place. With k equal to the number of complete
+    tuples this is exhaustive enumeration.
     """
     total = int(np.prod(level_sizes))
     k = max(1, min(k, total))
-    beams: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+    tuples = np.zeros((1, 0), dtype=np.int64)  # kept candidates, one row each
+    # each kept tuple as a mixed-radix number, which orders as the tuple does
+    codes = np.zeros(1, dtype=np.int64)
+    scores = np.ones(1)
     for level in range(1, len(level_sizes) + 1):
-        expanded = []
-        for tup, p in beams:
-            probs = level_probs(level, tup[-1] if tup else None)
-            for cls, q in enumerate(probs):
-                expanded.append((tup + (cls,), p * float(q)))
-        expanded.sort(key=lambda item: (-item[1], item[0]))
-        beams = expanded[:k]
-    return beams
+        prev_ids = [None] if level == 1 else tuples[:, -1].tolist()
+        probs = np.stack([level_probs(level, prev) for prev in prev_ids])
+        size = probs.shape[1]
+        neg = -(scores[:, None] * probs).ravel()
+        cand_codes = (codes[:, None] * size + np.arange(size)).ravel()
+        # only candidates no worse than the n-th best can be kept, so only they
+        # are sorted; every tie at the cut stays in (partition orders NaN last,
+        # as lexsort does, and `~(>)` keeps it)
+        n = min(k, neg.size)
+        top = np.flatnonzero(~(neg > np.partition(neg, n - 1)[n - 1]))
+        pick = top[np.lexsort((cand_codes[top], neg[top]))][:k]
+        row, cls = np.divmod(pick, size)
+        tuples = np.column_stack([tuples[row], cls])
+        codes, scores = cand_codes[pick], -neg[pick]
+    return [(tuple(tup), score) for tup, score in zip(tuples.tolist(), scores.tolist())]
 
 
 def _beam_rank(state: ModelState, head, traj: Trajectory, k: int):
     """One backbone pass over `traj`, then the beam over `head`'s conditional chain.
 
-    Each distinct (level, previous id) the beam asks for costs one head call.
+    Each distinct (level, input) the beam asks for costs one head call. The
+    input is the previous id in chained mode; independent heads read the
+    features alone, so one call per level serves every kept candidate.
     """
     batch = make_batch([traj], state.config.levels)
     with T.no_grad():
         features = head.features(backbone_outputs(state, batch), batch.keep)
+        chained = state.config.head_mode == HEAD_CHAINED
         cache: dict = {}
 
         def level_probs(level: int, prev_id: int | None) -> np.ndarray:
-            key = (level, prev_id)
+            read = prev_id if chained else None
+            key = (level, read)
             if key not in cache:
-                hot = chain_one_hot(state.config, level, [prev_id], state.dtype)
+                hot = chain_one_hot(state.config, level, [read], state.dtype)
                 cache[key] = T.softmax(head.level_logits(level, features, hot)).data[0]
             return cache[key]
 

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoseq import downstream
 from geoseq import tensor as T
@@ -26,6 +27,7 @@ from geoseq.model import (
     ModelConfig,
     ModelState,
     TrainConfig,
+    chain_one_hot,
     chained_logits,
     head_forward,
     init_params,
@@ -191,6 +193,132 @@ def test_beam_breaks_ties_lexicographically():
 
     ranked = beam_topk(uniform, list(sizes), 4)
     assert [tup for tup, _ in ranked] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _loop_beam(level_probs, level_sizes, k):
+    """The per-candidate Python beam `beam_topk` replaced, kept as its oracle."""
+    total = int(np.prod(level_sizes))
+    k = max(1, min(k, total))
+    beams = [((), 1.0)]
+    for level in range(1, len(level_sizes) + 1):
+        expanded = []
+        for tup, p in beams:
+            probs = level_probs(level, tup[-1] if tup else None)
+            for cls, q in enumerate(probs):
+                expanded.append((tup + (cls,), p * float(q)))
+        expanded.sort(key=lambda item: (-item[1], item[0]))
+        beams = expanded[:k]
+    return beams
+
+
+def _bits(ranked):
+    return [(tup, score.hex()) for tup, score in ranked]
+
+
+# few distinct values, so equal products (and ties at the k-th place) are common
+_PROB_GRID = [0.0, 0.1, 0.125, 0.25, 0.3, 0.5, 1.0]
+
+
+@st.composite
+def _beam_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    tables = {}
+    for level, size in enumerate(sizes, start=1):
+        for prev in [None] if level == 1 else range(sizes[level - 2]):
+            row = draw(st.lists(st.sampled_from(_PROB_GRID), min_size=size, max_size=size))
+            tables[(level, prev)] = np.array(row, dtype=dtype)
+    k = draw(st.integers(1, int(np.prod(sizes)) + 2))
+    return sizes, tables, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_beam_cases())
+def test_beam_matches_the_python_loop_bit_for_bit(case):
+    sizes, tables, k = case
+
+    def probs(level, prev):
+        return tables[(level, prev)]
+
+    assert _bits(beam_topk(probs, sizes, k)) == _bits(_loop_beam(probs, sizes, k))
+
+
+@pytest.mark.parametrize("sizes", [(1,), (1, 4), (3, 1, 2), (2, 3, 1)])
+def test_beam_with_a_level_of_size_one(sizes):
+    probs = _random_probs_fn(sizes, seed=len(sizes) + sizes[0])
+    total = int(np.prod(sizes))
+    assert beam_topk(probs, list(sizes), total) == _bruteforce(probs, list(sizes))
+    for k in range(1, total + 1):
+        assert _bits(beam_topk(probs, list(sizes), k)) == _bits(_loop_beam(probs, list(sizes), k))
+
+
+@pytest.mark.parametrize("k", [4, 7, 11, 23])
+def test_beam_with_k_between_a_level_size_and_the_total(k):
+    sizes = (3, 4, 2)  # total 24; level 2 keeps k of its 12 candidates
+    probs = _random_probs_fn(sizes, seed=9)
+    ranked = beam_topk(probs, list(sizes), k)
+    assert len(ranked) == k
+    assert _bits(ranked) == _bits(_loop_beam(probs, list(sizes), k))
+
+
+def test_beam_returns_python_ints_and_floats():
+    sizes = (3, 4)
+    probs = _random_probs_fn(sizes, seed=10)
+    f32 = lambda level, prev: probs(level, prev).astype(np.float32)
+    for level_probs in (probs, f32):
+        for tup, score in beam_topk(level_probs, list(sizes), 5):
+            assert type(tup) is tuple and all(type(i) is int for i in tup)
+            assert type(score) is float
+
+
+def test_beam_ranks_nan_scores_last():
+    # a non-finite head (a corrupt checkpoint) must not push real scores out
+    def probs(level, prev):
+        return np.array([np.nan, 0.5, 0.2, np.nan])
+
+    ranked = beam_topk(probs, [4], 3)
+    assert [tup for tup, _ in ranked] == [(1,), (2,), (0,)]
+    assert np.isnan(ranked[2][1])
+
+
+def _rank_without_cache(state, head, traj, k):
+    """The beam over `head`, one head call for every candidate it expands."""
+    batch = make_batch([traj], state.config.levels)
+    with T.no_grad():
+        features = head.features(backbone_outputs(state, batch), batch.keep)
+
+        def level_probs(level, prev_id):
+            hot = chain_one_hot(state.config, level, [prev_id], state.dtype)
+            return T.softmax(head.level_logits(level, features, hot)).data[0]
+
+        return beam_topk(level_probs, state.config.level_sizes, k)
+
+
+@pytest.mark.parametrize("head_mode", ["chained", "independent"])
+@pytest.mark.parametrize("kind", ["own", "ffn", "lstm"])
+def test_independent_heads_run_once_per_level(kind, head_mode, monkeypatch):
+    config = micro_config(level_sizes=(4, 5, 3), head_mode=head_mode)
+    state = ModelState.init(config, seed=40)
+    if kind == "own":
+        head = downstream.PretrainingHeads(state)
+        rank = lambda traj: pretrained_predict_topk(state, traj, 5)
+    else:
+        head = make_head(kind, config, seed=41, dtype=state.dtype)
+        rank = lambda traj: predict_topk(state, head, traj, 5)
+    calls = []
+    level_logits = type(head).level_logits
+
+    def counted(self, level, features, hot):
+        calls.append(level)
+        return level_logits(self, level, features, hot)
+
+    monkeypatch.setattr(type(head), "level_logits", counted)
+    for traj in make_trajs(4, 5, config.level_sizes, seed=42):
+        calls.clear()
+        ranked = rank(traj)
+        if head_mode == "independent":
+            assert sorted(calls) == [1, 2, 3]
+        assert _bits(ranked) == _bits(_rank_without_cache(state, head, traj, 5))
 
 
 def test_predict_topk_products_match_enumeration():

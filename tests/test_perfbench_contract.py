@@ -70,3 +70,31 @@ def test_tracer_times_matmul_forward_and_backward():
     bwd = tracer.stat("run", "tensor.matmul.bwd")
     assert fwd.calls > 0 and bwd.calls == fwd.calls
     assert bwd.total > 0
+
+
+def test_beam_asks_level_probs_once_per_kept_candidate():
+    # the benchmark's "beam" probe wraps level_probs(level, prev_id) and adds
+    # len(probs) to downstream.beam_candidates_per_traj; that count means
+    # "candidates expanded" only while each kept candidate is one call
+    sizes, k = [4, 6, 3, 5], 5
+    rng = np.random.default_rng(0)
+    tables = {(1, None): rng.random(sizes[0])}
+    for level in range(2, len(sizes) + 1):
+        for prev in range(sizes[level - 2]):
+            tables[(level, prev)] = rng.random(sizes[level - 1]).astype(np.float32)
+    calls = []
+
+    def level_probs(level, prev_id):
+        calls.append((level, prev_id))
+        return tables[(level, prev_id)]
+
+    downstream.beam_topk(level_probs, sizes, k)
+    assert calls[0] == (1, None)
+    for level in range(2, len(sizes) + 1):
+        kept = downstream.beam_topk(lambda h, p: tables[(h, p)], sizes[:level - 1], k)
+        asked = [prev for h, prev in calls if h == level]
+        assert asked == [tup[-1] for tup, _ in kept]
+        assert all(isinstance(prev, (int, np.integer)) for prev in asked)
+    candidates = sum(len(tables[call]) for call in calls)
+    assert candidates == sizes[0] + sum(min(k, int(np.prod(sizes[:h]))) * sizes[h]
+                                        for h in range(1, len(sizes)))
