@@ -114,10 +114,7 @@ def flatten_trajectories(trajs: list[Trajectory]) -> tuple[list[Trajectory], int
     """
     mapping: dict = {}
     flat: list[Trajectory] = []
-    sos = None
     for traj in trajs:
-        if sos is None:
-            sos = traj.ids[0]
         ids = [(SOS_ID,)]
         for tup in traj.ids[1:]:
             if tup not in mapping:
@@ -164,6 +161,7 @@ def run_ablation(
     for variant in spec.variants:
         data = flat_trajs if variant == "baseline_flat_alm" else trajs
         variant_config = _variant_config(variant, config, flat_size)
+        params = count_params(variant_config)
         train_set = [data[i] for i in parts.pretrain]
         eval_set = [data[i] for i in parts.finetune_test]
         row = {
@@ -171,9 +169,9 @@ def run_ablation(
             "halm_loss": None,
             "acc1": None,
             "acc5": None,
-            "params": count_params(variant_config)["total"],
+            "params": params["total"],
             "flops": estimate_flops(variant_config, config.max_seq_len)["total_flops"],
-            "embedding_params": count_params(variant_config)["embeddings"],
+            "embedding_params": params["embeddings"],
             "divergent": False,
         }
         try:

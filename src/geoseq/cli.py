@@ -247,8 +247,14 @@ def cmd_preprocess(cfg: dict, args, seed, out: Path) -> list[str]:
     vocab = Vocabulary.load(args.vocab)
     pipeline = _from_cfg(PipelineConfig, cfg)
     trajs = preprocess(read_csv(args.input), vocab, pipeline)
-    write_trajectories(trajs, out / "trajectories.ndjson")
     parts = split(len(trajs), seed, pipeline.split_fractions)
+    for name in ("finetune_train", "finetune_test"):  # an empty finetune_val is allowed
+        if not getattr(parts, name):
+            raise ValueError(
+                f"split '{name}' is empty: {len(trajs)} trajectories at split_fractions "
+                f"{list(pipeline.split_fractions)}"
+            )
+    write_trajectories(trajs, out / "trajectories.ndjson")
     (out / "splits.json").write_text(json.dumps(split_to_json(parts)), encoding="utf-8")
     _log(
         f"preprocess: {len(trajs)} trajectories "

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 
 
@@ -18,18 +20,21 @@ class GridError(ValueError):
     """Invalid grid specification or malformed cell key."""
 
 
-def project(lat: float, lon: float, ref_lat: float = 0.0) -> tuple[float, float]:
-    """Equirectangular projection of degrees to meters.
+def project(lat, lon, ref_lat: float = 0.0):
+    """Equirectangular projection of degrees to meters, for scalars or arrays.
 
     x = R * lon_rad * cos(ref_lat), y = R * lat_rad. Monotone and invertible,
     adequate at city scale; `ref_lat` should sit near the data's latitude band.
+    Scalars give float64 scalars; `np.radians` rounds as `math.radians` does.
     """
-    if not (-90.0 <= lat <= 90.0):
-        raise GridError(f"latitude out of range: {lat}")
-    if not (-180.0 <= lon <= 180.0):
-        raise GridError(f"longitude out of range: {lon}")
-    x = EARTH_RADIUS_M * math.radians(lon) * math.cos(math.radians(ref_lat))
-    y = EARTH_RADIUS_M * math.radians(lat)
+    lat = np.asarray(lat, dtype=np.float64)
+    lon = np.asarray(lon, dtype=np.float64)
+    for name, deg, bound in (("latitude", lat, 90.0), ("longitude", lon, 180.0)):
+        bad = ~(np.abs(deg) <= bound)  # NaN included
+        if bad.any():
+            raise GridError(f"{name} out of range: {deg[bad][0]}")
+    x = EARTH_RADIUS_M * np.radians(lon) * math.cos(math.radians(ref_lat))
+    y = EARTH_RADIUS_M * np.radians(lat)
     return x, y
 
 

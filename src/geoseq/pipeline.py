@@ -1,10 +1,12 @@
 """Raw GPS/signal records to fixed-length tokenized training sequences.
 
-Per-user stages: sort by time, optionally resample to one record per
-interval, project to meters, optionally collapse same-cell runs into stays
-and drop short ones, compute speeds, flag stops (< 4 km/h), cut the record
-stream at stop records, tokenize, and window to the model's max sequence
-length. Two profiles mirror the two data styles:
+Each user's records are sorted by time and held as numpy columns. The stages
+are pure functions over those columns that return kept indices, speeds or
+segment bounds: optionally resample to one record per interval, project to
+meters, optionally collapse same-cell runs into stays and drop short ones,
+compute speeds, flag stops (< 4 km/h), cut the stream at stop records,
+tokenize, and window to the model's max sequence length. Two profiles mirror
+the two data styles:
 
   "gps"    — dense GPS logs: resample on, stay filtering off
   "signal" — cell-signal logs: resample off, stay filtering on
@@ -20,32 +22,26 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
 from .grid import GridSpec, finest_cell, project
 from .vocab import Vocabulary, tokenize
 
-STOP_SPEED_KMH = 4.0
-MIN_STAY_SECONDS = 300
-MIN_TRAJECTORY_RECORDS = 10
-RESAMPLE_INTERVAL_S = 60
 MAX_SEQ_LEN = 32  # the model's cap and the window length, SOS included
+TIMESTAMP_END = 2**63  # timestamps lie in (0, TIMESTAMP_END): they are int64 columns
 
 
 @dataclass
 class RawRecord:
+    """One CSV row."""
+
     user_id: str
-    timestamp: int  # Unix seconds, > 0
+    timestamp: int  # Unix seconds, in (0, TIMESTAMP_END)
     lat: float
     lon: float
     label: str | None = None
-    # filled in by the pipeline
-    x: float = 0.0
-    y: float = 0.0
-    speed_kmh: float = 0.0
-    is_stop: bool = False
 
 
 @dataclass
@@ -79,10 +75,10 @@ class DatasetSplit:
 class PipelineConfig:
     profile: str = "gps"  # "gps" | "signal"
     ref_lat: float = 0.0
-    resample_interval: int = RESAMPLE_INTERVAL_S
-    stop_speed_kmh: float = STOP_SPEED_KMH
-    min_stay_seconds: int = MIN_STAY_SECONDS
-    min_trajectory_records: int = MIN_TRAJECTORY_RECORDS
+    resample_interval: int = 60
+    stop_speed_kmh: float = 4.0
+    min_stay_seconds: int = 300
+    min_trajectory_records: int = 10
     max_seq_len: int = MAX_SEQ_LEN
     # pretrain share of all trajectories; then train and val shares of the rest
     split_fractions: tuple[float, float, float] = (0.8, 0.8, 0.1)
@@ -105,10 +101,11 @@ class PipelineConfig:
                 f"'max_seq_len' must be at least 2 (SOS plus one location), got {self.max_seq_len}"
             )
         shares = self.split_fractions
-        if len(shares) != 3 or not all(0 <= f <= 1 for f in shares) or sum(shares[1:]) > 1:
+        if (len(shares) != 3 or not all(0 <= f <= 1 for f in shares) or sum(shares[1:]) > 1
+                or shares[0] == 1 or shares[1] == 0):
             raise ValueError(
-                f"'split_fractions' needs three shares in [0, 1] with train + val <= 1, "
-                f"got {shares!r}"
+                f"'split_fractions' needs three shares in [0, 1] with pretrain < 1, "
+                f"train > 0 and train + val <= 1, got {shares!r}"
             )
 
 
@@ -116,93 +113,64 @@ class PipelineConfig:
 # per-user preprocessing stages
 # ---------------------------------------------------------------------------
 
-def resample(records: list[RawRecord], interval: int = RESAMPLE_INTERVAL_S) -> list[RawRecord]:
-    """Keep the first record in each interval-length bucket (per user, sorted).
+def resample(ts: np.ndarray, interval: int) -> np.ndarray:
+    """Indices of the first timestamp in each interval-length bucket.
 
-    Buckets are anchored at the user's first timestamp, so records already
-    spaced >= interval apart pass through unchanged.
+    Buckets are anchored at the first timestamp, so timestamps already
+    spaced >= interval apart are all kept.
     """
-    if not records:
-        return []
-    t0 = records[0].timestamp
-    kept = []
-    last_bucket = None
-    for r in records:
-        bucket = (r.timestamp - t0) // interval
-        if bucket != last_bucket:
-            kept.append(r)
-            last_bucket = bucket
-    return kept
+    bucket = (ts - ts[:1]) // interval
+    return np.flatnonzero(np.diff(bucket, prepend=-1))
 
 
-def compute_velocity(records: list[RawRecord]) -> list[RawRecord]:
-    """Instantaneous speed in km/h between consecutive projected points.
+def compute_velocity(ts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Instantaneous speed in km/h at each projected point.
 
-    The first record copies the second's speed; a zero time delta repeats
-    the previous record's speed.
+    A point's speed is the step from the point before it. The first point
+    copies the second's speed; a zero time step repeats the previous speed.
+    Each step's length is `math.hypot`, so a speed at the stop threshold
+    rounds the same way on every platform.
     """
-    if len(records) < 2:
+    if len(ts) < 2:
         raise ValueError("velocity needs at least two records per user")
-    for i in range(1, len(records)):
-        prev, cur = records[i - 1], records[i]
-        dt = cur.timestamp - prev.timestamp
-        if dt <= 0:
-            cur.speed_kmh = prev.speed_kmh
-            continue
-        dist_m = math.hypot(cur.x - prev.x, cur.y - prev.y)
-        cur.speed_kmh = (dist_m / dt) * 3.6
-    records[0].speed_kmh = records[1].speed_kmh
-    return records
-
-
-def mark_stops(records: list[RawRecord], threshold_kmh: float = STOP_SPEED_KMH) -> list[RawRecord]:
-    """Flag stop records: speed strictly below the threshold."""
-    for r in records:
-        r.is_stop = r.speed_kmh < threshold_kmh
-    return records
+    dt = np.diff(ts)
+    dist_m = np.array(list(map(math.hypot, np.diff(x).tolist(), np.diff(y).tolist())))
+    speeds = np.zeros(len(ts))
+    later = dt > 0
+    speeds[1:][later] = (dist_m[later] / dt[later]) * 3.6
+    for i in np.flatnonzero(~later).tolist():  # rare: duplicate timestamps
+        speeds[i + 1] = speeds[i]
+    speeds[0] = speeds[1]
+    return speeds
 
 
 def filter_short_stays(
-    records: list[RawRecord], spec: GridSpec, min_duration: int = MIN_STAY_SECONDS
-) -> list[RawRecord]:
-    """Collapse same-finest-cell runs into single stay records; drop short ones.
+    ts: np.ndarray, x: np.ndarray, y: np.ndarray, spec: GridSpec, min_duration: int
+) -> np.ndarray:
+    """Indices of the stays kept: the first point of each same-finest-cell run
+    that lasts at least `min_duration` seconds.
 
-    A stay's duration is last minus first timestamp of the run; the collapsed
-    record keeps the arrival (first) record's fields. Lone records have
-    duration zero and are dropped.
+    A run lasts from its first to its last timestamp, so a lone point lasts
+    zero seconds and is dropped.
     """
-    def cell(r: RawRecord):
-        return finest_cell(r.x, r.y, spec)
-
-    kept = []
-    i = 0
-    while i < len(records):
-        j = i
-        while j + 1 < len(records) and cell(records[j + 1]) == cell(records[i]):
-            j += 1
-        duration = records[j].timestamp - records[i].timestamp
-        if duration >= min_duration:
-            kept.append(records[i])
-        i = j + 1
-    return kept
+    cells = list(map(finest_cell, x.tolist(), y.tolist(), repeat(spec)))
+    changed = [a != b for a, b in zip(cells, cells[1:])]
+    first = np.flatnonzero([True] + changed)
+    last = np.flatnonzero(changed + [True])
+    return first[ts[last] - ts[first] >= min_duration]
 
 
-def segment_trajectories(
-    records: list[RawRecord], min_len: int = MIN_TRAJECTORY_RECORDS
-) -> list[list[RawRecord]]:
-    """Cut the stream at stop records; a segment spans stop..stop inclusive.
+def segment_trajectories(stops: np.ndarray, min_len: int) -> list[tuple[int, int]]:
+    """(first, last) indices of the segments cut at stops, both ends inclusive.
 
-    Consecutive segments share their boundary stop record. Only segments with
-    strictly more than `min_len` records survive; records before the first
-    stop or after the last are discarded.
+    Consecutive segments share their boundary stop. Only segments of strictly
+    more than `min_len` points survive; points before the first stop or after
+    the last are discarded.
     """
-    stop_idx = [i for i, r in enumerate(records) if r.is_stop]
-    segments = []
-    for a, b in zip(stop_idx, stop_idx[1:]):
-        seg = records[a : b + 1]
-        if len(seg) > min_len:
-            segments.append(seg)
-    return segments
+    at = np.flatnonzero(stops)
+    first, last = at[:-1], at[1:]
+    long = last - first + 1 > min_len
+    return list(zip(first[long].tolist(), last[long].tolist()))
 
 
 def window(traj: Trajectory, max_seq_len: int) -> list[Trajectory]:
@@ -259,24 +227,15 @@ def split(n_trajectories: int, seed: int, fractions=PipelineConfig.split_fractio
 # end-to-end assembly
 # ---------------------------------------------------------------------------
 
-def _majority_label(records: list[RawRecord]) -> str | None:
+def _majority_label(labels: list[str | None]) -> str | None:
     counts: dict[str, int] = {}
-    for r in records:
-        if r.label:
-            counts[r.label] = counts.get(r.label, 0) + 1
+    for label in labels:
+        if label:
+            counts[label] = counts.get(label, 0) + 1
     if not counts:
         return None
     best = max(counts.values())
     return sorted(k for k, v in counts.items() if v == best)[0]
-
-
-def _tokenize_segment(seg: list[RawRecord], vocab: Vocabulary) -> Trajectory:
-    ids = [vocab.sos_tuple()]
-    ts = [seg[0].timestamp]
-    for r in seg:
-        ids.append(tokenize(r.x, r.y, vocab).ids)
-        ts.append(r.timestamp)
-    return Trajectory(user=seg[0].user_id, ids=ids, timestamps=ts, label=_majority_label(seg))
 
 
 def preprocess(
@@ -284,30 +243,44 @@ def preprocess(
 ) -> list[Trajectory]:
     """Run the full per-user pipeline and return windowed tokenized trajectories.
 
-    Users are processed independently; output order is sorted by
-    (user_id, first timestamp) so parallel ingestion stays deterministic.
+    Users are processed independently, in sorted order, each user's records
+    in a stable time sort, so parallel ingestion stays deterministic.
     """
     by_user: dict[str, list[RawRecord]] = {}
     for r in records:
-        if r.timestamp <= 0:
-            raise ValueError(f"non-positive timestamp {r.timestamp} for user {r.user_id}")
+        if not 0 < r.timestamp < TIMESTAMP_END:
+            raise ValueError(
+                f"timestamp {r.timestamp} for user {r.user_id} is not in (0, 2^63)"
+            )
         by_user.setdefault(r.user_id, []).append(r)
 
     trajs: list[Trajectory] = []
     for user in sorted(by_user):
         rs = sorted(by_user[user], key=lambda r: r.timestamp)
+        ts = np.array([r.timestamp for r in rs], dtype=np.int64)
+        lat = np.array([r.lat for r in rs])
+        lon = np.array([r.lon for r in rs])
+        labels = np.array([r.label for r in rs], dtype=object)
         if cfg.profile == "gps":
-            rs = resample(rs, cfg.resample_interval)
-        for r in rs:
-            r.x, r.y = project(r.lat, r.lon, cfg.ref_lat)
+            keep = resample(ts, cfg.resample_interval)
+            ts, lat, lon, labels = ts[keep], lat[keep], lon[keep], labels[keep]
+        x, y = project(lat, lon, cfg.ref_lat)
         if cfg.profile == "signal":
-            rs = filter_short_stays(rs, vocab.spec, cfg.min_stay_seconds)
-        if len(rs) < 2:
+            keep = filter_short_stays(ts, x, y, vocab.spec, cfg.min_stay_seconds)
+            ts, x, y, labels = ts[keep], x[keep], y[keep], labels[keep]
+        if len(ts) < 2:
             continue
-        compute_velocity(rs)
-        mark_stops(rs, cfg.stop_speed_kmh)
-        for seg in segment_trajectories(rs, cfg.min_trajectory_records):
-            trajs.extend(window(_tokenize_segment(seg, vocab), cfg.max_seq_len))
+        stops = compute_velocity(ts, x, y) < cfg.stop_speed_kmh
+        xs, ys, stamps, labels = x.tolist(), y.tolist(), ts.tolist(), labels.tolist()
+        for a, b in segment_trajectories(stops, cfg.min_trajectory_records):
+            ids = [tokenize(xs[i], ys[i], vocab).ids for i in range(a, b + 1)]
+            traj = Trajectory(
+                user=user,
+                ids=[vocab.sos_tuple()] + ids,
+                timestamps=stamps[a : a + 1] + stamps[a : b + 1],
+                label=_majority_label(labels[a : b + 1]),
+            )
+            trajs.extend(window(traj, cfg.max_seq_len))
     return trajs
 
 
@@ -315,31 +288,66 @@ def preprocess(
 # file formats
 # ---------------------------------------------------------------------------
 
+CSV_COLUMNS = ("user_id", "timestamp", "lat", "lon")
+
+
 def read_csv(path) -> list[RawRecord]:
-    """Read `user_id,timestamp,lat,lon[,label]` rows (UTF-8, with header)."""
+    """Read `user_id,timestamp,lat,lon[,label]` rows (UTF-8, with header).
+
+    A row that lacks one of the four columns, whose timestamp is not an
+    integer in (0, 2^63), or whose lat or lon is not a number in [-90, 90]
+    or [-180, 180] raises ValueError naming the file, the line and the field.
+    """
     records = []
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"user_id", "timestamp", "lat", "lon"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"CSV must have columns {sorted(required)}, got {reader.fieldnames}")
-        for row in reader:
-            records.append(
-                RawRecord(
-                    user_id=row["user_id"],
-                    timestamp=int(row["timestamp"]),
-                    lat=float(row["lat"]),
-                    lon=float(row["lon"]),
-                    label=row.get("label") or None,
-                )
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or any(header.count(c) != 1 for c in CSV_COLUMNS):
+            raise ValueError(
+                f"CSV must have each of the columns {list(CSV_COLUMNS)} once, got {header}"
             )
+        cols = [header.index(c) for c in CSV_COLUMNS]
+        iu, it, ilat, ilon = cols
+        il = header.index("label") if "label" in header else None
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            try:
+                user, ts, lat, lon = row[iu], int(row[it]), float(row[ilat]), float(row[ilon])
+                ok = 0 < ts < TIMESTAMP_END and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+            except (IndexError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"{path}, line {reader.line_num}: {_row_fault(row, cols)}")
+            label = row[il] if il is not None and il < len(row) else None
+            records.append(RawRecord(user, ts, lat, lon, label or None))
     return records
 
 
-def iter_csv_points(path, ref_lat: float = 0.0):
-    """Yield projected (x, y) for every CSV record (vocabulary building)."""
-    for r in read_csv(path):
-        yield project(r.lat, r.lon, ref_lat)
+def _row_fault(row: list[str], cols: list[int]) -> str:
+    """Name the first missing or malformed field of a rejected CSV row."""
+    for name, i in zip(CSV_COLUMNS, cols):
+        if i >= len(row):
+            return f"no '{name}' field (the row has {len(row)} fields)"
+    for name, i, parse, in_range, want in (
+        ("timestamp", cols[1], int, lambda v: 0 < v < TIMESTAMP_END, "an integer in (0, 2^63)"),
+        ("lat", cols[2], float, lambda v: -90.0 <= v <= 90.0, "a number in [-90, 90]"),
+        ("lon", cols[3], float, lambda v: -180.0 <= v <= 180.0, "a number in [-180, 180]"),
+    ):
+        try:
+            ok = in_range(parse(row[i]))
+        except ValueError:
+            ok = False
+        if not ok:
+            return f"'{name}' {row[i]!r} is not {want}"
+    return f"malformed row {row!r}"
+
+
+def iter_csv_points(path, ref_lat: float):
+    """Projected (x, y) of every CSV record in file order (vocabulary building)."""
+    rows = read_csv(path)
+    x, y = project([r.lat for r in rows], [r.lon for r in rows], ref_lat)
+    return zip(x.tolist(), y.tolist())
 
 
 def write_trajectories(trajs: list[Trajectory], path):

@@ -43,11 +43,9 @@ from geoseq.model import (
 )
 from geoseq.pipeline import (
     PipelineConfig,
-    RawRecord,
     Trajectory,
     compute_velocity,
     filter_short_stays,
-    mark_stops,
     preprocess,
     resample,
     segment_trajectories,
@@ -364,37 +362,33 @@ def test_criterion_9_ablation_harness():
 # -- 10: pipeline rules ---------------------------------------------------------------------
 
 def test_criterion_10_pipeline_rules():
-    def rec(ts, x=0.0, y=0.0, speed=None, stop=None):
-        r = RawRecord("u", ts, 0.0, 0.0, None)
-        r.x, r.y = x, y
-        if speed is not None:
-            r.speed_kmh = speed
-        if stop is not None:
-            r.is_stop = stop
-        return r
+    def cols(*points):
+        ts, x, y = zip(*points)
+        return np.array(ts), np.array(x, dtype=float), np.array(y, dtype=float)
 
     # 1-minute resampling keeps the first record per bucket
-    resample_ok = [r.timestamp for r in resample([rec(t) for t in (1000, 1010, 1020, 1070)], 60)] == [1000, 1070]
+    ts = np.array([1000, 1010, 1020, 1070])
+    resample_ok = ts[resample(ts, 60)].tolist() == [1000, 1070]
     # 4 km/h threshold is strict
-    records = compute_velocity([rec(60, 0, 0), rec(120, 50, 0), rec(180, 50, 200), rec(240, 116.6667, 200)])
-    mark_stops(records, 4.0)
-    speeds = [round(r.speed_kmh, 3) for r in records]
+    speeds = compute_velocity(*cols((60, 0, 0), (120, 50, 0), (180, 50, 200), (240, 116.6667, 200)))
+    stops = speeds < PipelineConfig().stop_speed_kmh
+    rounded = [round(s, 3) for s in speeds.tolist()]
     stops_ok = (
-        speeds[1] == 3.0 and speeds[2] == 12.0
-        and records[1].is_stop and not records[2].is_stop and not records[3].is_stop
-        and abs(records[3].speed_kmh - 4.0) < 1e-3
+        rounded[1] == 3.0 and rounded[2] == 12.0
+        and stops[1] and not stops[2] and not stops[3]
+        and abs(speeds[3] - 4.0) < 1e-3
     )
     # 5-minute stay filter
     spec = GridSpec((1000.0, 100.0))
     stay_ok = (
-        len(filter_short_stays([rec(100, 10, 10), rec(400, 10, 10), rec(700, 10, 10)], spec, 300)) == 1
-        and filter_short_stays([rec(100, 10, 10), rec(220, 10, 10)], spec, 300) == []
-        and filter_short_stays([rec(100, 10, 10)], spec, 300) == []
+        len(filter_short_stays(*cols((100, 10, 10), (400, 10, 10), (700, 10, 10)), spec, 300)) == 1
+        and len(filter_short_stays(*cols((100, 10, 10), (220, 10, 10)), spec, 300)) == 0
+        and len(filter_short_stays(*cols((100, 10, 10)), spec, 300)) == 0
     )
     # > 10-record trajectory filter
-    seg25 = segment_trajectories([rec(i + 1, stop=(i in (0, 24))) for i in range(25)], 10)
-    seg8 = segment_trajectories([rec(i + 1, stop=(i in (0, 7))) for i in range(8)], 10)
-    segment_ok = len(seg25) == 1 and len(seg25[0]) == 25 and seg8 == []
+    seg25 = segment_trajectories(np.isin(np.arange(25), (0, 24)), 10)
+    seg8 = segment_trajectories(np.isin(np.arange(8), (0, 7)), 10)
+    segment_ok = seg25 == [(0, 24)] and seg8 == []
     ok = resample_ok and stops_ok and stay_ok and segment_ok
     report(10, ok,
            "1-min resampling, strict 4 km/h stops, 5-min stay filter, "

@@ -14,7 +14,7 @@ from geoseq.cli import DEFAULTS, dispatch, resolve_config, ConfigError
 from geoseq.downstream import make_head
 from geoseq.grid import GridSpec
 from geoseq.model import ModelConfig, ModelState, TrainConfig, save_checkpoint, save_tensors
-from geoseq.pipeline import PipelineConfig
+from geoseq.pipeline import PipelineConfig, read_trajectories
 from geoseq.synth import SynthConfig
 from geoseq.vocab import Vocabulary
 
@@ -389,11 +389,13 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"betas": [1.5, 0.999]}, "'betas'"),
     ({"stop_speed_kmh": -1.0}, "'stop_speed_kmh'"),
     ({"min_trajectory_records": -5}, "'min_trajectory_records'"),
+    ({"split_fractions": [1.0, 0.8, 0.1]}, "'split_fractions'"),
+    ({"split_fractions": [0.8, 0.0, 0.1]}, "'split_fractions'"),
 ], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed", "max_seq_len_1",
         "resample_interval_0", "attn_dropout_1", "variant_bogus", "eval_k_0", "origin_one",
         "layers_negative", "lr_negative", "eps_0", "weight_decay_negative",
         "warmup_steps_negative", "beta_1_5", "stop_speed_negative",
-        "min_trajectory_records_negative"])
+        "min_trajectory_records_negative", "split_pretrain_1", "split_train_0"])
 @pytest.mark.parametrize("command", ["synth", "preprocess"])
 def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, command):
     # every subcommand checks the whole config before it looks at its inputs
@@ -405,6 +407,77 @@ def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, comma
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and key in err
+
+
+def _preprocess(root, cfg_doc, tmp_path) -> int:
+    """`geoseq preprocess` of the workspace corpus under `cfg_doc` into tmp_path/p."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_doc), encoding="utf-8")
+    return dispatch([
+        "preprocess", "--config", str(cfg), "--input", str(root / "d" / "synth.csv"),
+        "--vocab", str(root / "v" / "vocab.json"), "--out", str(tmp_path / "p"),
+    ])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # TINY gives 24 trajectories: 19 pretrain, then a pool of 5 split 3 + 2 + 0
+    ({"split_fractions": [0.8, 0.6, 0.4]}, "split 'finetune_test' is empty"),
+    # 23 pretrain, then a pool of 1 whose train share rounds to 0
+    ({"split_fractions": [0.99, 0.8, 0.1]}, "split 'finetune_train' is empty"),
+    ({"profile": "signal"}, "need at least 10 trajectories to split, got 0"),
+], ids=["test_empty", "train_empty", "too_few"])
+def test_preprocess_rejects_an_empty_split_before_writing(
+    workspace, tmp_path, capsys, overrides, message
+):
+    root, _ = workspace
+    assert _preprocess(root, {**TINY, **overrides}, tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {message}")
+    assert list((tmp_path / "p").iterdir()) == []
+
+
+def test_signal_profile_end_to_end(workspace, tmp_path):
+    root, _ = workspace
+    assert _preprocess(root, {**TINY, "profile": "signal", "min_stay_seconds": 0}, tmp_path) == 0
+    vocab = Vocabulary.load(root / "v" / "vocab.json")
+    trajs = read_trajectories(tmp_path / "p" / "trajectories.ndjson", vocab.sizes())
+    assert len(trajs) == 17
+    sos = vocab.sos_tuple()
+    for t in trajs:
+        assert t.ids[0] == sos and sos not in t.ids[1:]
+        assert 3 <= len(t.ids) <= DEFAULTS["max_seq_len"]
+        assert t.timestamps == sorted(t.timestamps)
+    splits = json.loads((tmp_path / "p" / "splits.json").read_text(encoding="utf-8"))
+    parts = [splits[k] for k in ("pretrain", "finetune_train", "finetune_val", "finetune_test")]
+    assert splits["pretrain"] and splits["finetune_train"] and splits["finetune_test"]
+    assert sorted(i for part in parts for i in part) == list(range(17))
+
+
+@pytest.mark.parametrize("row, fault", [
+    ("u1,1000,1.5", "no 'lon' field (the row has 3 fields)"),
+    ("u1,1.5e9,1.5,2.5", "'timestamp' '1.5e9' is not an integer in (0, 2^63)"),
+    ("u1,0,1.5,2.5", "'timestamp' '0' is not an integer in (0, 2^63)"),
+    ("u1,9223372036854775808,1.5,2.5",
+     "'timestamp' '9223372036854775808' is not an integer in (0, 2^63)"),
+    ("u1,1000,north,2.5", "'lat' 'north' is not a number in [-90, 90]"),
+    ("u1,1000,NaN,2.5", "'lat' 'NaN' is not a number in [-90, 90]"),
+    ("u1,1000,95.0,2.5", "'lat' '95.0' is not a number in [-90, 90]"),
+    ("u1,1000,1.5,-180.5", "'lon' '-180.5' is not a number in [-180, 180]"),
+], ids=["three_fields", "ts_float", "ts_0", "ts_2_63", "lat_word", "lat_nan", "lat_95",
+        "lon_range"])
+@pytest.mark.parametrize("command", ["vocab", "preprocess"])
+def test_malformed_csv_rows_exit_1_naming_file_and_line(
+    workspace, tmp_path, capsys, row, fault, command
+):
+    root, cfg = workspace
+    path = tmp_path / "in.csv"
+    path.write_text(f"user_id,timestamp,lat,lon,label\nu1,900,1.5,2.5,walk\n\n{row}\n",
+                    encoding="utf-8")
+    inputs = {"vocab": [], "preprocess": ["--vocab", str(root / "v" / "vocab.json")]}
+    code = dispatch([command, "--config", str(cfg), "--input", str(path), *inputs[command],
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: ValueError: {path}, line 4: {fault}\n"
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_hierarchy_depth_is_the_number_of_scales(tmp_path, capsys):

@@ -40,6 +40,10 @@ def test_project_rejects_out_of_range():
         project(91.0, 0.0)
     with pytest.raises(GridError):
         project(0.0, -181.0)
+    with pytest.raises(GridError):
+        project(math.nan, 0.0)
+    with pytest.raises(GridError, match="longitude out of range: 181.0"):
+        project([0.0, 1.0, 2.0], [0.0, 181.0, -182.0])
 
 
 def test_unproject_inverts_project():

@@ -1,16 +1,19 @@
 """Preprocessing rules: resampling, speeds, stops, stays, segments, windows."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geoseq.grid import GridSpec
+from geoseq.grid import EARTH_RADIUS_M, GridError, GridSpec, finest_cell, project
 from geoseq.pipeline import (
     PipelineConfig,
     RawRecord,
     Trajectory,
     compute_velocity,
     filter_short_stays,
-    mark_stops,
     preprocess,
     read_csv,
     read_trajectories,
@@ -20,127 +23,135 @@ from geoseq.pipeline import (
     window,
     write_trajectories,
 )
-from geoseq.vocab import build_vocab
+from geoseq.vocab import build_vocab, tokenize
 
 SPEC = GridSpec((1_000.0, 100.0))
 
 
-def rec(ts, x=0.0, y=0.0, user="u", label=None, speed=None, stop=None):
-    r = RawRecord(user_id=user, timestamp=ts, lat=0.0, lon=0.0, label=label)
-    r.x, r.y = x, y
-    if speed is not None:
-        r.speed_kmh = speed
-    if stop is not None:
-        r.is_stop = stop
-    return r
+def cols(*points):
+    """(ts, x, y) columns of (ts, x, y) points."""
+    ts, x, y = zip(*points)
+    return np.array(ts, dtype=np.int64), np.array(x, dtype=float), np.array(y, dtype=float)
+
+
+def stops_at(n, *at):
+    return np.isin(np.arange(n), at)
 
 
 # -- resampling ---------------------------------------------------------------
 
 def test_resample_keeps_first_per_bucket():
-    records = [rec(t) for t in (1000, 1010, 1020, 1070)]
-    assert [r.timestamp for r in resample(records, 60)] == [1000, 1070]
+    ts = np.array([1000, 1010, 1020, 1070])
+    assert ts[resample(ts, 60)].tolist() == [1000, 1070]
 
 
 def test_resample_empty():
-    assert resample([], 60) == []
+    assert resample(np.array([], dtype=np.int64), 60).tolist() == []
 
 
 def test_resample_sparse_input_unchanged():
-    records = [rec(t) for t in (1, 61, 181, 241)]  # all >= 60 s apart
-    assert resample(records, 60) == records
+    ts = np.array([1, 61, 181, 241])  # all >= 60 s apart
+    assert resample(ts, 60).tolist() == [0, 1, 2, 3]
 
 
 # -- velocity and stops -------------------------------------------------------
 
 def test_velocity_50m_per_minute():
-    records = compute_velocity([rec(60, 0, 0), rec(120, 50, 0)])
-    assert records[1].speed_kmh == pytest.approx(3.0)
-    assert records[0].speed_kmh == pytest.approx(3.0)  # first copies second
+    speeds = compute_velocity(*cols((60, 0, 0), (120, 50, 0)))
+    assert speeds[1] == pytest.approx(3.0)
+    assert speeds[0] == pytest.approx(3.0)  # first copies second
 
 
 def test_velocity_200m_per_minute():
-    records = compute_velocity([rec(60, 0, 0), rec(120, 0, 200)])
-    assert records[1].speed_kmh == pytest.approx(12.0)
+    speeds = compute_velocity(*cols((60, 0, 0), (120, 0, 200)))
+    assert speeds[1] == pytest.approx(12.0)
 
 
 def test_velocity_identical_points():
-    records = compute_velocity([rec(60, 5, 5), rec(120, 5, 5)])
-    assert records[1].speed_kmh == 0.0
+    speeds = compute_velocity(*cols((60, 5, 5), (120, 5, 5)))
+    assert speeds[1] == 0.0
 
 
 def test_velocity_duplicate_timestamp_flagged():
-    records = compute_velocity([rec(60, 0, 0), rec(120, 50, 0), rec(120, 999, 0)])
-    assert records[2].speed_kmh == records[1].speed_kmh
+    speeds = compute_velocity(*cols((60, 0, 0), (120, 50, 0), (120, 999, 0)))
+    assert speeds[2] == speeds[1]
 
 
 def test_velocity_needs_two_records():
     with pytest.raises(ValueError):
-        compute_velocity([rec(60)])
+        compute_velocity(*cols((60, 0, 0)))
 
 
 def test_stop_threshold_is_strict():
-    records = [rec(1, speed=3.0), rec(2, speed=12.0), rec(3, speed=4.0)]
-    mark_stops(records, 4.0)
-    assert [r.is_stop for r in records] == [True, False, False]
+    # one user moving east, slow, fast, then at the threshold, which is set to
+    # the speed of the point at index 3, so that point is no stop: stops at 0,
+    # 1, 4 and 5 give segments [0, 1], [1, 4] and [4, 5] (a threshold that
+    # counted it would cut [1, 4] in two)
+    lons = [0.0, 0.0004, 0.0044, 0.0054, 0.0058, 0.0062]
+    records = [RawRecord("u", 60 * (i + 1), 0.0, lon, None) for i, lon in enumerate(lons)]
+    ts = np.array([r.timestamp for r in records])
+    x, y = project([r.lat for r in records], [r.lon for r in records], 0.0)
+    speeds = compute_velocity(ts, x, y)
+    threshold = float(speeds[3])
+    assert (speeds < threshold).tolist() == [True, True, False, False, True, True]
+    vocab = build_vocab(zip(x.tolist(), y.tolist()), SPEC)
+    cfg = PipelineConfig(stop_speed_kmh=threshold, min_trajectory_records=1)
+    assert [t.length for t in preprocess(records, vocab, cfg)] == [2, 4, 2]
 
 
 # -- stay filtering -----------------------------------------------------------
 
 def test_stay_spanning_600s_kept_as_one():
-    records = [rec(t, 10, 10) for t in (100, 400, 700)]  # same 100 m cell
-    kept = filter_short_stays(records, SPEC, 300)
+    ts, x, y = cols(*[(t, 10, 10) for t in (100, 400, 700)])  # same 100 m cell
+    kept = filter_short_stays(ts, x, y, SPEC, 300)
     assert len(kept) == 1
-    assert kept[0].timestamp == 100
+    assert ts[kept[0]] == 100
 
 
 def test_short_stay_dropped():
-    records = [rec(100, 10, 10), rec(220, 10, 10)]  # 120 s in one cell
-    assert filter_short_stays(records, SPEC, 300) == []
+    ts, x, y = cols((100, 10, 10), (220, 10, 10))  # 120 s in one cell
+    assert filter_short_stays(ts, x, y, SPEC, 300).tolist() == []
 
 
 def test_single_record_stay_dropped():
-    assert filter_short_stays([rec(100, 10, 10)], SPEC, 300) == []
+    assert filter_short_stays(*cols((100, 10, 10)), SPEC, 300).tolist() == []
 
 
 def test_stays_split_by_cell_change():
-    records = [rec(100, 10, 10), rec(500, 10, 10), rec(600, 250, 10), rec(1000, 250, 10)]
-    kept = filter_short_stays(records, SPEC, 300)
-    assert [r.timestamp for r in kept] == [100, 600]
+    ts, x, y = cols((100, 10, 10), (500, 10, 10), (600, 250, 10), (1000, 250, 10))
+    kept = filter_short_stays(ts, x, y, SPEC, 300)
+    assert ts[kept].tolist() == [100, 600]
 
 
 # -- segmentation -------------------------------------------------------------
 
 def test_segment_between_boundary_stops():
-    records = [rec(i, stop=(i in (0, 24))) for i in range(25)]
-    segments = segment_trajectories(records, 10)
+    segments = segment_trajectories(stops_at(25, 0, 24), 10)
     assert len(segments) == 1
-    assert len(segments[0]) == 25
+    first, last = segments[0]
+    assert last - first + 1 == 25
 
 
 def test_segment_shorter_than_threshold_discarded():
     # 8 records between and including two stops: 8 <= 10 so it goes
-    records = [rec(i, stop=(i in (0, 7))) for i in range(8)]
-    assert segment_trajectories(records, 10) == []
+    assert segment_trajectories(stops_at(8, 0, 7), 10) == []
 
 
 def test_no_stops_no_segments():
-    records = [rec(i, stop=False) for i in range(50)]
-    assert segment_trajectories(records, 10) == []
+    assert segment_trajectories(np.zeros(50, dtype=bool), 10) == []
 
 
 def test_segments_partition_between_first_and_last_stop():
     rng = np.random.default_rng(0)
-    records = [rec(i, stop=bool(rng.random() < 0.2)) for i in range(200)]
-    segments = segment_trajectories(records, min_len=0)
-    stops = [i for i, r in enumerate(records) if r.is_stop]
-    if len(stops) >= 2:
+    stops = rng.random(200) < 0.2
+    segments = segment_trajectories(stops, min_len=0)
+    at = np.flatnonzero(stops).tolist()
+    if len(at) >= 2:
         inner = []
-        for seg in segments:
-            assert seg[0].is_stop and seg[-1].is_stop
-            inner.extend(seg[:-1])  # drop the shared right boundary
-        covered = [r.timestamp for r in inner] + [records[stops[-1]].timestamp]
-        assert covered == [r.timestamp for r in records[stops[0] : stops[-1] + 1]]
+        for first, last in segments:
+            assert stops[first] and stops[last]
+            inner.extend(range(first, last))  # drop the shared right boundary
+        assert inner + [at[-1]] == list(range(at[0], at[-1] + 1))
 
 
 # -- windowing ----------------------------------------------------------------
@@ -227,6 +238,23 @@ def test_csv_missing_columns(tmp_path):
         read_csv(path)
 
 
+def test_csv_header_naming_a_column_twice(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("user_id,timestamp,lat,lon,lat\nx,1,2,3,4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="CSV must have each of the columns"):
+        read_csv(path)
+
+
+def test_csv_reads_columns_by_header_position(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("lon,lat,timestamp,user_id\n2.5,1.5,1000,a\n\n2.6,1.6,1060,b\n", encoding="utf-8")
+    assert read_csv(path) == [RawRecord("a", 1000, 1.5, 2.5, None),
+                              RawRecord("b", 1060, 1.6, 2.6, None)]
+    path.write_text("lon,lat,timestamp,user_id\n2.5,1.5,1000\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: no 'user_id' field"):
+        read_csv(path)
+
+
 def test_trajectory_ndjson_round_trip(tmp_path):
     trajs = [_traj(4), _traj(7)]
     path = tmp_path / "t.ndjson"
@@ -270,3 +298,246 @@ def test_preprocess_rejects_nonpositive_timestamps():
     vocab = build_vocab([(0.0, 0.0)], GridSpec((100_000.0, 1_000.0, 100.0)))
     with pytest.raises(ValueError):
         preprocess(records, vocab, PipelineConfig())
+
+
+# -- the column stages equal the record loops they replaced ---------------------
+#
+# The oracle is the per-record pipeline as it stood before the stages became
+# functions over columns: each record carried x, y, speed_kmh and is_stop,
+# and each stage wrote them.
+
+@dataclass
+class OracleRecord:
+    user_id: str
+    timestamp: int
+    lat: float
+    lon: float
+    label: str | None = None
+    x: float = 0.0
+    y: float = 0.0
+    speed_kmh: float = 0.0
+    is_stop: bool = False
+
+
+def oracle_project(lat, lon, ref_lat):
+    if not (-90.0 <= lat <= 90.0):
+        raise GridError(f"latitude out of range: {lat}")
+    if not (-180.0 <= lon <= 180.0):
+        raise GridError(f"longitude out of range: {lon}")
+    x = EARTH_RADIUS_M * math.radians(lon) * math.cos(math.radians(ref_lat))
+    y = EARTH_RADIUS_M * math.radians(lat)
+    return x, y
+
+
+def oracle_resample(records, interval):
+    if not records:
+        return []
+    t0 = records[0].timestamp
+    kept = []
+    last_bucket = None
+    for r in records:
+        bucket = (r.timestamp - t0) // interval
+        if bucket != last_bucket:
+            kept.append(r)
+            last_bucket = bucket
+    return kept
+
+
+def oracle_compute_velocity(records):
+    for i in range(1, len(records)):
+        prev, cur = records[i - 1], records[i]
+        dt = cur.timestamp - prev.timestamp
+        if dt <= 0:
+            cur.speed_kmh = prev.speed_kmh
+            continue
+        dist_m = math.hypot(cur.x - prev.x, cur.y - prev.y)
+        cur.speed_kmh = (dist_m / dt) * 3.6
+    records[0].speed_kmh = records[1].speed_kmh
+    return records
+
+
+def oracle_mark_stops(records, threshold_kmh):
+    for r in records:
+        r.is_stop = r.speed_kmh < threshold_kmh
+    return records
+
+
+def oracle_filter_short_stays(records, spec, min_duration):
+    def cell(r):
+        return finest_cell(r.x, r.y, spec)
+
+    kept = []
+    i = 0
+    while i < len(records):
+        j = i
+        while j + 1 < len(records) and cell(records[j + 1]) == cell(records[i]):
+            j += 1
+        if records[j].timestamp - records[i].timestamp >= min_duration:
+            kept.append(records[i])
+        i = j + 1
+    return kept
+
+
+def oracle_segment_trajectories(records, min_len):
+    stop_idx = [i for i, r in enumerate(records) if r.is_stop]
+    return [records[a : b + 1] for a, b in zip(stop_idx, stop_idx[1:]) if b - a + 1 > min_len]
+
+
+def oracle_majority_label(records):
+    counts = {}
+    for r in records:
+        if r.label:
+            counts[r.label] = counts.get(r.label, 0) + 1
+    if not counts:
+        return None
+    best = max(counts.values())
+    return sorted(k for k, v in counts.items() if v == best)[0]
+
+
+def oracle_preprocess(records, vocab, cfg):
+    by_user = {}
+    for r in records:
+        by_user.setdefault(r.user_id, []).append(OracleRecord(r.user_id, r.timestamp, r.lat, r.lon, r.label))
+    trajs = []
+    for user in sorted(by_user):
+        rs = sorted(by_user[user], key=lambda r: r.timestamp)
+        if cfg.profile == "gps":
+            rs = oracle_resample(rs, cfg.resample_interval)
+        for r in rs:
+            r.x, r.y = oracle_project(r.lat, r.lon, cfg.ref_lat)
+        if cfg.profile == "signal":
+            rs = oracle_filter_short_stays(rs, vocab.spec, cfg.min_stay_seconds)
+        if len(rs) < 2:
+            continue
+        oracle_compute_velocity(rs)
+        oracle_mark_stops(rs, cfg.stop_speed_kmh)
+        for seg in oracle_segment_trajectories(rs, cfg.min_trajectory_records):
+            ids = [vocab.sos_tuple()] + [tokenize(r.x, r.y, vocab).ids for r in seg]
+            ts = [seg[0].timestamp] + [r.timestamp for r in seg]
+            traj = Trajectory(seg[0].user_id, ids, ts, oracle_majority_label(seg))
+            trajs.extend(window(traj, cfg.max_seq_len))
+    return trajs
+
+
+def oracle_records(ts, x, y):
+    records = []
+    for t, a, b in zip(ts.tolist(), x.tolist(), y.tolist()):
+        r = OracleRecord("u", t, 0.0, 0.0)
+        r.x, r.y = a, b
+        records.append(r)
+    return records
+
+
+# sorted timestamps with repeats, steps on both sides of 60 s and 300 s
+_steps = st.sampled_from([0, 0, 1, 30, 59, 60, 61, 119, 120, 299, 300, 301, 3600])
+_times = st.builds(
+    lambda start, steps: np.cumsum([start] + steps).astype(np.int64),
+    st.integers(1, 2**40), st.lists(_steps, max_size=40),
+)
+# negative and positive meters, many exactly on 100 m (SPEC's finest) cell edges
+_meters = st.one_of(
+    st.integers(-30, 30).map(lambda k: k * 100.0),
+    st.integers(-30, 30).map(lambda k: k * 100.0 + 10.0),
+    st.floats(-3000.0, 3000.0, allow_nan=False),
+)
+
+
+@st.composite
+def user_columns(draw):
+    """One user's (ts, x, y); x and y come from a few values each, so points
+    repeat, share cells and dwell."""
+    ts = draw(_times)
+
+    def column():
+        values = draw(st.lists(_meters, min_size=1, max_size=5))
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=len(ts), max_size=len(ts))))
+
+    return ts, column(), column()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lat=st.lists(st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0))),
+       lon=st.lists(st.one_of(st.sampled_from([-180.0, 180.0]), st.floats(-180.0, 180.0))),
+       ref_lat=st.floats(-89.0, 89.0))
+def test_project_equals_the_scalar_formula_bit_for_bit(lat, lon, ref_lat):
+    n = min(len(lat), len(lon))
+    x, y = project(lat[:n], lon[:n], ref_lat)
+    want = [oracle_project(a, b, ref_lat) for a, b in zip(lat[:n], lon[:n])]
+    assert x.tobytes() == np.array([p[0] for p in want], dtype=float).tobytes()
+    assert y.tobytes() == np.array([p[1] for p in want], dtype=float).tobytes()
+    for a, b in zip(lat[:n], lon[:n]):
+        assert project(a, b, ref_lat) == oracle_project(a, b, ref_lat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=user_columns(), interval=st.sampled_from([1, 60, 300]))
+def test_resample_keeps_the_oracles_records(columns, interval):
+    ts, x, y = columns
+    records = oracle_records(ts, x, y)
+    kept = [records[i] for i in resample(ts, interval).tolist()]
+    assert kept == oracle_resample(records, interval)
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=user_columns(), min_duration=st.sampled_from([0, 60, 300]))
+def test_filter_short_stays_keeps_the_oracles_records(columns, min_duration):
+    ts, x, y = columns
+    records = oracle_records(ts, x, y)
+    kept = [records[i] for i in filter_short_stays(ts, x, y, SPEC, min_duration).tolist()]
+    assert kept == oracle_filter_short_stays(records, SPEC, min_duration)
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=user_columns(), min_len=st.integers(0, 4))
+def test_speeds_stops_and_segments_equal_the_oracles(columns, min_len):
+    ts, x, y = columns
+    if len(ts) < 2:
+        return
+    records = oracle_compute_velocity(oracle_records(ts, x, y))
+    speeds = compute_velocity(ts, x, y)
+    assert speeds.tobytes() == np.array([r.speed_kmh for r in records]).tobytes()
+    oracle_mark_stops(records, 4.0)
+    segments = segment_trajectories(speeds < 4.0, min_len)
+    assert [records[a : b + 1] for a, b in segments] == oracle_segment_trajectories(records, min_len)
+
+
+def test_speeds_round_as_the_record_loop_on_random_steps():
+    # np.hypot, or sqrt(dx**2 + dy**2), differs from math.hypot in the last bit
+    # on some of these steps, and one bit can move a stop at the threshold
+    rng = np.random.default_rng(0)
+    ts = np.cumsum(rng.integers(0, 120, 10_000)) + 1
+    x, y = rng.normal(0.0, 500.0, (2, 10_000))
+    records = oracle_compute_velocity(oracle_records(ts, x, y))
+    assert compute_velocity(ts, x, y).tobytes() == np.array([r.speed_kmh for r in records]).tobytes()
+
+
+_degrees = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 1.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def corpora(draw):
+    """Unsorted records of up to three users around one spot, with labels."""
+    n = draw(st.integers(1, 60))
+    users = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    times = draw(st.lists(st.integers(1, 4000), min_size=n, max_size=n))
+    lats = draw(st.lists(_degrees.map(lambda d: d / 500.0), min_size=n, max_size=n))
+    lons = draw(st.lists(_degrees.map(lambda d: d / 500.0), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([None, "walk", "bus"]), min_size=n, max_size=n))
+    return [RawRecord(u, t * 30, a, b, lab)
+            for u, t, a, b, lab in zip(users, times, lats, lons, labels)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=corpora(), profile=st.sampled_from(["gps", "signal"]),
+       min_stay=st.sampled_from([0, 60, 300]), min_len=st.integers(1, 3),
+       max_seq_len=st.sampled_from([2, 4, 32]), ref_lat=st.sampled_from([0.0, -33.9]))
+def test_preprocess_equals_the_record_loop_oracle(records, profile, min_stay, min_len,
+                                                  max_seq_len, ref_lat):
+    spec = GridSpec((1_000.0, 100.0), origin=(-150.0, 70.0))
+    points = [oracle_project(r.lat, r.lon, ref_lat) for r in records]
+    vocab = build_vocab(points, spec)
+    cfg = PipelineConfig(profile=profile, ref_lat=ref_lat, min_stay_seconds=min_stay,
+                         min_trajectory_records=min_len, max_seq_len=max_seq_len)
+    got = preprocess(records, vocab, cfg)
+    assert got == oracle_preprocess(records, vocab, cfg)
+    assert all(type(t) is int for traj in got for t in traj.timestamps)
