@@ -157,8 +157,7 @@ class NextLocationHeadFFN:
         return masked_mean_pool(outputs, keep)
 
     def level_logits(self, level: int, pooled: Tensor, hot: np.ndarray | None) -> Tensor:
-        x = pooled if hot is None else T.concat([pooled, Tensor(hot)])
-        return T.matmul(x, self.params[f"g{level}.w"], self.params[f"g{level}.b"])
+        return T.concat_matmul(pooled, hot, self.params[f"g{level}.w"], self.params[f"g{level}.b"])
 
 
 class NextLocationHeadLSTM:
@@ -187,26 +186,10 @@ class NextLocationHeadLSTM:
 
     def level_logits(self, level: int, features, hot: np.ndarray | None) -> Tensor:
         outputs, keep = features
-        b, t1, w = outputs.data.shape
         p = lambda name: self.params[f"g{level}.{name}"]
-        x = outputs
-        if hot is not None:  # the same one-hot at every step
-            x = T.concat([x, Tensor(np.broadcast_to(hot[:, None, :], (b, t1, hot.shape[-1])))])
-        x_gates = T.matmul(x, p("wx"), p("b"))  # the input side of every step at once
-        h_t = c_t = Tensor(np.zeros((b, w), dtype=outputs.data.dtype))
-        states = []
-        for t in range(t1):
-            gates = T.add(x_gates[:, t, :], T.matmul(h_t, p("wh")))
-            i_g = T.sigmoid(gates[:, 0 * w : 1 * w])
-            f_g = T.sigmoid(gates[:, 1 * w : 2 * w])
-            g_g = T.tanh(gates[:, 2 * w : 3 * w])
-            o_g = T.sigmoid(gates[:, 3 * w : 4 * w])
-            c_t = T.add(T.mul(f_g, c_t), T.mul(i_g, g_g))
-            h_t = T.mul(o_g, T.tanh(c_t))
-            states.append(h_t)
-        # row t * b + i is sample i's state after step t; PAD steps come after
-        # every real one, so each sample's final state is at its last real step
-        last = T.concat(states, axis=0)[(keep.sum(axis=1) - 1) * b + np.arange(b)]
+        # the input side of every step at once; a one-hot meets `wx` once per row
+        x_gates = T.concat_matmul(outputs, hot, p("wx"), p("b"))
+        last = T.lstm(x_gates, p("wh"), keep.sum(axis=1) - 1)
         return T.matmul(last, p("out_w"), p("out_b"))
 
 

@@ -317,9 +317,8 @@ def head_forward(
     state: ModelState, level: int, features: Tensor, hot: np.ndarray | None = None
 ) -> Tensor:
     """Two affine layers with a ReLU between them, over `features` plus the one-hot `hot`."""
-    if hot is not None:
-        features = T.concat([features, Tensor(hot)], axis=-1)
-    z = T.relu(T.matmul(features, state[f"head.h{level}.w1"], state[f"head.h{level}.b1"]))
+    w1, b1 = state[f"head.h{level}.w1"], state[f"head.h{level}.b1"]
+    z = T.relu(T.concat_matmul(features, hot, w1, b1))
     return T.matmul(z, state[f"head.h{level}.w2"], state[f"head.h{level}.b2"])
 
 

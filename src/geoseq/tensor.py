@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy arrays.
 
 Implements the small operation set the sequence models need: matmul (with an
-optional bias added in place), add/sub/neg/mul, concat, embedding lookup,
-relu/sigmoid/tanh, layer norm, softmax, masked fill, dropout, log, mean/sum,
-reshape/swapaxes, basic indexing, and a masked cross-entropy. Every operation
-registers a backward closure; `Tensor.backward` runs reverse-mode accumulation
-over the recorded graph.
+optional bias added in place), the matmul of a concatenated input without the
+concatenation (`concat_matmul`), add/sub/neg/mul, concat, embedding lookup,
+relu/sigmoid/tanh, an LSTM recurrence as one node (`lstm`), layer norm,
+softmax, masked fill, dropout, log, mean/sum, reshape/swapaxes, basic
+indexing, and a masked cross-entropy. Every operation registers a backward
+closure; `Tensor.backward` runs reverse-mode accumulation over the recorded
+graph.
 
 Training runs in float32; pass float64 arrays for verification-grade gradient
 checks. A module-level multiply-accumulate counter tracks matmul work for
@@ -282,6 +284,63 @@ def matmul(a, b, bias=None) -> Tensor:
     return _make(out, (a, b), backward)
 
 
+def concat_matmul(a, extra, w, bias=None) -> Tensor:
+    """`concat([a, extra]) @ w (+ bias)` without building the concatenation.
+
+    `extra` is a constant array, such as the one-hot a chained head reads. It
+    has `a`'s leading shape (one row per position), or that shape without its
+    last axis (one row per sequence, the same at every step). `a` meets the
+    first rows of `w` in one GEMM and `extra` the rest in another, so a
+    per-sequence `extra` is multiplied once, not at every step. The bias is
+    added last, as it was to the concatenated GEMM's output. `extra` None is
+    `matmul(a, w, bias)`.
+    """
+    if extra is None:
+        return matmul(a, w, bias)
+    global _MACS
+    a, w = as_tensor(a), as_tensor(w)
+    extra = np.asarray(extra)
+    lead, k = a.data.shape[:-1], a.data.shape[-1]
+    per_sequence = extra.ndim == a.data.ndim - 1
+    if extra.shape[:-1] != (lead[:-1] if per_sequence else lead):
+        raise ShapeError(f"concat_matmul extra {extra.shape} does not fit a {a.data.shape}")
+    if w.data.ndim != 2 or w.data.shape[0] != k + extra.shape[-1]:
+        raise ShapeError(
+            f"concat_matmul weight must be [{k + extra.shape[-1]}, n], got {w.data.shape}"
+        )
+    n = w.data.shape[1]
+    top, bottom = w.data[:k], w.data[k:]
+    rows = math.prod(lead)
+    a2 = a.data.reshape(rows, k)
+    e2 = extra.reshape(-1, extra.shape[-1])
+    _MACS += (rows * k + e2.size) * n
+    out = (a2 @ top).reshape(*lead, n)
+    e_out = (e2 @ bottom).reshape(*extra.shape[:-1], n)
+    out += e_out[..., None, :] if per_sequence else e_out
+    parents = (a, w)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.data.shape != (n,):
+            raise ShapeError(f"concat_matmul bias must be [{n}], got {bias.data.shape}")
+        out += bias.data
+        parents = (a, w, bias)
+
+    def backward(g):
+        g2 = g.reshape(rows, n)
+        ga = (g2 @ top.T).reshape(a.data.shape) if a.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = np.empty_like(w.data)
+            np.matmul(a2.T, g2, out=gw[:k])
+            ge = g.sum(axis=-2) if per_sequence else g
+            np.matmul(e2.T, ge.reshape(len(e2), n), out=gw[k:])
+        if bias is None:
+            return ga, gw
+        return ga, gw, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
+
+    return _make(out, parents, backward)
+
+
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
@@ -363,6 +422,76 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def lstm(x_gates, wh, last) -> Tensor:
+    """One LSTM layer's recurrence; returns each row's hidden state at its step `last`.
+
+    `x_gates` [B, T, 4W] holds the input side of every step's gates, in the
+    order i, f, g, o; `wh` [W, 4W] is the recurrent weight and `last` an int
+    array [B]. From zero state, step t adds `h @ wh` to its gates, then sets
+    `c = f*c + i*g` and `h = o*tanh(c)`, with the formulas of `sigmoid` and
+    `tanh`. It is one node: backward walks the steps in reverse and forms
+    the `wh` gradient as one GEMM over all of them. A row's steps after its
+    `last` get no gradient.
+    """
+    global _MACS
+    x_gates, wh = as_tensor(x_gates), as_tensor(wh)
+    xg, whd = x_gates.data, wh.data
+    last = np.asarray(last)
+    if xg.ndim != 3 or whd.ndim != 2 or not xg.shape[2] == whd.shape[1] == 4 * whd.shape[0]:
+        raise ShapeError(f"lstm expects x_gates [B, T, 4W] and wh [W, 4W], got "
+                         f"{xg.shape} and {whd.shape}")
+    b, t1, _ = xg.shape
+    w = whd.shape[0]
+    if last.shape != (b,) or (b and (last.min() < 0 or last.max() >= t1)):
+        raise ShapeError(f"lstm last must be [{b}] steps in [0, {t1}), got {last}")
+    _MACS += t1 * b * w * 4 * w
+    record = _GRAD_ENABLED and (x_gates.requires_grad or wh.requires_grad)
+    hs = np.zeros((t1 + 1, b, w), dtype=xg.dtype)  # hs[t + 1] is h after step t
+    if record:  # what only backward reads
+        acts = np.empty((t1, b, 4 * w), dtype=xg.dtype)  # the gates after their nonlinearity
+        cs = np.zeros((t1 + 1, b, w), dtype=xg.dtype)  # cs[t + 1] is c after step t
+        tanh_cs = np.empty((t1, b, w), dtype=xg.dtype)
+    c = np.zeros((b, w), dtype=xg.dtype)
+    # exp(-x) overflows to inf for very negative x, and 1 / (1 + inf) is sigmoid's limit 0
+    with np.errstate(over="ignore"):
+        for t in range(t1):
+            pre = xg[:, t, :] + hs[t] @ whd
+            g = np.tanh(pre[:, 2 * w : 3 * w])
+            gates = 1.0 / (1.0 + np.exp(-pre))  # i, f and o; the g block takes its tanh
+            gates[:, 2 * w : 3 * w] = g
+            c = gates[:, w : 2 * w] * c + gates[:, :w] * g
+            tanh_c = np.tanh(c)
+            hs[t + 1] = gates[:, 3 * w :] * tanh_c
+            if record:
+                acts[t], cs[t + 1], tanh_cs[t] = gates, c, tanh_c
+    rows = np.arange(b)
+
+    def backward(grad):
+        dgates = np.empty((b, t1, 4 * w), dtype=xg.dtype)
+        dh_out = np.zeros((t1, b, w), dtype=xg.dtype)
+        dh_out[last, rows] = grad
+        dh = dc = np.zeros((b, w), dtype=xg.dtype)
+        for t in range(t1 - 1, -1, -1):
+            i, f, g, o = np.split(acts[t], 4, axis=1)
+            dh = dh + dh_out[t]
+            dc = dc + dh * o * (1.0 - tanh_cs[t] * tanh_cs[t])
+            d = dgates[:, t, :]
+            d[:, :w] = dc * g * i * (1.0 - i)
+            d[:, w : 2 * w] = dc * cs[t] * f * (1.0 - f)
+            d[:, 2 * w : 3 * w] = dc * i * (1.0 - g * g)
+            d[:, 3 * w :] = dh * tanh_cs[t] * o * (1.0 - o)
+            dc = dc * f
+            if t:
+                dh = d @ whd.T
+        dwh = None
+        if wh.requires_grad:
+            h_prev = hs[:-1].swapaxes(0, 1).reshape(b * t1, w)  # h before each step
+            dwh = h_prev.T @ dgates.reshape(b * t1, 4 * w)
+        return (dgates if x_gates.requires_grad else None), dwh
+
+    return _make(hs[last + 1, rows], (x_gates, wh), backward)
 
 
 def log(a) -> Tensor:

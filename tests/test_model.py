@@ -19,6 +19,7 @@ from geoseq.model import (
     embed_sequence,
     fit,
     forward_loss,
+    head_forward,
     load_checkpoint,
     load_tensors,
     positional_encoding,
@@ -274,6 +275,28 @@ def test_no_gradient_crosses_the_one_hot():
     only1 = grads_for(level_1_only=True)
     for name in full:
         assert np.array_equal(full[name], only1[name]), name
+
+
+@pytest.mark.parametrize("level_sizes, hidden", [((6, 7, 5), 8), ((11, 3400, 102), 256)])
+def test_head_with_one_hot_is_bitwise_the_wide_input_at_batch_one(level_sizes, hidden):
+    # the comparison a reference beam makes when it feeds the heads
+    # `[features || one_hot]` as one wide input; the second case is the
+    # pre-training shape of the default vocabulary (a BLAS property at these
+    # shapes, not a guarantee at every one)
+    config = ModelConfig(level_sizes=list(level_sizes), hidden=hidden, layers=1, heads=2)
+    state = ModelState.init(config, seed=15)
+    rng = np.random.default_rng(16)
+    for level in (2, 3):  # a trained head's bias, added after the one-hot's row
+        b1 = state[f"head.h{level}.b1"].data
+        b1[:] = rng.normal(0.0, 0.5, size=b1.shape)
+    e_last = rng.normal(size=(1, hidden)).astype(np.float32)
+    with T.no_grad():
+        for level in (2, 3):
+            for prev in rng.integers(0, level_sizes[level - 2], size=4):
+                hot = np.eye(level_sizes[level - 2], dtype=np.float32)[[prev]]
+                got = head_forward(state, level, Tensor(e_last), hot).data
+                wide = head_forward(state, level, Tensor(np.concatenate([e_last, hot], axis=1)))
+                assert got.tobytes() == wide.data.tobytes(), (level, prev)
 
 
 # -- loss ---------------------------------------------------------------------

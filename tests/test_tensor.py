@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoseq import tensor as T
 from geoseq.tensor import ShapeError, Tensor
@@ -359,3 +360,134 @@ def test_one_array_given_to_two_parents_is_not_shared(op_first):
     T.add(*(terms if op_first else terms[::-1])).backward()
     assert np.array_equal(a.grad, 1.0 + c)
     assert np.array_equal(b.grad, np.ones(3))
+
+
+def _lstm_composed(x_gates, wh, last):
+    """The recurrence as per-step graph nodes: the reference `T.lstm` must equal."""
+    b, t1, w4 = x_gates.data.shape
+    w = w4 // 4
+    h_t = c_t = Tensor(np.zeros((b, w), dtype=x_gates.data.dtype))
+    states = []
+    for t in range(t1):
+        gates = T.add(x_gates[:, t, :], T.matmul(h_t, wh))
+        i_g = T.sigmoid(gates[:, 0 * w : 1 * w])
+        f_g = T.sigmoid(gates[:, 1 * w : 2 * w])
+        g_g = T.tanh(gates[:, 2 * w : 3 * w])
+        o_g = T.sigmoid(gates[:, 3 * w : 4 * w])
+        c_t = T.add(T.mul(f_g, c_t), T.mul(i_g, g_g))
+        h_t = T.mul(o_g, T.tanh(c_t))
+        states.append(h_t)
+    # row t * b + i is sample i's state after step t
+    return T.concat(states, axis=0)[np.asarray(last) * b + np.arange(b)]
+
+
+def _lstm_inputs(seed, b, t1, w, dtype):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(b, t1, 4 * w)).astype(dtype), requires_grad=True)
+    wh = Tensor((0.5 * rng.normal(size=(w, 4 * w))).astype(dtype), requires_grad=True)
+    return x, wh, rng.integers(0, t1, size=b)
+
+
+def test_lstm_gradcheck_rows_of_different_length():
+    x, wh, _ = _lstm_inputs(30, 3, 4, 2, np.float64)
+    last = np.array([3, 0, 2])
+    c = np.random.default_rng(31).normal(size=(3, 2))
+
+    def loss_fn():
+        return T.tsum(T.mul(T.lstm(x, wh, last), c))
+
+    assert_grads_match(loss_fn, {"x_gates": x, "wh": wh})
+    # a row's steps after its `last` are not read, so they get no gradient
+    assert not x.grad[1, 1:].any() and not x.grad[2, 3:].any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the composed sigmoid's exp overflows
+@pytest.mark.parametrize("b, t1, w, scale", [
+    (1, 30, 256, 1.0), (5, 7, 8, 1.0), (32, 27, 32, 1.0), (4, 6, 8, 60.0),
+])
+def test_lstm_forward_bitwise_equals_composed_graph(b, t1, w, scale):
+    x, wh, last = _lstm_inputs(b + t1, b, t1, w, np.float32)
+    x.data *= np.float32(scale)  # at 60, some gates saturate to exactly 0 and 1
+    got = T.lstm(x, wh, last)
+    assert got.data.tobytes() == _lstm_composed(x, wh, last).data.tobytes()
+    with T.no_grad():
+        assert T.lstm(x, wh, last).data.tobytes() == got.data.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lstm_gradients_match_composed_graph(seed):
+    x, wh, last = _lstm_inputs(40 + seed, 4, 6, 5, np.float64)
+    c = np.random.default_rng(seed).normal(size=(4, 5))
+    grads = []
+    for op in (T.lstm, _lstm_composed):
+        x.grad = wh.grad = None
+        T.tsum(T.mul(op(x, wh, last), c)).backward()
+        grads.append((x.grad, wh.grad))
+    for got, ref in zip(*grads):
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-14)
+
+
+def test_lstm_counts_the_macs_of_its_steps():
+    x, wh, last = _lstm_inputs(50, 3, 5, 4, np.float64)
+    counts = []
+    for op in (T.lstm, _lstm_composed):
+        with T.count_macs() as box:
+            op(x, wh, last)
+        counts.append(box.macs)
+    assert counts[0] == counts[1] == 5 * 3 * 4 * 16
+
+
+@pytest.mark.parametrize("args", [
+    ((2, 3, 8), (3, 8), [0, 1]),   # wh not [W, 4W]
+    ((2, 3, 12), (2, 8), [0, 1]),  # gates not 4W wide
+    ((2, 3, 8), (2, 8), [0, 3]),   # a step past the end
+    ((2, 3, 8), (2, 8), [0]),      # one `last` per row
+])
+def test_lstm_rejects_bad_shapes(args):
+    xs, whs, last = args
+    with pytest.raises(ShapeError):
+        T.lstm(Tensor(np.zeros(xs)), Tensor(np.zeros(whs)), np.array(last))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rank=st.sampled_from([2, 3]),
+    per_sequence=st.booleans(),
+    with_bias=st.booleans(),
+    dims=st.tuples(*[st.integers(1, 5)] * 5),
+    seed=st.integers(0, 2**16),
+)
+def test_concat_matmul_equals_matmul_of_the_concatenation(
+    rank, per_sequence, with_bias, dims, seed
+):
+    b, t1, k, v, n = dims
+    per_sequence = per_sequence and rank == 3  # a [B, V] one-hot shared by every step
+    lead = (b, t1) if rank == 3 else (b,)
+    rng = np.random.default_rng(seed)
+    hot = np.eye(v)[rng.integers(0, v, size=lead[:1] if per_sequence else lead)]
+    wide = np.broadcast_to(hot[:, None, :], lead + (v,)) if per_sequence else hot
+    a, w, bias, c = (rng.normal(size=s) for s in (lead + (k,), (k + v, n), (n,), lead + (n,)))
+    results = []
+    for fused in (True, False):
+        at, wt, bt = (Tensor(x.copy(), requires_grad=True) for x in (a, w, bias))
+        bt = bt if with_bias else None
+        if fused:
+            out = T.concat_matmul(at, hot, wt, bt)
+        else:
+            out = T.matmul(T.concat([at, Tensor(wide)]), wt, bt)
+        T.tsum(T.mul(out, c)).backward()
+        results.append([out.data, at.grad, wt.grad] + ([bt.grad] if with_bias else []))
+    for got, ref in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_concat_matmul_counts_both_gemms_and_checks_shapes():
+    a, w = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4 + 5, 6)))
+    with T.count_macs() as box:
+        T.concat_matmul(a, np.zeros((2, 5)), w)  # per sequence
+        T.concat_matmul(a, np.zeros((2, 3, 5)), w)  # per position
+    assert box.macs == (2 * 3 * 4 + 2 * 5) * 6 + (2 * 3 * 4 + 2 * 3 * 5) * 6
+    for extra, weight in ((np.zeros((3, 5)), w), (np.zeros((2, 3, 6)), w),
+                          (np.zeros((2, 5)), Tensor(np.zeros((4, 6))))):
+        with pytest.raises(ShapeError):
+            T.concat_matmul(a, extra, weight)
