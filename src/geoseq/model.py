@@ -323,25 +323,43 @@ def head_forward(
 
 
 def prediction_logits(outputs: Tensor, state: ModelState) -> list[Tensor]:
-    """Per-level next-location logits of the pre-training heads at every position."""
+    """Per-level next-location logits of the pre-training heads at every row of `outputs`."""
     return chained_logits(
         state.config, lambda level, x, hot: head_forward(state, level, x, hot), outputs
     )
 
 
-def sequence_loss(level_logits: list[Tensor], ids: np.ndarray) -> Tensor:
-    """Sum over levels of mean next-token cross-entropy, PAD targets ignored.
+def target_rows(outputs: Tensor, ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """The decoder outputs at the positions that have a next location, and its ids.
 
-    Position t is scored against the ids at t+1; the final position has no
-    target and the padded tail's targets are PAD, so both drop out.
+    `outputs` is [B, T1, W] and `ids` [B, T1, H]. Position t of a sequence is
+    a target row when position t+1 holds a real location (no level PAD),
+    which leaves out each sequence's last position and its padding. Returns
+    the [N, W] rows, gathered in order from the flattened positions, and
+    their [N, H] targets; a batch with no target row raises `ShapeError`.
     """
-    b, t1, levels = ids.shape
+    b, t1, w = outputs.data.shape
+    nxt = ids[:, 1:, :]
+    seq, pos = np.nonzero((nxt != PAD_ID).all(axis=-1))
+    if not len(seq):
+        raise T.ShapeError("no position of the batch has a next location")
+    rows = T.embedding_lookup(T.reshape(outputs, (b * t1, w)), seq * t1 + pos)
+    return rows, nxt[seq, pos]
+
+
+def sequence_loss(level_logits: list[Tensor], targets: np.ndarray) -> Tensor:
+    """Sum over levels of the mean next-location cross-entropy (the HALM objective).
+
+    `level_logits[h-1]` is level h's [N, V_h] logits at N target rows and
+    `targets` their [N, H] next-location ids.
+    """
+    if targets.ndim != 2 or targets.shape[1] != len(level_logits):
+        raise T.ShapeError(
+            f"sequence_loss needs [N, {len(level_logits)}] targets, got {targets.shape}"
+        )
     total = None
-    for h in range(1, levels + 1):
-        lg = level_logits[h - 1]
-        trimmed = T.reshape(lg[:, : t1 - 1, :], (b * (t1 - 1), lg.data.shape[-1]))
-        targets = ids[:, 1:, h - 1].reshape(-1)
-        ce = T.cross_entropy(trimmed, targets, ignore_id=PAD_ID)
+    for h, lg in enumerate(level_logits):
+        ce = T.cross_entropy(lg, targets[:, h])
         total = ce if total is None else T.add(total, ce)
     return total
 
@@ -352,9 +370,11 @@ def forward_loss(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
+    """The pre-training loss of a batch; the heads run at its target rows only."""
     x = embed_sequence(batch, state)
     out = decoder_forward(x, batch.keep, state, rng=rng, training=training)
-    return sequence_loss(prediction_logits(out, state), batch.ids)
+    features, targets = target_rows(out, batch.ids)
+    return sequence_loss(prediction_logits(features, state), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +476,8 @@ def load_tensors(path) -> tuple[dict, dict[str, Tensor]]:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise CheckpointError(f"{path}: tensor entry without a string 'name'")
         name, shape, code = entry["name"], entry.get("shape"), entry.get("dtype")
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor '{name}' is listed twice")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise CheckpointError(f"{path}: tensor '{name}' has bad shape {shape!r}")
         if not isinstance(code, str) or code not in _DTYPE_CODES.values():

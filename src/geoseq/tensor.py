@@ -5,7 +5,8 @@ optional bias added in place), the matmul of a concatenated input without the
 concatenation (`concat_matmul`), add/sub/neg/mul, concat, embedding lookup,
 relu/sigmoid/tanh, an LSTM recurrence as one node (`lstm`), layer norm,
 softmax, masked fill, dropout, log, mean/sum, reshape/swapaxes, basic
-indexing, and a masked cross-entropy. Every operation registers a backward
+indexing, cross-entropy, and attention as one node
+(`scaled_dot_product_attention`). Every operation registers a backward
 closure; `Tensor.backward` runs reverse-mode accumulation over the recorded
 graph.
 
@@ -367,8 +368,17 @@ def embedding_lookup(table, ids) -> Tensor:
         )
 
     def backward(g):
+        # a stable sort groups each id's rows and one `reduceat` sums each
+        # group; it adds them in another order than `np.add.at`, so the sums
+        # agree to float rounding, not bit for bit
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        flat = ids.reshape(-1)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            sorted_ids = flat[order]
+            starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+            rows = g.reshape(flat.shape + table.data.shape[1:])[order]
+            gt[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         return (gt,)
 
     return _make(table.data[ids], (table,), backward)
@@ -599,38 +609,37 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
 # composite losses / attention
 # ---------------------------------------------------------------------------
 
-def cross_entropy(logits, targets, ignore_id: int | None = None) -> Tensor:
-    """Mean negative log-likelihood over rows whose target is not `ignore_id`.
+def cross_entropy(logits, targets) -> Tensor:
+    """Mean negative log-likelihood of `targets` under the rows of `logits`.
 
-    `logits` is [B, C], `targets` an int array [B]. Ignored rows contribute
-    to neither the sum nor the denominator.
+    `logits` is [N, C], `targets` an int array [N]. Forward keeps the
+    shifted exponentials and their row sums, so backward's softmax is one
+    division and `exp` runs once.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
     if logits.data.ndim != 2 or targets.ndim != 1 or targets.shape[0] != logits.data.shape[0]:
         raise ShapeError(
-            f"cross_entropy expects logits [B, C] and targets [B], got "
+            f"cross_entropy expects logits [N, C] and targets [N], got "
             f"{logits.data.shape} and {targets.shape}"
         )
-    n_classes = logits.data.shape[1]
-    valid = np.ones_like(targets, dtype=bool) if ignore_id is None else targets != ignore_id
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ShapeError("cross_entropy: every row is ignored")
-    safe_targets = np.where(valid, targets, 0)
-    if safe_targets.min() < 0 or safe_targets.max() >= n_classes:
+    n, n_classes = logits.data.shape
+    if n == 0:
+        raise ShapeError("cross_entropy needs at least one row")
+    if targets.min() < 0 or targets.max() >= n_classes:
         raise ShapeError(f"cross_entropy target outside [0, {n_classes})")
 
+    rows = np.arange(n)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
-    picked = logp[np.arange(targets.shape[0]), safe_targets]
-    loss = -(picked * valid).sum() / n_valid
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = shifted[rows, targets] - np.log(total[:, 0])
+    loss = -picked.sum() / n
 
     def backward(g):
-        dl = np.exp(logp)
-        dl[np.arange(targets.shape[0]), safe_targets] -= 1.0
-        dl *= (valid[:, None] / n_valid) * g
+        dl = e / total
+        dl[rows, targets] -= 1.0
+        dl *= g / n
         return (dl,)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
@@ -643,12 +652,56 @@ def scaled_dot_product_attention(
     """Attention over the trailing two axes; `keep` masks scores to -inf.
 
     `keep` must broadcast against [..., Tq, Tk] and leave at least one True
-    entry per query row, otherwise the softmax row is undefined.
+    entry per query row, otherwise the softmax row is undefined. In training
+    with `dropout_p` > 0 the attention weights go through inverted dropout,
+    its mask drawn by one `rng.random` call. One node: forward forms the
+    scores in one batched matmul and scales, masks and normalizes them in
+    place, with the arithmetic of `matmul`, `mul`, `masked_fill`, `softmax`
+    and `dropout`; backward keeps only the weights (before and after
+    dropout) and the dropout mask.
     """
+    global _MACS
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    dk = q.data.shape[-1]
-    scores = mul(matmul(q, swapaxes(k, -1, -2)), 1.0 / np.sqrt(np.asarray(dk, dtype=q.data.dtype)))
-    scores = masked_fill(scores, keep, -np.inf)
-    weights = softmax(scores)
-    weights = dropout(weights, dropout_p, rng, training)
-    return matmul(weights, v)
+    qd, kd, vd = q.data, k.data, v.data
+    if not (qd.ndim >= 2 and qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]
+            and qd.shape[-1] == kd.shape[-1] and kd.shape[-2] == vd.shape[-2]):
+        raise ShapeError(f"attention expects q [..., Tq, d], k [..., Tk, d] and v [..., Tk, dv], "
+                         f"got {qd.shape}, {kd.shape} and {vd.shape}")
+    scale = 1.0 / np.sqrt(np.asarray(qd.shape[-1], dtype=qd.dtype))
+    weights = np.matmul(qd, kd.swapaxes(-1, -2))
+    weights *= scale
+    masked = ~np.asarray(keep, dtype=bool)
+    np.copyto(weights, np.asarray(-np.inf, dtype=weights.dtype), where=masked)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    dropped = weights
+    if training and dropout_p > 0.0:
+        if rng is None:
+            raise ShapeError("dropout in training mode needs an rng")
+        kept = rng.random(weights.shape) >= dropout_p
+        drop_scale = np.asarray(1.0 / (1.0 - dropout_p), dtype=weights.dtype)
+        dropped = weights * kept
+        dropped *= drop_scale
+    out = np.matmul(dropped, vd)
+    batch = int(np.prod(out.shape[:-2], dtype=np.int64))
+    _MACS += batch * weights.shape[-2] * weights.shape[-1] * (qd.shape[-1] + vd.shape[-1])
+
+    def backward(g):
+        gv = np.matmul(dropped.swapaxes(-1, -2), g) if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        ds = np.matmul(g, vd.swapaxes(-1, -2))
+        if dropped is not weights:
+            ds *= kept
+            ds *= drop_scale
+        # softmax backward, then the score scale; masked weights are 0, so
+        # their score gradients are too
+        ds -= (ds * weights).sum(axis=-1, keepdims=True)
+        ds *= weights
+        ds *= scale
+        gq = np.matmul(ds, kd) if q.requires_grad else None
+        gk = np.matmul(qd.swapaxes(-1, -2), ds).swapaxes(-1, -2) if k.requires_grad else None
+        return gq, gk, gv
+
+    return _make(out, (q, k, v), backward)

@@ -40,6 +40,7 @@ from geoseq.model import (
     pretrain,
     save_checkpoint,
     sequence_loss,
+    target_rows,
 )
 from geoseq.pipeline import (
     PipelineConfig,
@@ -235,11 +236,12 @@ def test_criterion_6_chaining_and_stop_gradient():
         for p in state.params.values():
             p.grad = None
         outputs = decoder_forward(embed_sequence(batch, state), batch.keep, state)
-        logits = prediction_logits(outputs, state)
+        features, targets = target_rows(outputs, batch.ids)
+        logits = prediction_logits(features, state)
         if full_loss:
-            loss = sequence_loss(logits, batch.ids)
+            loss = sequence_loss(logits, targets)
         else:
-            loss = sequence_loss(logits[:1], batch.ids[:, :, :1])
+            loss = sequence_loss(logits[:1], targets[:, :1])
         loss.backward()
         return {k: state[k].grad.copy() for k in state.params if k.startswith("head.h1.")}
 

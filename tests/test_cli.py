@@ -18,6 +18,8 @@ from geoseq.pipeline import PipelineConfig, read_trajectories
 from geoseq.synth import SynthConfig
 from geoseq.vocab import Vocabulary
 
+from checkpoints import list_twice
+
 
 TINY = {
     "hidden": 16,
@@ -329,6 +331,27 @@ def test_malformed_head_checkpoint_exits_1(workspace, tmp_path, capsys, override
     assert capsys.readouterr().err.startswith(f"error: CheckpointError: {head}:")
     save_tensors(head, make_head("ffn", config).params, good)
     assert dispatch(argv) == 0  # the same files with a well-formed head load and evaluate
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "head"])
+def test_tensor_listed_twice_exits_1(workspace, tmp_path, capsys, which):
+    root, cfg = workspace
+    sizes = Vocabulary.load(root / "v" / "vocab.json").sizes()
+    config = ModelConfig(sizes, hidden=16, layers=1, heads=2)
+    ckpt, head = tmp_path / "checkpoint.gsq", tmp_path / "head.gsq"
+    save_checkpoint(ModelState.init(config, seed=0), ckpt)
+    save_tensors(head, make_head("ffn", config).params,
+                 {"kind": "head", "head_kind": "ffn", "config": config.to_json()})
+    path, name = (ckpt, "temporal.b") if which == "checkpoint" else (head, "g1.b")
+    list_twice(path, name, 7.0)
+    assert dispatch([
+        "eval", "--config", str(cfg),
+        "--data", str(root / "p" / "trajectories.ndjson"),
+        "--splits", str(root / "p" / "splits.json"),
+        "--checkpoint", str(ckpt), "--head-checkpoint", str(head), "--out", str(tmp_path / "e"),
+    ]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: CheckpointError: {path}: tensor '{name}' is listed twice")
 
 
 def test_config_defaults_and_validation():

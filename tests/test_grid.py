@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoseq.grid import (
     EARTH_RADIUS_M,
@@ -107,6 +108,38 @@ def test_round_trip_centers_within_half_cell():
         cx, cy, _ = decode_keys(encode_point(x, y, SPEC3), SPEC3)
         assert abs(cx - x) <= 50.0 + 1e-6
         assert abs(cy - y) <= 50.0 + 1e-6
+
+
+_ROUND_TRIP_SPECS = (
+    SPEC3,
+    GridSpec((1000.0, 100.0)),
+    GridSpec((90_000.0, 3_000.0, 1_500.0, 300.0), origin=(-12_345.5, 678.25)),
+)
+
+
+@st.composite
+def _coordinate(draw, origin, finest):
+    """Projected meters anywhere on Earth, half of them on a finest-cell edge."""
+    cell = draw(st.integers(-(2 * 10**7) // int(finest), (2 * 10**7) // int(finest)))
+    inside = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+    return origin + (cell + inside) * finest
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(_ROUND_TRIP_SPECS))
+def test_encode_decode_round_trip_property(data, spec):
+    # negative coordinates included: floor division and Euclidean mod keep
+    # every offset in range, and a point on a cell edge belongs to the cell
+    # above it
+    x = data.draw(_coordinate(spec.origin[0], spec.scales[-1]))
+    y = data.draw(_coordinate(spec.origin[1], spec.scales[-1]))
+    keys = encode_point(x, y, spec)
+    cx, cy, size = decode_keys(keys, spec)
+    assert size == spec.scales[-1]
+    assert abs(cx - x) <= size / 2 + 1e-6
+    assert abs(cy - y) <= size / 2 + 1e-6
+    assert encode_point(cx, cy, spec) == keys
+    assert finest_cell(x, y, spec) == finest_cell(cx, cy, spec)
 
 
 def test_offsets_shared_across_parents():

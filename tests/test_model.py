@@ -3,9 +3,12 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoseq import tensor as T
 from geoseq.model import (
@@ -22,17 +25,21 @@ from geoseq.model import (
     head_forward,
     load_checkpoint,
     load_tensors,
+    make_batch,
     positional_encoding,
     prediction_logits,
     pretrain,
     save_checkpoint,
     save_tensors,
     sequence_loss,
+    target_rows,
     temporal_encoding,
 )
 from geoseq.pipeline import Trajectory
 from geoseq.tensor import Tensor
+from geoseq.vocab import PAD_ID
 
+from checkpoints import list_twice
 from gradcheck import assert_grads_match
 
 
@@ -263,11 +270,12 @@ def test_no_gradient_crosses_the_one_hot():
         for p in state.params.values():
             p.grad = None
         outputs = decoder_forward(embed_sequence(batch, state), batch.keep, state)
-        logits = prediction_logits(outputs, state)
+        features, targets = target_rows(outputs, batch.ids)
+        logits = prediction_logits(features, state)
         if level_1_only:
-            loss = sequence_loss(logits[:1], batch.ids[:, :, :1])
+            loss = sequence_loss(logits[:1], targets[:, :1])
         else:
-            loss = sequence_loss(logits, batch.ids)
+            loss = sequence_loss(logits, targets)
         loss.backward()
         return {k: state[k].grad.copy() for k in state.params if k.startswith("head.h1.")}
 
@@ -302,29 +310,27 @@ def test_head_with_one_hot_is_bitwise_the_wide_input_at_batch_one(level_sizes, h
 # -- loss ---------------------------------------------------------------------
 
 def test_loss_uniform_logits_is_sum_of_log_sizes():
-    ids = np.zeros((1, 4, 2), dtype=np.int64)
-    ids[:, :, :] = 2  # constant valid targets
-    logits = [Tensor(np.zeros((1, 4, 5))), Tensor(np.zeros((1, 4, 9)))]
-    loss = sequence_loss(logits, ids)
+    targets = np.full((3, 2), 2, dtype=np.int64)  # constant valid targets
+    logits = [Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 9)))]
+    loss = sequence_loss(logits, targets)
     assert float(loss.data) == pytest.approx(math.log(5) + math.log(9), abs=1e-9)
 
 
 def test_loss_perfect_logits_is_tiny():
-    ids = np.zeros((1, 3, 2), dtype=np.int64)  # targets are class 0 everywhere
-    sharp = np.zeros((1, 3, 2))
-    sharp[:, :, 0] = 10.0
-    loss = sequence_loss([Tensor(sharp), Tensor(sharp.copy())], ids)
+    targets = np.zeros((2, 2), dtype=np.int64)  # targets are class 0 everywhere
+    sharp = np.zeros((2, 2))
+    sharp[:, 0] = 10.0
+    loss = sequence_loss([Tensor(sharp), Tensor(sharp.copy())], targets)
     assert float(loss.data) < 1e-4
 
 
 def test_loss_duplicated_level_doubles_contribution():
     rng = np.random.default_rng(15)
-    logits = rng.normal(size=(2, 4, 6))
-    ids1 = np.zeros((2, 4, 1), dtype=np.int64)
-    ids1[:, :, 0] = rng.integers(2, 6, size=(2, 4))
-    single = sequence_loss([Tensor(logits)], ids1)
-    ids2 = np.concatenate([ids1, ids1], axis=2)
-    double = sequence_loss([Tensor(logits), Tensor(logits.copy())], ids2)
+    logits = rng.normal(size=(6, 6))
+    targets1 = rng.integers(2, 6, size=(6, 1))
+    single = sequence_loss([Tensor(logits)], targets1)
+    targets2 = np.concatenate([targets1, targets1], axis=1)
+    double = sequence_loss([Tensor(logits), Tensor(logits.copy())], targets2)
     assert float(double.data) == pytest.approx(2 * float(single.data), rel=1e-12)
 
 
@@ -332,15 +338,101 @@ def test_loss_ignores_pad_targets():
     ids = np.full((1, 4, 1), 1, dtype=np.int64)  # everything PAD ...
     ids[0, 0, 0] = 0
     ids[0, 1, 0] = 3  # ... except one real transition
-    logits = Tensor(np.zeros((1, 4, 5)))
-    loss = sequence_loss([logits], ids)
+    features, targets = target_rows(Tensor(np.arange(4.0).reshape(1, 4, 1)), ids)
+    assert features.data.tolist() == [[0.0]] and targets.tolist() == [[3]]
+    loss = sequence_loss([Tensor(np.zeros((1, 5)))], targets)
     assert float(loss.data) == pytest.approx(math.log(5), abs=1e-9)
 
 
 def test_loss_all_pad_batch_raises():
     ids = np.full((1, 3, 1), 1, dtype=np.int64)
     with pytest.raises(T.ShapeError):
-        sequence_loss([Tensor(np.zeros((1, 3, 5)))], ids)
+        target_rows(Tensor(np.zeros((1, 3, 5))), ids)
+    with pytest.raises(T.ShapeError):
+        sequence_loss([Tensor(np.zeros((0, 5)))], ids[0, :0])
+
+
+def _padded_pair(config, seed):
+    """A batch of two sequences, the second padded; and the second alone."""
+    rng = np.random.default_rng(seed)
+    trajs = []
+    for n in (6, 3):
+        ids = [(0,) * config.levels] + [
+            tuple(int(rng.integers(2, size)) for size in config.level_sizes) for _ in range(n)
+        ]
+        ts = [int(1e9)] + [int(1e9) + 60 * j for j in range(n)]
+        trajs.append(Trajectory("u", ids, ts, None))
+    return make_batch(trajs, config.levels), make_batch(trajs[1:], config.levels)
+
+
+def _masked_all_rows_loss(batch, state):
+    """The loss as it was defined before the heads ran at target rows only:
+    every level's head at every position, PAD targets masked out of each
+    level's mean."""
+    with T.no_grad():
+        outputs = decoder_forward(embed_sequence(batch, state), batch.keep, state)
+        logits = prediction_logits(outputs, state)
+    total = 0.0
+    for h, lg in enumerate(logits):
+        z = lg.data[:, :-1]
+        logp = z - z.max(-1, keepdims=True)
+        logp = logp - np.log(np.exp(logp).sum(-1, keepdims=True))
+        targets = batch.ids[:, 1:, h]
+        valid = targets != PAD_ID
+        picked = np.take_along_axis(logp, np.where(valid, targets, 0)[..., None], -1)[..., 0]
+        total += -(picked * valid).sum() / valid.sum()
+    return total
+
+
+@pytest.mark.parametrize("level_sizes", [(6, 7), (5, 9, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_forward_loss_equals_the_masked_all_rows_loss(level_sizes, seed):
+    config = micro_config(level_sizes)
+    state = ModelState.init(config, seed=seed, dtype=np.float64)
+    for b in _padded_pair(config, seed):
+        got = float(forward_loss(b, state).data)
+        assert abs(got - _masked_all_rows_loss(b, state)) <= 1e-12
+
+
+def test_forward_loss_excludes_pad_rows():
+    # the padded sequence's PAD targets add nothing: the loss of the shorter
+    # sequence alone equals the loss of the pair with the longer one's
+    # contribution taken out level by level
+    config = micro_config()
+    state = ModelState.init(config, seed=4, dtype=np.float64)
+    pair, short = _padded_pair(config, 4)
+    with T.no_grad():
+        outputs = decoder_forward(embed_sequence(pair, state), pair.keep, state)
+        features, targets = target_rows(outputs, pair.ids)
+    assert len(targets) == 6 + 3  # each sequence's transitions, no PAD and no last position
+    alone = float(forward_loss(short, state).data)
+    with T.no_grad():
+        logits = prediction_logits(features, state)
+        tail = sequence_loss([lg[6:] for lg in logits], targets[6:])
+    assert float(tail.data) == pytest.approx(alone, abs=1e-12)
+
+
+def test_forward_loss_all_pad_batch_raises():
+    config = micro_config()
+    state = ModelState.init(config, seed=0)
+    batch = random_batch(config, b=2, t1=3)
+    batch.ids[:, 1:, :] = PAD_ID
+    batch.keep[:, 1:] = False
+    with pytest.raises(T.ShapeError, match="no position of the batch has a next location"):
+        forward_loss(batch, state)
+
+
+def test_forward_loss_runs_the_heads_at_target_rows_only():
+    config = micro_config()
+    state = ModelState.init(config, seed=0)
+    pair, _ = _padded_pair(config, 1)
+    with T.no_grad(), T.count_macs() as backbone:
+        decoder_forward(embed_sequence(pair, state), pair.keep, state)
+    with T.no_grad(), T.count_macs() as step:
+        forward_loss(pair, state)
+    per_row = sum(config.head_input_width(h) * config.hidden + config.hidden * size
+                  for h, size in enumerate(config.level_sizes, start=1))
+    assert step.macs - backbone.macs == (6 + 3) * per_row  # not 2 * 7 rows
 
 
 # -- full-model gradients and training ----------------------------------------
@@ -555,6 +647,53 @@ def test_load_checkpoint_rejects_malformed_meta_config(tmp_path, config):
     save_tensors(path, state.params, meta)
     with pytest.raises(CheckpointError, match="config"):
         load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_tensor_listed_twice(tmp_path):
+    # the later payload would otherwise replace the first without a word
+    path = tmp_path / "model.gsq"
+    save_checkpoint(ModelState.init(micro_config(), seed=0), path)
+    list_twice(path, "temporal.b", 7.0)
+    with pytest.raises(CheckpointError, match="tensor 'temporal.b' is listed twice"):
+        load_checkpoint(path)
+
+
+def _valid_checkpoint() -> tuple[bytes, int]:
+    """A small model checkpoint's bytes and where its payloads start."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.gsq"
+        save_checkpoint(ModelState.init(micro_config(), seed=3), path)
+        raw = path.read_bytes()
+    return raw, 16 + struct.unpack_from("<Q", raw, 8)[0]
+
+
+_RAW, _PAYLOAD_START = _valid_checkpoint()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, len(_RAW) - 1))
+def test_truncated_checkpoint_is_a_checkpoint_error(tmp_path_factory, cut):
+    path = tmp_path_factory.getbasetemp() / "cut.gsq"
+    path.write_bytes(_RAW[:cut])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(at=st.integers(0, _PAYLOAD_START - 1), byte=st.integers(0, 255))
+def test_changed_header_or_manifest_byte_loads_or_is_a_checkpoint_error(
+    tmp_path_factory, at, byte
+):
+    # v1 has no checksum, so a changed payload byte loads silently and is
+    # outside this property; any exception but CheckpointError fails it
+    raw = bytearray(_RAW)
+    raw[at] = byte
+    path = tmp_path_factory.getbasetemp() / "changed.gsq"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 def test_parameter_gradients_share_no_memory():

@@ -50,7 +50,8 @@ def test_tracer_installs_and_unwraps_the_ranking_functions():
 
 def test_tracer_times_matmul_forward_and_backward():
     # every matmul node of one forward/backward is timed in both directions,
-    # folded (activation @ weight) and batched (attention) alike
+    # and so is attention, one node with its own backward since its score
+    # and context products left `matmul`
     config = model.ModelConfig([6, 7], hidden=16, layers=1, heads=2, attn_dropout=0.0)
     state = model.ModelState.init(config, seed=0)
     batch = model.Batch(
@@ -70,6 +71,10 @@ def test_tracer_times_matmul_forward_and_backward():
     bwd = tracer.stat("run", "tensor.matmul.bwd")
     assert fwd.calls > 0 and bwd.calls == fwd.calls
     assert bwd.total > 0
+    attn_fwd = tracer.stat("run", "tensor.scaled_dot_product_attention.fwd")
+    attn_bwd = tracer.stat("run", "tensor.scaled_dot_product_attention.bwd")
+    assert attn_fwd.calls == attn_bwd.calls == config.layers
+    assert attn_fwd.total > 0 and attn_bwd.total > 0
 
 
 def test_beam_asks_level_probs_once_per_kept_candidate():

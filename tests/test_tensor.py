@@ -54,17 +54,56 @@ def test_cross_entropy_margin():
     assert float(T.cross_entropy(Tensor(big), np.array([0])).data) < float(loss.data)
 
 
-def test_cross_entropy_ignore_matches_single_row():
-    rng = np.random.default_rng(2)
-    logits = rng.normal(size=(2, 6))
-    single = T.cross_entropy(Tensor(logits[:1]), np.array([4]))
-    masked = T.cross_entropy(Tensor(logits), np.array([4, 1]), ignore_id=1)
-    assert float(single.data) == pytest.approx(float(masked.data), abs=1e-12)
+def _cross_entropy_before(logits, targets):
+    """The formula `cross_entropy` used before it kept its exponentials:
+    value and float64 gradient."""
+    rows = np.arange(len(targets))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = -(logp[rows, targets] * np.ones(len(targets), dtype=bool)).sum() / len(targets)
+    grad = np.exp(logp)
+    grad[rows, targets] -= 1.0
+    grad *= np.ones((len(targets), 1)) / len(targets)
+    return np.asarray(loss, dtype=logits.dtype), grad
 
 
-def test_cross_entropy_all_ignored_raises():
-    with pytest.raises(ShapeError):
-        T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([1, 1]), ignore_id=1)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # -3e38 - 3e38 overflows to -inf
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    c=st.integers(1, 7),
+    magnitude=st.sampled_from([1.0, 30.0, 1e4, 1e30, 3e38]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_cross_entropy_value_is_bitwise_the_old_formula(n, c, magnitude, dtype, seed):
+    # very large logits included: the max shift keeps every exponential finite
+    rng = np.random.default_rng(seed)
+    logits = np.clip(rng.normal(size=(n, c)) * magnitude, -3e38, 3e38).astype(dtype)
+    targets = rng.integers(0, c, size=n)
+    got = T.cross_entropy(Tensor(logits), targets)
+    want, _ = _cross_entropy_before(logits, targets)
+    assert got.data.dtype == dtype
+    assert got.data.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), c=st.integers(1, 7), magnitude=st.sampled_from([1.0, 10.0, 300.0]),
+       seed=st.integers(0, 2**31 - 1))
+def test_cross_entropy_gradient_matches_the_old_formula(n, c, magnitude, seed):
+    rng = np.random.default_rng(seed)
+    logits = Tensor(rng.normal(size=(n, c)) * magnitude, requires_grad=True)
+    targets = rng.integers(0, c, size=n)
+    T.cross_entropy(logits, targets).backward()
+    _, want = _cross_entropy_before(logits.data, targets)
+    assert np.abs(logits.grad - want).max() <= 1e-12
+
+
+def test_cross_entropy_rejects_no_rows_and_bad_targets():
+    with pytest.raises(ShapeError, match="at least one row"):
+        T.cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ShapeError, match="outside"):
+        T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
 def test_backward_square():
@@ -170,6 +209,27 @@ def test_structural_primitive_gradients_randomized(seed):
     assert_grads_match(loss_fn, {"a": a, "b": b})
 
 
+def _attention_composed(q, k, v, keep, dropout_p=0.0, rng=None, training=False):
+    """Attention as the graph of seven nodes it was before it became one."""
+    dk = q.data.shape[-1]
+    scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)),
+                   1.0 / np.sqrt(np.asarray(dk, dtype=q.data.dtype)))
+    scores = T.masked_fill(scores, keep, -np.inf)
+    weights = T.softmax(scores)
+    weights = T.dropout(weights, dropout_p, rng, training)
+    return T.matmul(weights, v)
+
+
+def _attention_inputs(seed, shape=(2, 3, 5, 4), dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    qkv = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True) for _ in range(3)]
+    b, t = shape[0], shape[-2]
+    real = rng.random((b, t)) > 0.3
+    real[:, 0] = True  # every query row keeps at least its first key
+    keep = np.tril(np.ones((t, t), dtype=bool))[None, None] & real[:, None, None, :]
+    return qkv, keep
+
+
 def test_attention_gradients():
     rng = np.random.default_rng(11)
     q = Tensor(rng.normal(size=(1, 2, 3, 4)), requires_grad=True)
@@ -182,6 +242,54 @@ def test_attention_gradients():
         return T.mean(T.mul(out, out))
 
     assert_grads_match(loss_fn, {"q": q, "k": k, "v": v})
+
+
+def test_attention_gradients_with_dropout_and_padding():
+    (q, k, v), keep = _attention_inputs(12)
+
+    def loss_fn():
+        out = T.scaled_dot_product_attention(
+            q, k, v, keep, dropout_p=0.3, rng=np.random.default_rng(4), training=True)
+        return T.mean(T.mul(out, out))
+
+    assert_grads_match(loss_fn, {"q": q, "k": k, "v": v})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout_p, training", [(0.0, True), (0.1, False), (0.1, True)])
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_node_is_the_composed_graph(seed, dropout_p, training, dtype):
+    # forward and gradient bits equal, dropout's rng draw included; in
+    # float64 and at the attention shape of the benchmark's pretrain step
+    shape = (4, 8, 28, 32) if dtype == np.float32 else (2, 3, 6, 4)
+    qkv, keep = _attention_inputs(seed, shape, dtype)
+    g = np.random.default_rng(seed + 50).normal(size=shape).astype(dtype)
+    results = []
+    for attend in (_attention_composed, T.scaled_dot_product_attention):
+        for t in qkv:
+            t.grad = None
+        rng = np.random.default_rng(seed + 100)
+        out = attend(*qkv, keep, dropout_p=dropout_p, rng=rng, training=training)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        results.append((out.data, [t.grad for t in qkv], rng.random()))
+    (want, want_grads, want_next), (got, got_grads, got_next) = results
+    assert got.tobytes() == want.tobytes()
+    assert got_next == want_next  # the same draws from the generator
+    for a, b in zip(got_grads, want_grads):
+        assert np.array_equal(a, b)
+
+
+def test_attention_is_one_node_and_counts_both_products():
+    (q, k, v), keep = _attention_inputs(13, shape=(2, 3, 5, 4))
+    with T.count_macs() as box:
+        out = T.scaled_dot_product_attention(
+            q, k, v, keep, dropout_p=0.2, rng=np.random.default_rng(0), training=True)
+    assert out._parents == (q, k, v)
+    assert box.macs == 2 * 3 * (5 * 4 * 5 + 5 * 5 * 4)
+    with pytest.raises(ShapeError, match="dropout in training mode needs an rng"):
+        T.scaled_dot_product_attention(q, k, v, keep, dropout_p=0.2, training=True)
+    with pytest.raises(ShapeError, match="attention expects"):
+        T.scaled_dot_product_attention(q, k, Tensor(np.zeros((2, 3, 4, 4))), keep)
 
 
 def test_dropout_identity_in_eval():
@@ -222,6 +330,33 @@ def test_no_grad_blocks_recording():
 def test_embedding_out_of_range():
     with pytest.raises(ShapeError, match="out of range"):
         T.embedding_lookup(Tensor(np.zeros((3, 2))), np.array([3]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    vocab=st.integers(1, 6),
+    width=st.integers(1, 4),
+    ids_shape=st.lists(st.integers(0, 12), min_size=1, max_size=2),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_embedding_backward_sums_repeated_ids_as_add_at(vocab, width, ids_shape, dtype, seed):
+    # a few ids over many positions, so most repeat; `reduceat` adds a
+    # group's rows in another order than `np.add.at`, so the sums agree to
+    # the rounding of summing that many terms, not bit for bit
+    rng = np.random.default_rng(seed)
+    table = Tensor(rng.normal(size=(vocab, width)).astype(dtype), requires_grad=True)
+    ids = rng.integers(0, vocab, size=ids_shape)
+    out = T.embedding_lookup(table, ids)
+    g = (rng.normal(size=out.shape) * 10.0 ** rng.integers(-3, 4, size=out.shape)).astype(dtype)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    want, magnitude = np.zeros_like(table.data), np.zeros_like(table.data)
+    np.add.at(want, ids, g)
+    np.add.at(magnitude, ids, np.abs(g))
+    assert table.grad.dtype == dtype
+    assert np.all(np.abs(table.grad - want) <= ids.size * np.finfo(dtype).eps * magnitude)
+    untouched = np.setdiff1d(np.arange(vocab), ids)
+    assert not table.grad[untouched].any()
 
 
 def test_mac_counter_counts_matmul_work():
