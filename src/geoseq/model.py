@@ -389,6 +389,12 @@ def fit(params: dict[str, Tensor], items: list, loss_fn, train: TrainConfig) -> 
     `TrainConfig` field) over `params`. `rng` is the run's single generator,
     seeded by `train.seed`; it shuffles first and is then free for dropout.
     A non-finite loss raises `TrainingDiverged` before its step moves a parameter.
+
+    Gradients are cleared before each forward, so the previous step's
+    parameter gradients are gone while this step's activations are built;
+    with `Tensor.backward` freeing each node once its gradient has moved on,
+    a step peaks at the parameters, the Adam moments and one forward's
+    activations.
     """
     if not items:
         raise ValueError("empty training set")
@@ -400,10 +406,10 @@ def fit(params: dict[str, Tensor], items: list, loss_fn, train: TrainConfig) -> 
         rng.shuffle(order)
         epoch_losses = []
         for step, start in enumerate(range(0, len(order), train.batch_size)):
+            opt.zero_grad()
             loss = loss_fn([items[i] for i in order[start : start + train.batch_size]], rng)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
-            opt.zero_grad()
             loss.backward()
             opt.step()
             epoch_losses.append(float(loss.data))

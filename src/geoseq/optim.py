@@ -54,28 +54,37 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One update of every parameter with a gradient.
+
+        Every gradient is checked first: a non-finite one raises
+        `NonFiniteGradientError` before any parameter, moment or the step
+        count moves.
+        """
+        finite = np.empty(CHUNK, dtype=bool)
+        grads = {}  # name -> the C-order flat gradient in its parameter's dtype
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = grads[name] = np.asarray(p.grad, dtype=p.data.dtype).reshape(-1)
+            for lo in range(0, g.size, CHUNK):
+                gc = g[lo:lo + CHUNK]
+                if not np.isfinite(gc, out=finite[:gc.size]).all():
+                    raise NonFiniteGradientError(f"non-finite gradient in parameter '{name}'")
         self.step_count += 1
         lr_t = self.effective_lr()
         b1, b2 = self.train.betas
         decay, eps = self.train.weight_decay, self.train.eps
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
-        finite = np.empty(CHUNK, dtype=bool)
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
+        for name, g in grads.items():
+            p = self.params[name]
             # C-order flat views; a non-contiguous parameter is updated in a
             # contiguous copy that is written back below
             contiguous = p.data.flags.c_contiguous
             data = p.data if contiguous else np.ascontiguousarray(p.data)
             flat = data.reshape(-1)
-            g = np.asarray(p.grad, dtype=data.dtype).reshape(-1)
             m = self._m[name].reshape(-1)
             v = self._v[name].reshape(-1)
-            for lo in range(0, flat.size, CHUNK):
-                gc = g[lo:lo + CHUNK]
-                if not np.isfinite(gc, out=finite[:gc.size]).all():
-                    raise NonFiniteGradientError(f"non-finite gradient in parameter '{name}'")
             if data.dtype not in self._scratch:
                 self._scratch[data.dtype] = np.empty((2, CHUNK), data.dtype)
             buf_a, buf_b = self._scratch[data.dtype]

@@ -97,6 +97,12 @@ class Tensor:
         Leaves accumulate across calls; an interior node's gradient is this
         call's alone, so a retained graph run twice gives its leaves exactly
         twice the gradient.
+
+        Without `retain_graph`, each node lets go of its parents and its
+        closure once its gradient has moved on to them, and this call drops
+        its own reference to the node then too: a node nothing else holds
+        is freed, with its output and its gradient, before the next one
+        runs. A node the caller holds keeps its `.grad`.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
@@ -123,7 +129,8 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
@@ -150,9 +157,10 @@ def _owns(g, dtype, node_grad, taken) -> bool:
 
     Later contributions are added into `.grad` in place, so it must be a
     writable array of the parent's dtype that shares memory with neither the
-    node's own gradient (interior gradients are kept, and `add`, `reshape` and
-    `swapaxes` hand back views of it) nor a gradient this node already gave
-    to another parent. A fresh array from a closure passes them all.
+    node's own gradient (a node the caller holds keeps its gradient, and
+    `add`, `reshape` and `swapaxes` hand back views of it) nor a gradient this
+    node already gave to another parent. A fresh array from a closure passes
+    them all.
     """
     return (
         isinstance(g, np.ndarray)

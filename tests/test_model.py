@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +528,52 @@ def test_fit_stops_on_non_finite_loss_before_stepping():
     assert len(calls) == 5
     assert not np.array_equal(before_nan["w"], np.ones(3, dtype=np.float32))
     assert np.array_equal(w.data, before_nan["w"])
+
+
+def test_fit_clears_gradients_before_each_forward():
+    w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    v = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    seen = []
+
+    def loss_fn(chunk, rng):
+        seen.append([p.grad is None for p in (w, v)])
+        return T.add(T.tsum(T.mul(w, w)), T.tsum(T.mul(v, v)))
+
+    train = TrainConfig(epochs=2, batch_size=2, warmup_steps=0, seed=0)
+    fit({"w": w, "v": v}, list(range(6)), loss_fn, train)
+    assert seen == [[True, True]] * 6
+
+
+def _graph_nodes(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_peaks_at_the_forward_plus_gradients_and_one_activation():
+    # backward frees each node once its gradient has moved on, so it never
+    # holds the whole graph's gradients on top of its activations
+    config = micro_config(level_sizes=(11, 60, 30), hidden=32, layers=2, max_seq_len=32)
+    state = ModelState.init(config, seed=0)
+    batch = random_batch(config, b=8, t1=16, seed=1)
+    tracemalloc.start()
+    try:
+        loss = forward_loss(batch, state)
+        forward_end = tracemalloc.get_traced_memory()[0]
+        largest = max(n.data.nbytes for n in _graph_nodes(loss) if n._backward is not None)
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(p.data.nbytes for p in state.params.values())
+    assert all(p.grad is not None for p in state.params.values())
+    assert peak - forward_end <= grad_bytes + largest
 
 
 # -- checkpoints ---------------------------------------------------------------

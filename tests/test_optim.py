@@ -124,6 +124,28 @@ def test_non_finite_in_last_chunk_leaves_the_parameter_untouched():
     assert p.data.tobytes() == before
 
 
+def test_non_finite_in_a_later_parameter_moves_nothing():
+    a, b = _param(1.0), _param(2.0)
+    opt = Adam({"a": a, "b": b}, _train(lr=1e-3, weight_decay=1e-2))
+    a.grad, b.grad = np.array([1.0]), np.array([1.0])
+    opt.step()
+    before = (a.data.tobytes(), opt._m["a"].tobytes(), opt._v["a"].tobytes(), opt.step_count)
+    a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+    with pytest.raises(NonFiniteGradientError, match="'b'"):
+        opt.step()
+    after = (a.data.tobytes(), opt._m["a"].tobytes(), opt._v["a"].tobytes(), opt.step_count)
+    assert after == before
+    # the refused step left no trace: the next step is the one a clean run takes
+    a.grad, b.grad = np.array([0.5]), np.array([-0.5])
+    opt.step()
+    twin_a, twin_b = _param(1.0), _param(2.0)
+    twin = Adam({"a": twin_a, "b": twin_b}, _train(lr=1e-3, weight_decay=1e-2))
+    for g_a, g_b in ((1.0, 1.0), (0.5, -0.5)):
+        twin_a.grad, twin_b.grad = np.array([g_a]), np.array([g_b])
+        twin.step()
+    assert (a.data.tobytes(), b.data.tobytes()) == (twin_a.data.tobytes(), twin_b.data.tobytes())
+
+
 def test_non_contiguous_parameter_is_updated_in_place():
     base = np.arange(12, dtype=np.float64).reshape(3, 4) + 1.0
     p = Tensor(base.T, requires_grad=True)  # a transposed view of `base`

@@ -23,7 +23,7 @@ from geoseq.pipeline import (
     window,
     write_trajectories,
 )
-from geoseq.vocab import build_vocab, tokenize
+from geoseq.vocab import SOS_ID, build_vocab, tokenize
 
 SPEC = GridSpec((1_000.0, 100.0))
 
@@ -394,11 +394,13 @@ def oracle_majority_label(records):
     return sorted(k for k, v in counts.items() if v == best)[0]
 
 
-def oracle_preprocess(records, vocab, cfg):
+def oracle_marked_users(records, vocab, cfg):
+    """Each user's records as they reach segmentation, with stops marked, in
+    sorted user order."""
     by_user = {}
     for r in records:
         by_user.setdefault(r.user_id, []).append(OracleRecord(r.user_id, r.timestamp, r.lat, r.lon, r.label))
-    trajs = []
+    marked = {}
     for user in sorted(by_user):
         rs = sorted(by_user[user], key=lambda r: r.timestamp)
         if cfg.profile == "gps":
@@ -410,7 +412,13 @@ def oracle_preprocess(records, vocab, cfg):
         if len(rs) < 2:
             continue
         oracle_compute_velocity(rs)
-        oracle_mark_stops(rs, cfg.stop_speed_kmh)
+        marked[user] = oracle_mark_stops(rs, cfg.stop_speed_kmh)
+    return marked
+
+
+def oracle_preprocess(records, vocab, cfg):
+    trajs = []
+    for rs in oracle_marked_users(records, vocab, cfg).values():
         for seg in oracle_segment_trajectories(rs, cfg.min_trajectory_records):
             ids = [vocab.sos_tuple()] + [tokenize(r.x, r.y, vocab).ids for r in seg]
             ts = [seg[0].timestamp] + [r.timestamp for r in seg]
@@ -541,3 +549,48 @@ def test_preprocess_equals_the_record_loop_oracle(records, profile, min_stay, mi
     got = preprocess(records, vocab, cfg)
     assert got == oracle_preprocess(records, vocab, cfg)
     assert all(type(t) is int for traj in got for t in traj.timestamps)
+
+
+@st.composite
+def walks(draw):
+    """Records of up to three users, each a walk of dwells and moves of about
+    250 m a minute, one record per user and timestamp."""
+    records = []
+    for user in "abc"[: draw(st.integers(1, 3))]:
+        t, lat = 1_000, 0.0
+        for moving, n in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 12)),
+                                       min_size=2, max_size=6)):
+            for dt in draw(st.lists(st.sampled_from([1, 60, 60, 61, 300]), min_size=n, max_size=n)):
+                t, lat = t + dt, lat + 0.002 * moving
+                records.append(RawRecord(user, t, lat, lat / 2))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=walks(), profile=st.sampled_from(["gps", "signal"]),
+       min_stay=st.sampled_from([0, 60]), min_len=st.integers(1, 4),
+       max_seq_len=st.sampled_from([3, 5, 32]))
+def test_preprocess_windows_obey_the_pipeline_laws(records, profile, min_stay, min_len,
+                                                   max_seq_len):
+    spec = GridSpec((1_000.0, 100.0), origin=(-150.0, 70.0))
+    vocab = build_vocab([oracle_project(r.lat, r.lon, 0.0) for r in records], spec)
+    cfg = PipelineConfig(profile=profile, min_stay_seconds=min_stay,
+                         min_trajectory_records=min_len, max_seq_len=max_seq_len)
+    marked = oracle_marked_users(records, vocab, cfg)
+    for traj in preprocess(records, vocab, cfg):
+        # windows no longer than max_seq_len, each with something to predict
+        assert 3 <= len(traj.ids) <= max_seq_len
+        # SOS at row 0 only
+        assert traj.ids[0] == vocab.sos_tuple()
+        assert all(SOS_ID not in row for row in traj.ids[1:])
+        # a window is a run of its user's records inside one segment: stops
+        # bound the segment, none lies strictly inside it, and it is long enough
+        times = [r.timestamp for r in marked[traj.user]]
+        i = times.index(traj.timestamps[1])
+        j = i + traj.length - 1
+        assert times[i : j + 1] == traj.timestamps[1:]
+        stops = [k for k, r in enumerate(marked[traj.user]) if r.is_stop]
+        assert {k for k in stops if i <= k <= j} <= {i, j}
+        first = max(k for k in stops if k <= i)
+        last = min(k for k in stops if k >= j)
+        assert last - first + 1 > min_len

@@ -1,6 +1,7 @@
 """Engine primitives: analytic values, gradient checks, masking, determinism."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -495,6 +496,38 @@ def test_one_array_given_to_two_parents_is_not_shared(op_first):
     T.add(*(terms if op_first else terms[::-1])).backward()
     assert np.array_equal(a.grad, 1.0 + c)
     assert np.array_equal(b.grad, np.ones(3))
+
+
+def _outputs_alive_below(retain_graph):
+    """Whether a matmul's and a relu's outputs, which the caller no longer
+    holds, are alive when backward reaches the node that feeds them."""
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    c = rng.normal(size=(4, 5))
+    alive = []
+
+    def probe_backward(g):
+        alive.extend(ref() is not None for ref in refs)
+        return (g,)
+
+    h = T.matmul(_op((x,), probe_backward), w)
+    r = T.relu(h)
+    held = T.mul(r, c)
+    refs = [weakref.ref(h.data), weakref.ref(r.data)]  # Tensor takes no weakref
+    del h, r
+    T.tsum(held).backward(retain_graph=retain_graph)
+    assert np.array_equal(held.grad, np.ones_like(held.data))  # the caller holds it
+    assert np.allclose(x.grad, ((x.data @ w.data > 0) * c) @ w.data.T, rtol=1e-12)
+    return alive
+
+
+def test_backward_frees_a_node_once_its_gradient_has_moved_on():
+    assert _outputs_alive_below(retain_graph=False) == [False, False]
+
+
+def test_retained_graph_keeps_every_node_alive():
+    assert _outputs_alive_below(retain_graph=True) == [True, True]
 
 
 def _lstm_composed(x_gates, wh, last):
