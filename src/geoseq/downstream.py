@@ -35,6 +35,7 @@ from .model import (
     make_batch,
     meta_config,
     save_tensors,
+    sequence_loss,
 )
 from .pipeline import Trajectory
 from .tensor import Tensor
@@ -406,7 +407,6 @@ def finetune_next_location(
     eval_trajs: list[Trajectory],
     train: TrainConfig,
     freeze_backbone: bool = False,
-    eval_k: int = 5,
 ):
     """Train a next-location head (optionally updating the backbone) and evaluate.
 
@@ -419,15 +419,11 @@ def finetune_next_location(
     head = make_head(head_kind, cfg, seed=train.seed, dtype=state.dtype)
 
     def head_loss(outputs, keep, targets):
-        logits = chained_logits(cfg, head.level_logits, head.features(outputs, keep))
-        loss = None
-        for h in range(cfg.levels):
-            ce = T.cross_entropy(logits[h], targets[:, h])
-            loss = ce if loss is None else T.add(loss, ce)
-        return loss
+        features = head.features(outputs, keep)
+        return sequence_loss(chained_logits(cfg, head.level_logits, features), targets)
 
     curve = _fit_head(state, head.params, pairs, head_loss, train, freeze_backbone)
-    report = evaluate_next_location(state, head, eval_trajs, k=eval_k)
+    report = evaluate_next_location(state, head, eval_trajs, k=5)
     return head, report, curve
 
 
@@ -480,7 +476,6 @@ def finetune_classifier(
     train_trajs: list[Trajectory],
     eval_trajs: list[Trajectory],
     train: TrainConfig,
-    classes: list[str] | None = None,
     freeze_backbone: bool = False,
 ):
     """Train the classifier head on labeled trajectories and evaluate it.
@@ -491,8 +486,7 @@ def finetune_classifier(
     labeled = [t for t in train_trajs if t.label is not None]
     if not labeled:
         raise ValueError("no labeled trajectories to train on")
-    if classes is None:
-        classes = sorted({t.label for t in labeled})
+    classes = sorted({t.label for t in labeled})
     index = {c: i for i, c in enumerate(classes)}
     layout = TrajectoryClassifier.layout(state.config, classes)
     clf = TrajectoryClassifier(state.config, init_params(layout, train.seed, state.dtype), classes)

@@ -1,14 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy arrays.
 
-Implements the small operation set the sequence models need: matmul (with an
-optional bias added in place), the matmul of a concatenated input without the
-concatenation (`concat_matmul`), add/sub/neg/mul, concat, embedding lookup,
-relu/sigmoid/tanh, an LSTM recurrence as one node (`lstm`), layer norm,
-softmax, masked fill, dropout, log, mean/sum, reshape/swapaxes, basic
-indexing, cross-entropy, and attention as one node
-(`scaled_dot_product_attention`). Every operation registers a backward
-closure; `Tensor.backward` runs reverse-mode accumulation over the recorded
-graph.
+The sequence models use matmul (with an optional bias added in place), the
+matmul of a concatenated input without the concatenation (`concat_matmul`),
+add/mul, embedding lookup, relu, an LSTM recurrence as one node (`lstm`),
+layer norm, softmax, sum, reshape/swapaxes, basic indexing, cross-entropy,
+and attention as one node (`scaled_dot_product_attention`). Nine more ops
+(`sub`, `neg`, `log`, `mean`, `masked_fill`, `dropout`, `concat`, `sigmoid`,
+`tanh`) have no caller in the package; they stay because the benchmark's
+tracer (`perfbench/tracer.py`) looks each of them up by name. Every
+operation registers a backward closure; `Tensor.backward` runs reverse-mode
+accumulation over the recorded graph.
 
 Training runs in float32; pass float64 arrays for verification-grade gradient
 checks. A module-level multiply-accumulate counter tracks matmul work for
@@ -65,8 +66,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
             raise ShapeError(f"requires_grad needs a float tensor, got {self.data.dtype}")
         self.requires_grad = requires_grad
@@ -88,21 +89,20 @@ class Tensor:
     def __getitem__(self, key):
         return getitem(self, key)
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def backward(self, retain_graph: bool = False):
+    def backward(self):
         """Reverse-mode gradient accumulation from this scalar into all leaves.
 
-        Leaves accumulate across calls; an interior node's gradient is this
-        call's alone, so a retained graph run twice gives its leaves exactly
-        twice the gradient.
+        Gradients are summed out of place: the first one to reach a tensor
+        becomes its `.grad` as the closure returned it, and each later one
+        replaces `.grad` with `.grad + g`, either cast to the tensor's dtype
+        only when it differs. No code writes into a `.grad`, so a `.grad` may
+        share memory with another. Leaves accumulate across calls.
 
-        Without `retain_graph`, each node lets go of its parents and its
-        closure once its gradient has moved on to them, and this call drops
-        its own reference to the node then too: a node nothing else holds
-        is freed, with its output and its gradient, before the next one
-        runs. A node the caller holds keeps its `.grad`.
+        Each node lets go of its parents and its closure once its gradient
+        has moved on to them, and this call drops its own reference to the
+        node then too: a node nothing else holds is freed, with its output
+        and its gradient, before the next one runs. A node the caller holds
+        keeps its `.grad`.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
@@ -116,8 +116,6 @@ class Tensor:
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                if node._backward is not None:
-                    node.grad = None
                 order.append(node)
                 continue
             if id(node) in visited:
@@ -134,45 +132,18 @@ class Tensor:
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
-            taken = []
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is not None:
-                    parent.grad += g
-                elif _owns(g, parent.data.dtype, node.grad, taken):
-                    parent.grad = g  # fresh: kept as it is, never copied
-                    taken.append(g)
-                else:
-                    # a copy in the view's own memory order, which the bits
-                    # of later reductions over this gradient depend on
-                    parent.grad = np.array(g, dtype=parent.data.dtype)
-            if not retain_graph:
-                node._parents = ()
-                node._backward = None
+                    g = parent.grad + g
+                parent.grad = np.asarray(g, dtype=parent.data.dtype)
+            node._parents = ()
+            node._backward = None
 
 
-def _owns(g, dtype, node_grad, taken) -> bool:
-    """Whether a first gradient may become the parent's own `.grad` uncopied.
-
-    Later contributions are added into `.grad` in place, so it must be a
-    writable array of the parent's dtype that shares memory with neither the
-    node's own gradient (a node the caller holds keeps its gradient, and
-    `add`, `reshape` and `swapaxes` hand back views of it) nor a gradient this
-    node already gave to another parent. A fresh array from a closure passes
-    them all.
-    """
-    return (
-        isinstance(g, np.ndarray)
-        and g.flags.writeable
-        and g.dtype == dtype
-        and not np.may_share_memory(g, node_grad)
-        and not any(np.may_share_memory(g, t) for t in taken)
-    )
-
-
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, backward):

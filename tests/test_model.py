@@ -744,7 +744,8 @@ def test_changed_header_or_manifest_byte_loads_or_is_a_checkpoint_error(
 
 
 def test_parameter_gradients_share_no_memory():
-    # first gradients are kept uncopied when fresh; none may alias another
+    # backward keeps first gradients uncopied, so a `.grad` may share memory
+    # with another; the model's closures give each parameter its own array
     state = ModelState.init(micro_config(), seed=0)
     forward_loss(random_batch(state.config), state).backward()
     grads = [(name, p.grad) for name, p in state.params.items() if p.grad is not None]

@@ -432,22 +432,12 @@ def test_leaf_read_by_two_ops_sums_both_gradients():
     rng = np.random.default_rng(15)
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     c1, c2 = rng.normal(size=(6,)), rng.normal(size=(2, 3))
-    r = T.reshape(x, (6,))  # its backward returns a view of r.grad
+    # reshape's backward returns a view of r.grad, which becomes x's first
+    # gradient; adding the other term's must leave r.grad as it was
+    r = T.reshape(x, (6,))
     T.add(T.tsum(T.mul(r, c1)), T.tsum(T.mul(x, c2))).backward()
     assert np.array_equal(x.grad, c1.reshape(2, 3) + c2)
     assert np.array_equal(r.grad, c1)
-
-
-def test_retained_graph_backward_twice_doubles_leaf_gradients():
-    rng = np.random.default_rng(16)
-    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    loss = T.mean(T.tanh(T.matmul(T.relu(x), w)))
-    loss.backward(retain_graph=True)
-    once = {"x": x.grad.copy(), "w": w.grad.copy()}
-    loss.backward(retain_graph=True)
-    assert np.array_equal(x.grad, 2 * once["x"])
-    assert np.array_equal(w.grad, 2 * once["w"])
 
 
 def test_fused_bias_matches_separate_add_bit_for_bit():
@@ -465,14 +455,15 @@ def test_fused_bias_matches_separate_add_bit_for_bit():
 
 
 def _op(parents, backward):
-    """A node with a hand-written backward, for the engine's copy rule."""
+    """A node with a hand-written backward, for the engine's summing rule."""
     return T._make(sum(p.data for p in parents), parents, backward)
 
 
 @pytest.mark.parametrize("op_first", [True, False])
 def test_read_only_first_gradient_is_copied_before_accumulating(op_first):
     # a 0-d `mean` hands back a numpy scalar and a broadcast is a read-only
-    # view; either may be a leaf's first gradient, and the next one is added in
+    # view; either may be a leaf's first gradient, kept as it is, and the sum
+    # with the next one must still hold (it is made out of place)
     x = Tensor(np.array(1.5), requires_grad=True)
     terms = [T.mean(x), T.mul(x, x)]
     T.add(*(terms if op_first else terms[::-1])).backward()
@@ -491,16 +482,49 @@ def test_one_array_given_to_two_parents_is_not_shared(op_first):
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
     c = np.array([2.0, -1.0, 4.0])
-    both = _op((a, b), lambda g: (g * 1.0,) * 2)  # one fresh array for both
+    # one array is the first gradient of both; summing into a's must leave b's
+    both = _op((a, b), lambda g: (g * 1.0,) * 2)
     terms = [T.tsum(both), T.tsum(T.mul(a, c))]
     T.add(*(terms if op_first else terms[::-1])).backward()
     assert np.array_equal(a.grad, 1.0 + c)
     assert np.array_equal(b.grad, np.ones(3))
 
 
-def _outputs_alive_below(retain_graph):
-    """Whether a matmul's and a relu's outputs, which the caller no longer
-    holds, are alive when backward reaches the node that feeds them."""
+def test_first_gradient_becomes_grad_uncopied():
+    # a read-only broadcast and a view of the node's own gradient are kept as
+    # the closure returned them
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    given = []
+
+    def spread(g):
+        given.append(np.broadcast_to(g[0, 0], x.data.shape))
+        return (given[-1],)
+
+    T.tsum(_op((x,), spread)).backward()
+    assert np.shares_memory(x.grad, given[0]) and not x.grad.flags.writeable
+
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    held = T.reshape(x, (6,))
+    T.tsum(T.mul(held, np.arange(6.0))).backward()
+    assert np.shares_memory(x.grad, held.grad)
+    assert np.array_equal(x.grad, np.arange(6.0).reshape(2, 3))
+
+
+def test_grad_keeps_the_tensor_dtype_when_a_closure_returns_another():
+    x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
+    wide = [_op((x,), lambda g: (g.astype(np.float64) * 0.5,)) for _ in range(2)]
+    T.add(T.tsum(wide[0]), T.tsum(wide[1])).backward()  # a first and a later gradient
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, np.ones(3, dtype=np.float32))
+
+    y = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+    T.tsum(_op((y,), lambda g: (g.astype(np.float64),))).backward()  # the only one
+    assert y.grad.dtype == np.float32
+
+
+def test_backward_frees_a_node_once_its_gradient_has_moved_on():
+    # whether a matmul's and a relu's outputs, which the caller no longer
+    # holds, are alive when backward reaches the node that feeds them
     rng = np.random.default_rng(18)
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -516,18 +540,10 @@ def _outputs_alive_below(retain_graph):
     held = T.mul(r, c)
     refs = [weakref.ref(h.data), weakref.ref(r.data)]  # Tensor takes no weakref
     del h, r
-    T.tsum(held).backward(retain_graph=retain_graph)
+    T.tsum(held).backward()
+    assert alive == [False, False]
     assert np.array_equal(held.grad, np.ones_like(held.data))  # the caller holds it
     assert np.allclose(x.grad, ((x.data @ w.data > 0) * c) @ w.data.T, rtol=1e-12)
-    return alive
-
-
-def test_backward_frees_a_node_once_its_gradient_has_moved_on():
-    assert _outputs_alive_below(retain_graph=False) == [False, False]
-
-
-def test_retained_graph_keeps_every_node_alive():
-    assert _outputs_alive_below(retain_graph=True) == [True, True]
 
 
 def _lstm_composed(x_gates, wh, last):
