@@ -38,10 +38,15 @@ def project(lat, lon, ref_lat: float = 0.0):
     return x, y
 
 
-def unproject(x: float, y: float, ref_lat: float = 0.0) -> tuple[float, float]:
-    """Inverse of `project`, returning (lat, lon) degrees."""
-    lat = math.degrees(y / EARTH_RADIUS_M)
-    lon = math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(ref_lat))))
+def unproject(x, y, ref_lat: float = 0.0):
+    """Inverse of `project`, returning (lat, lon) degrees, for scalars or arrays.
+
+    Scalars give float64 scalars; `np.degrees` rounds as `math.degrees` does.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    lat = np.degrees(y / EARTH_RADIUS_M)
+    lon = np.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(ref_lat))))
     return lat, lon
 
 

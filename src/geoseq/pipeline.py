@@ -371,11 +371,11 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
     """Read `write_trajectories`'s NDJSON as untrusted input.
 
     A line that is not an object with `user`, `ids` and `ts`, whose `ids` and
-    `ts` differ in length, whose id tuples are not non-negative ints (not
-    bools) of the file's one width, whose `ts` holds anything but finite
-    numbers > 0, or whose `label` is neither a string nor null raises
-    ValueError naming the file and the line. Given `level_sizes`,
-    every id must also lie below its level's size. The id and timestamp
+    `ts` differ in length, that holds no location after the SOS tuple, whose
+    id tuples are not non-negative ints (not bools) of the file's one width,
+    whose `ts` holds anything but finite numbers > 0, or whose `label` is
+    neither a string nor null raises ValueError naming the file and the line.
+    Given `level_sizes`, every id must also lie below its level's size. The id and timestamp
     checks run once, vectorised, over the whole file; a line-by-line scan
     runs only to name the line of a fault.
     """
@@ -399,6 +399,8 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
                     f"{path}, line {lineno}: 'ids' (a list of id lists) and 'ts' must be "
                     f"lists of one length"
                 )
+            if len(ids) < 2:
+                raise ValueError(f"{path}, line {lineno}: no location after the SOS tuple")
             label = doc.get("label")
             if label is not None and not isinstance(label, str):
                 raise ValueError(

@@ -4,11 +4,16 @@ Each user gets a few anchor points inside the region. A dwell emits one
 record per minute with jitter small enough to stay under the stop-speed
 threshold; a burst walks toward the next anchor fast enough to stay above
 it, labeled with a movement mode. Output is byte-stable for a fixed config.
+
+Stream rule: each segment takes its random numbers in one draw, a dwell's
+jitter as `[n, 2]` and a burst's step and wobble as `[n, 2]` rows, which
+reads the generator's stream in the same order as one draw per record would.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,51 +50,66 @@ class SynthConfig:
             raise ValueError(f"'users' must be at least 1, got {self.users}")
         if self.anchors_per_user < 2:
             raise ValueError(f"'anchors_per_user' must be at least 2, got {self.anchors_per_user}")
+        if self.bursts_per_user < 0:
+            raise ValueError(f"'bursts_per_user' must be at least 0, got {self.bursts_per_user}")
         for name in ("burst_len", "dwell_minutes"):
             span = getattr(self, name)
-            if len(span) != 2 or span[0] > span[1]:
-                raise ValueError(f"'{name}' must be two values lo <= hi, got {span!r}")
+            if len(span) != 2 or not 0 <= span[0] <= span[1]:
+                raise ValueError(f"'{name}' must be two values 0 <= lo <= hi, got {span!r}")
+        for name in ("jitter_m", "heading_noise"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"'{name}' must be a finite number >= 0, got {value!r}")
 
 
 def generate_records(cfg: SynthConfig) -> list[RawRecord]:
     rng = np.random.default_rng(cfg.seed)
-    records: list[RawRecord] = []
+    segments: list[np.ndarray] = []  # [n, 2] projected meters, in record order
+    users: list[str] = []
+    stamps: list[int] = []
+    labels: list[str | None] = []
+
+    def dwell(x, y):
+        n = int(rng.integers(cfg.dwell_minutes[0], cfg.dwell_minutes[1] + 1))
+        jitter = rng.uniform(-cfg.jitter_m / 2, cfg.jitter_m / 2, size=(n, 2))
+        segments.append(np.array([x, y]) + jitter)
+        labels.extend([None] * n)
+
     for u in range(cfg.users):
-        user = f"u{u:04d}"
-        anchors = rng.uniform(0.05 * cfg.extent_m, 0.95 * cfg.extent_m, size=(cfg.anchors_per_user, 2))
-        t = BASE_EPOCH + u * 100_000
-        pos = anchors[0].copy()
-
-        def dwell(center):
-            nonlocal t
-            n = int(rng.integers(cfg.dwell_minutes[0], cfg.dwell_minutes[1] + 1))
-            for _ in range(n):
-                jitter = rng.uniform(-cfg.jitter_m / 2, cfg.jitter_m / 2, size=2)
-                p = center + jitter
-                lat, lon = unproject(p[0], p[1], cfg.ref_lat)
-                records.append(RawRecord(user, t, lat, lon, None))
-                t += 60
-
-        dwell(pos)
+        first = len(labels)
+        anchors = rng.uniform(
+            0.05 * cfg.extent_m, 0.95 * cfg.extent_m, size=(cfg.anchors_per_user, 2)
+        )
+        x, y = anchors[0].tolist()
+        dwell(x, y)
         for b in range(cfg.bursts_per_user):
-            target = anchors[(b + 1) % cfg.anchors_per_user]
+            tx, ty = anchors[(b + 1) % cfg.anchors_per_user].tolist()
             mode, lo, hi = MODES[int(rng.integers(len(MODES)))]
             n_steps = int(rng.integers(cfg.burst_len[0], cfg.burst_len[1] + 1))
-            for _ in range(n_steps):
-                direction = target - pos
-                dist = float(np.hypot(*direction))
-                unit = direction / dist if dist > 1e-9 else np.array([1.0, 0.0])
-                step = float(rng.uniform(lo, hi))
-                lateral = np.array([-unit[1], unit[0]])
-                wobble = float(rng.uniform(-cfg.heading_noise, cfg.heading_noise))
+            noise = cfg.heading_noise
+            draws = rng.uniform([lo, -noise], [hi, noise], size=(n_steps, 2))
+            path = []
+            # a scalar loop: each step's heading depends on the last position
+            for step, wobble in draws.tolist():
+                dx, dy = tx - x, ty - y
+                dist = float(np.hypot(dx, dy))
+                ux, uy = (dx / dist, dy / dist) if dist > 1e-9 else (1.0, 0.0)
+                lx, ly = -uy, ux
                 # overshoot rather than stall at the target so every burst
                 # step stays above the stop-speed threshold
-                pos = pos + unit * step + lateral * wobble * step
-                lat, lon = unproject(pos[0], pos[1], cfg.ref_lat)
-                records.append(RawRecord(user, t, lat, lon, mode))
-                t += 60
-            dwell(pos)
-    return records
+                x = x + ux * step + lx * wobble * step
+                y = y + uy * step + ly * wobble * step
+                path.append((x, y))
+            segments.append(np.array(path, dtype=np.float64).reshape(n_steps, 2))
+            labels.extend([mode] * n_steps)
+            dwell(x, y)
+        n = len(labels) - first
+        t0 = BASE_EPOCH + u * 100_000
+        users.extend([f"u{u:04d}"] * n)
+        stamps.extend(range(t0, t0 + 60 * n, 60))
+    xy = np.concatenate(segments)
+    lat, lon = unproject(xy[:, 0], xy[:, 1], cfg.ref_lat)
+    return list(map(RawRecord, users, stamps, lat.tolist(), lon.tolist(), labels))
 
 
 def records_to_csv(records: list[RawRecord]) -> str:

@@ -17,6 +17,7 @@ from .grid import GridSpec, encode_point, finest_cell
 SOS_ID = 0
 PAD_ID = 1
 NUM_SPECIALS = 2
+SPECIALS = {"sos": SOS_ID, "pad": PAD_ID}
 
 
 class OutOfVocabularyError(KeyError):
@@ -33,11 +34,8 @@ def _is_number(x) -> bool:
 
 
 def _is_entry(entry) -> bool:
-    """A `[key, id]` pair: the key an int or a list of ints, the id an int."""
-    if not (isinstance(entry, list) and len(entry) == 2 and type(entry[1]) is int):
-        return False
-    key = entry[0]
-    return type(key) is int or isinstance(key, list) and all(type(c) is int for c in key)
+    """A `[key, id]` pair with an int id; `from_json` checks the key per level."""
+    return isinstance(entry, list) and len(entry) == 2 and type(entry[1]) is int
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class Vocabulary:
         levels = []
         for level_map in self._maps:
             entries = [[list(k) if isinstance(k, tuple) else k, i] for k, i in level_map.items()]
-            levels.append({"specials": {"sos": SOS_ID, "pad": PAD_ID}, "entries": entries})
+            levels.append({"specials": dict(SPECIALS), "entries": entries})
         return {
             "scales": list(self.spec.scales),
             "origin": list(self.spec.origin),
@@ -95,7 +93,12 @@ class Vocabulary:
     @classmethod
     def from_json(cls, doc: dict) -> "Vocabulary":
         """Rebuild from `to_json`'s document; a missing or ill-typed key raises
-        ValueError naming it."""
+        ValueError naming it.
+
+        Each level's `specials` must be `SPECIALS`. A level-1 key must be a
+        pair of ints, and a level-h key (h > 1) an int offset in
+        `[0, ratios[h-2]**2)`; a violation names the level and the field.
+        """
         if not isinstance(doc, dict):
             raise ValueError("a vocabulary must be a JSON object")
         for key in ("scales", "origin", "levels", "flat_count"):
@@ -116,9 +119,22 @@ class Vocabulary:
             entries = lev.get("entries") if isinstance(lev, dict) else None
             if not (isinstance(entries, list) and all(map(_is_entry, entries))):
                 raise ValueError(f"level {h} 'entries' must be a list of [key, int id] pairs")
+            specials = lev.get("specials")
+            if not (specials == SPECIALS and all(type(v) is int for v in specials.values())):
+                raise ValueError(f"level {h} 'specials' must be {SPECIALS}, got {specials!r}")
+            offsets = spec.ratios[h - 2] ** 2 if h > 1 else 0
             m = {}
             for key, tid in entries:
-                m[tuple(key) if isinstance(key, list) else key] = tid
+                if h == 1:
+                    if not (isinstance(key, list) and len(key) == 2
+                            and all(type(c) is int for c in key)):
+                        raise ValueError(f"level 1 'entries' key {key!r} is not a pair of ints")
+                    key = tuple(key)
+                elif not (type(key) is int and 0 <= key < offsets):
+                    raise ValueError(
+                        f"level {h} 'entries' key {key!r} is not an int in [0, {offsets})"
+                    )
+                m[key] = tid
             expected = set(range(NUM_SPECIALS, NUM_SPECIALS + len(m)))
             if set(m.values()) != expected:
                 raise ValueError(f"level {h} ids are not dense after specials")

@@ -1,7 +1,11 @@
 """Accounting exactness, FLOP conventions, ablation harness, synthetic data."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geoseq import tensor as T
 from geoseq.bench import (
@@ -13,11 +17,11 @@ from geoseq.bench import (
     render_table,
     run_ablation,
 )
-from geoseq.grid import GridSpec, project
+from geoseq.grid import EARTH_RADIUS_M, GridSpec, project
 from geoseq.model import Batch, ModelConfig, ModelState, TrainConfig, forward_loss, make_batch
 from geoseq.optim import Adam
-from geoseq.pipeline import PipelineConfig, preprocess
-from geoseq.synth import SynthConfig, generate_records, records_to_csv
+from geoseq.pipeline import PipelineConfig, RawRecord, preprocess
+from geoseq.synth import BASE_EPOCH, MODES, SynthConfig, generate_records, records_to_csv
 from geoseq.vocab import build_vocab
 
 
@@ -127,6 +131,113 @@ def test_synth_different_seed_different_bytes():
     a = records_to_csv(generate_records(SynthConfig(users=4, seed=1)))
     b = records_to_csv(generate_records(SynthConfig(users=4, seed=2)))
     assert a != b
+
+
+# sha256 of `records_to_csv(generate_records(...))` as the per-record loop wrote
+# it; the per-segment draw must reproduce these bytes
+SYNTH_GOLDEN = [
+    ({"users": 20, "seed": 0},
+     "8b708d0f5588d6402ff8623e53cbd2d80bb3b2ae37fbc19801593e2fd473013b"),
+    ({"users": 20, "seed": 1, "burst_len": (3, 9), "dwell_minutes": (0, 4)},
+     "ffc71d08c12d316326fca69f1014f7ba68c134fefd4084959cae615026b8b9e3"),
+    ({"users": 200, "seed": 3},
+     "9ad7544e21b81c5a6a748b40814daed489435d43fc0c3dd7b590456a3ae36527"),
+    ({"users": 20, "seed": 11, "ref_lat": 51.5, "dwell_minutes": (2, 2), "burst_len": (0, 6)},
+     "88b4a4e7ba616e30e22d45f2e3a8655b6c589732ff0ba09b2e3150b19c7f9ec9"),
+    ({"users": 200, "seed": 7, "ref_lat": -33.9, "burst_len": (30, 40),
+      "dwell_minutes": (1, 20)},
+     "74e36f81bf5c0cd6b9481c2a79649867884e8ccecce606ce0d6eaddafa2eb50c"),
+    ({"users": 5, "seed": 2, "jitter_m": 0.0, "heading_noise": 0.0},
+     "4a5205042bb99d4e864e60db7c0c359b124b6a37e495c1236cd1f632b2da2478"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", SYNTH_GOLDEN,
+                         ids=["u20_s0", "u20_s1_short", "u200_s3", "u20_s11_lat51",
+                              "u200_s7_lat-34", "u5_s2_no_noise"])
+def test_synth_csv_matches_golden_bytes(kwargs, digest):
+    text = records_to_csv(generate_records(SynthConfig(**kwargs)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _per_record_oracle(cfg: SynthConfig) -> list[RawRecord]:
+    """The per-record loop: one RNG call per jitter, step and wobble, and a
+    scalar `math.degrees` unprojection per record."""
+
+    def unproject(x, y):
+        lat = math.degrees(y / EARTH_RADIUS_M)
+        lon = math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(cfg.ref_lat))))
+        return lat, lon
+
+    rng = np.random.default_rng(cfg.seed)
+    records = []
+    for u in range(cfg.users):
+        user = f"u{u:04d}"
+        anchors = rng.uniform(0.05 * cfg.extent_m, 0.95 * cfg.extent_m, size=(cfg.anchors_per_user, 2))
+        t = BASE_EPOCH + u * 100_000
+        pos = anchors[0].copy()
+
+        def dwell(center):
+            nonlocal t
+            n = int(rng.integers(cfg.dwell_minutes[0], cfg.dwell_minutes[1] + 1))
+            for _ in range(n):
+                jitter = rng.uniform(-cfg.jitter_m / 2, cfg.jitter_m / 2, size=2)
+                p = center + jitter
+                lat, lon = unproject(p[0], p[1])
+                records.append(RawRecord(user, t, lat, lon, None))
+                t += 60
+
+        dwell(pos)
+        for b in range(cfg.bursts_per_user):
+            target = anchors[(b + 1) % cfg.anchors_per_user]
+            mode, lo, hi = MODES[int(rng.integers(len(MODES)))]
+            n_steps = int(rng.integers(cfg.burst_len[0], cfg.burst_len[1] + 1))
+            for _ in range(n_steps):
+                direction = target - pos
+                dist = float(np.hypot(*direction))
+                unit = direction / dist if dist > 1e-9 else np.array([1.0, 0.0])
+                step = float(rng.uniform(lo, hi))
+                lateral = np.array([-unit[1], unit[0]])
+                wobble = float(rng.uniform(-cfg.heading_noise, cfg.heading_noise))
+                pos = pos + unit * step + lateral * wobble * step
+                lat, lon = unproject(pos[0], pos[1])
+                records.append(RawRecord(user, t, lat, lon, mode))
+                t += 60
+            dwell(pos)
+    return records
+
+
+@st.composite
+def _small_synth_configs(draw):
+    def span(top):
+        lo = draw(st.integers(0, top))
+        return lo, draw(st.integers(lo, top))
+
+    return SynthConfig(
+        users=draw(st.integers(1, 3)),
+        anchors_per_user=draw(st.integers(2, 4)),
+        extent_m=draw(st.floats(150_000.0, 600_000.0)),
+        bursts_per_user=draw(st.integers(0, 3)),
+        burst_len=span(6),
+        dwell_minutes=span(4),
+        jitter_m=draw(st.floats(0.0, 60.0)),
+        heading_noise=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ref_lat=draw(st.floats(-70.0, 70.0)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_small_synth_configs())
+# long, noisy bursts: re-associating the wobble term or swapping `np.hypot` for
+# `math.hypot` moves some of these floats, and seldom any on small configs
+@example(cfg=SynthConfig(users=60, seed=1, heading_noise=0.9, burst_len=(40, 60)))
+def test_synth_segment_draws_equal_per_record_draws(cfg):
+    records = generate_records(cfg)
+    assert records == _per_record_oracle(cfg)
+    for r in records:
+        assert (type(r.user_id), type(r.timestamp), type(r.lat), type(r.lon)) == (str, int, float, float)
+        assert r.label is None or type(r.label) is str
 
 
 def test_synth_degenerate_extent_rejected():

@@ -398,6 +398,11 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"synth": {"users": 0}}, "'synth.users'"),
     ({"synth": {"burst_len": [5]}}, "'synth.burst_len'"),
     ({"synth": {"dwell_minutes": [9, 3]}}, "'synth.dwell_minutes'"),
+    ({"synth": {"burst_len": [-3, 2]}}, "'synth.burst_len'"),
+    ({"synth": {"dwell_minutes": [-2, -1]}}, "'synth.dwell_minutes'"),
+    ({"synth": {"jitter_m": -1.0}}, "'synth.jitter_m'"),
+    ({"synth": {"heading_noise": -0.1}}, "'synth.heading_noise'"),
+    ({"synth": {"bursts_per_user": -1}}, "'synth.bursts_per_user'"),
     ({"max_seq_len": 1}, "'max_seq_len'"),
     ({"resample_interval": 0}, "'resample_interval'"),
     ({"attn_dropout": 1.0}, "'attn_dropout'"),
@@ -414,7 +419,9 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"min_trajectory_records": -5}, "'min_trajectory_records'"),
     ({"split_fractions": [1.0, 0.8, 0.1]}, "'split_fractions'"),
     ({"split_fractions": [0.8, 0.0, 0.1]}, "'split_fractions'"),
-], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed", "max_seq_len_1",
+], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed",
+        "burst_len_negative", "dwell_minutes_negative", "jitter_negative",
+        "heading_noise_negative", "bursts_negative", "max_seq_len_1",
         "resample_interval_0", "attn_dropout_1", "variant_bogus", "eval_k_0", "origin_one",
         "layers_negative", "lr_negative", "eps_0", "weight_decay_negative",
         "warmup_steps_negative", "beta_1_5", "stop_speed_negative",
@@ -564,13 +571,15 @@ def _ndjson_faults(sizes):
         "id_bool": set_id(0, True),
         "label_int": lambda doc: doc.__setitem__("label", 3),
         "label_list": lambda doc: doc.__setitem__("label", ["walk"]),
+        "ids_empty": lambda doc: doc.update(ids=[], ts=[]),
+        "sos_only": lambda doc: doc.update(ids=doc["ids"][:1], ts=doc["ts"][:1]),
     }
 
 
 @pytest.mark.parametrize("fault", [
     "no_user", "no_ids", "no_ts", "ragged_tuple", "ts_shorter", "id_float", "id_at_size",
     "id_negative", "ts_str", "ts_zero", "ts_negative", "ts_nan", "ts_bool", "id_bool",
-    "label_int", "label_list",
+    "label_int", "label_list", "ids_empty", "sos_only",
 ])
 @pytest.mark.parametrize("command", ["pretrain", "eval"])
 def test_malformed_trajectories_exit_1_naming_file_and_line(

@@ -460,7 +460,7 @@ def _op(parents, backward):
 
 
 @pytest.mark.parametrize("op_first", [True, False])
-def test_read_only_first_gradient_is_copied_before_accumulating(op_first):
+def test_read_only_first_gradient_sums_with_the_next(op_first):
     # a 0-d `mean` hands back a numpy scalar and a broadcast is a read-only
     # view; either may be a leaf's first gradient, kept as it is, and the sum
     # with the next one must still hold (it is made out of place)
@@ -478,7 +478,7 @@ def test_read_only_first_gradient_is_copied_before_accumulating(op_first):
 
 
 @pytest.mark.parametrize("op_first", [True, False])
-def test_one_array_given_to_two_parents_is_not_shared(op_first):
+def test_one_array_given_to_two_parents_sums_apart(op_first):
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
     c = np.array([2.0, -1.0, 4.0])

@@ -107,6 +107,43 @@ def test_dense_id_validation_on_load():
         Vocabulary.from_json(doc)
 
 
+@pytest.mark.parametrize("level, field, value, message", [
+    (0, "specials", {"sos": 1, "pad": 0}, "level 1 'specials'"),
+    (1, "specials", None, "level 2 'specials'"),
+    (2, "specials", {"sos": False, "pad": True}, "level 3 'specials'"),
+    (0, "specials", {"sos": 0, "pad": 1, "unk": 2}, "level 1 'specials'"),
+    (0, "key", 0, "level 1 'entries' key 0"),
+    (0, "key", [0, 0, 0], "level 1 'entries' key"),
+    (0, "key", [0, True], "level 1 'entries' key"),
+    (1, "key", [0, 0], "level 2 'entries' key"),
+    (1, "key", True, "level 2 'entries' key True"),
+    (1, "key", 10**9, r"level 2 'entries' key 1000000000 is not an int in \[0, 10000\)"),
+    (2, "key", 100, r"level 3 'entries' key 100 is not an int in \[0, 100\)"),
+    (2, "key", -1, "level 3 'entries' key -1"),
+], ids=["specials_swapped", "specials_missing", "specials_bool", "specials_extra",
+        "level1_int_key", "level1_triple_key", "level1_bool_coordinate", "level2_pair_key",
+        "level2_bool_key", "level2_key_huge",
+        "level3_key_at_q2", "level3_key_negative"])
+def test_specials_and_keys_are_checked_on_load(level, field, value, message):
+    doc = build_vocab([(50.0, 50.0)], SPEC3).to_json()
+    lev = doc["levels"][level]
+    if field == "key":
+        lev["entries"][0][0] = value
+    elif value is None:
+        del lev[field]
+    else:
+        lev[field] = value
+    with pytest.raises(ValueError, match=message):
+        Vocabulary.from_json(doc)
+
+
+def test_last_offset_below_q_squared_loads():
+    doc = build_vocab([(50.0, 50.0)], SPEC3).to_json()
+    doc["levels"][1]["entries"][0][0] = 100 * 100 - 1
+    doc["levels"][2]["entries"][0][0] = 10 * 10 - 1
+    assert Vocabulary.from_json(doc).id_for(2, 9999) == 2
+
+
 _points = st.lists(
     st.tuples(st.floats(-300_000.0, 300_000.0), st.floats(-300_000.0, 300_000.0)),
     min_size=1, max_size=40,
