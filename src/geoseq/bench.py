@@ -27,7 +27,7 @@ from .model import (
 )
 from .optim import NonFiniteGradientError
 from .pipeline import PipelineConfig, Trajectory, split
-from .vocab import SOS_ID
+from .vocab import NUM_SPECIALS, SOS_ID
 
 VARIANTS = ("baseline_flat_alm", "gt_independent_alm", "gt_halm")
 
@@ -95,14 +95,11 @@ class AblationSpec:
     from the `ModelConfig` and `TrainConfig` passed beside it."""
 
     variants: tuple[str, ...] = VARIANTS
-    eval_k: int = 5
 
     def __post_init__(self):
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"'variants' holds unknown variants {sorted(unknown)}")
-        if self.eval_k < 1:
-            raise ValueError(f"'eval_k' must be at least 1, got {self.eval_k}")
 
 
 def flatten_trajectories(trajs: list[Trajectory]) -> tuple[list[Trajectory], int]:
@@ -118,10 +115,10 @@ def flatten_trajectories(trajs: list[Trajectory]) -> tuple[list[Trajectory], int
         ids = [(SOS_ID,)]
         for tup in traj.ids[1:]:
             if tup not in mapping:
-                mapping[tup] = 2 + len(mapping)
+                mapping[tup] = NUM_SPECIALS + len(mapping)
             ids.append((mapping[tup],))
         flat.append(Trajectory(traj.user, ids, list(traj.timestamps), traj.label))
-    return flat, len(mapping) + 2
+    return flat, NUM_SPECIALS + len(mapping)
 
 
 def _variant_config(variant: str, config: ModelConfig, flat_size: int) -> ModelConfig:
@@ -176,7 +173,7 @@ def run_ablation(
         }
         try:
             state, curve = pretrain(train_set, variant_config, train)
-            report = evaluate_next_location(state, None, eval_set, k=spec.eval_k)
+            report = evaluate_next_location(state, None, eval_set)
             row["halm_loss"] = curve[-1]
             row["acc1"] = report.acc1
             row["acc5"] = report.acc5

@@ -197,10 +197,11 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _subset(args, level_sizes, *parts: str) -> list[list]:
+def _subset(args, config: ModelConfig, *parts: str) -> list[list]:
     """The trajectories of `--data` that `--splits` lists under each of `parts`;
-    every id must lie inside the model's `level_sizes`."""
-    trajs = read_trajectories(args.data, level_sizes)
+    every id must lie inside the model's level sizes, and no trajectory may be
+    longer than its `max_seq_len`."""
+    trajs = read_trajectories(args.data, config.level_sizes, config.max_seq_len)
     doc = json.loads(Path(args.splits).read_text(encoding="utf-8"))
     subsets = []
     for part in parts:
@@ -266,8 +267,8 @@ def cmd_preprocess(cfg: dict, args, seed, out: Path) -> list[str]:
 
 def cmd_pretrain(cfg: dict, args, seed, out: Path) -> list[str]:
     vocab = Vocabulary.load(args.vocab)
-    (pretrain_set,) = _subset(args, vocab.sizes(), "pretrain")
     config = _from_cfg(ModelConfig, cfg, level_sizes=vocab.sizes())
+    (pretrain_set,) = _subset(args, config, "pretrain")
     train = _from_cfg(TrainConfig, cfg, seed=seed)
     state, curve = pretrain(pretrain_set, config, train)
     save_checkpoint(state, out / "checkpoint.gsq")
@@ -278,9 +279,7 @@ def cmd_pretrain(cfg: dict, args, seed, out: Path) -> list[str]:
 
 def cmd_finetune(cfg: dict, args, seed, out: Path) -> list[str]:
     state = load_checkpoint(args.checkpoint)
-    train_set, test_set = _subset(
-        args, state.config.level_sizes, "finetune_train", "finetune_test"
-    )
+    train_set, test_set = _subset(args, state.config, "finetune_train", "finetune_test")
     train = _from_cfg(TrainConfig, cfg, seed=seed)
     frozen = cfg["freeze_backbone"]
     if cfg["task"] == "next_location":
@@ -304,7 +303,7 @@ def cmd_finetune(cfg: dict, args, seed, out: Path) -> list[str]:
 
 def cmd_eval(cfg: dict, args, seed, out: Path) -> list[str]:
     state = load_checkpoint(args.checkpoint)
-    (test_set,) = _subset(args, state.config.level_sizes, "finetune_test")
+    (test_set,) = _subset(args, state.config, "finetune_test")
     head = None if args.head_checkpoint is None else load_head(args.head_checkpoint, state)
     if isinstance(head, TrajectoryClassifier):
         report = evaluate_classifier(state, head, test_set)
@@ -317,7 +316,7 @@ def cmd_eval(cfg: dict, args, seed, out: Path) -> list[str]:
 
 def cmd_ablate(cfg: dict, args, seed, out: Path) -> list[str]:
     level_sizes = None if args.vocab is None else Vocabulary.load(args.vocab).sizes()
-    trajs = read_trajectories(args.data, level_sizes)
+    trajs = read_trajectories(args.data, level_sizes, cfg["max_seq_len"])
     if not trajs:
         raise ValueError(f"{args.data}: no trajectories")
     if level_sizes is None:

@@ -40,6 +40,8 @@ from .model import (
 from .pipeline import Trajectory
 from .tensor import Tensor
 
+TOP_K = 5  # the ranked-list length every evaluation keeps; acc@5 reads it
+
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -62,7 +64,7 @@ class EvalReport:
 
 
 def compute_metrics(ranked_predictions: list[list], targets: list) -> EvalReport:
-    """Ranked-list accuracy plus macro P/R/F1 over the top-1 predictions.
+    """acc@1 and acc@`TOP_K` of ranked lists plus macro P/R/F1 over the top-1 predictions.
 
     Macro metrics average per-class values over classes that appear in the
     targets; a class never predicted gets precision 0 for the average.
@@ -78,7 +80,7 @@ def compute_metrics(ranked_predictions: list[list], targets: list) -> EvalReport
             raise ValueError("empty ranked prediction list")
         top1 = ranked[0]
         hits1 += top1 == target
-        hits5 += target in ranked[:5]
+        hits5 += target in ranked[:TOP_K]
         support[target] = support.get(target, 0) + 1
         predicted[top1] = predicted.get(top1, 0) + 1
         if top1 == target:
@@ -215,7 +217,11 @@ def save_head(head, path):
 
 
 def load_head(path, state: ModelState):
-    """A head written by `save_head`, rebuilt on `state`; `CheckpointError` if it does not fit."""
+    """A head written by `save_head`, rebuilt on `state`.
+
+    `CheckpointError` names the first config field where the backbone the head
+    was trained on differs from `state`'s, or a tensor that does not fit.
+    """
     meta, tensors = load_tensors(path)
     if meta.get("kind") == "head":
         if meta.get("head_kind") not in HEAD_KINDS:
@@ -230,7 +236,13 @@ def load_head(path, state: ModelState):
         cls, extra = TrajectoryClassifier, (classes,)
     else:
         raise CheckpointError(f"{path}: not a head checkpoint")
-    meta_config(meta, path)  # checked only: the head is rebuilt on `state`'s config
+    stored, current = meta_config(meta, path).to_json(), state.config.to_json()
+    differs = next((name for name in current if stored[name] != current[name]), None)
+    if differs is not None:
+        raise CheckpointError(
+            f"{path}: the head was trained on a backbone with '{differs}' "
+            f"{stored[differs]!r}, not {current[differs]!r}"
+        )
     params = check_layout(path, tensors, cls.layout(state.config, *extra))
     return cls(state.config, params, *extra)
 
@@ -423,14 +435,12 @@ def finetune_next_location(
         return sequence_loss(chained_logits(cfg, head.level_logits, features), targets)
 
     curve = _fit_head(state, head.params, pairs, head_loss, train, freeze_backbone)
-    report = evaluate_next_location(state, head, eval_trajs, k=5)
+    report = evaluate_next_location(state, head, eval_trajs)
     return head, report, curve
 
 
-def evaluate_next_location(
-    state: ModelState, head, trajs: list[Trajectory], k: int = 5
-) -> EvalReport:
-    """Joint all-levels-correct accuracy over ranked beam predictions.
+def evaluate_next_location(state: ModelState, head, trajs: list[Trajectory]) -> EvalReport:
+    """Joint all-levels-correct accuracy over top-`TOP_K` beam predictions.
 
     Each trajectory's last location is the target and everything before it
     the input. `head` None scores the pre-training heads' own predictions.
@@ -441,9 +451,9 @@ def evaluate_next_location(
             continue
         prefix, target = _prefix_and_target(traj)
         if head is None:
-            top = pretrained_predict_topk(state, prefix, k)
+            top = pretrained_predict_topk(state, prefix, TOP_K)
         else:
-            top = predict_topk(state, head, prefix, k)
+            top = predict_topk(state, head, prefix, TOP_K)
         ranked.append([tup for tup, _ in top])
         targets.append(target)
     if not targets:
@@ -515,6 +525,6 @@ def evaluate_classifier(
             probs = T.softmax(clf.logits(masked_mean_pool(outputs, batch.keep))).data
             order = np.argsort(-probs, axis=-1, kind="stable")
             for row, traj in zip(order, chunk):
-                ranked.append([clf.classes[i] for i in row[:5]])
+                ranked.append([clf.classes[i] for i in row[:TOP_K]])
                 targets.append(traj.label)  # unseen labels stay as-is: error class
     return compute_metrics(ranked, targets)

@@ -12,6 +12,8 @@ import bisect
 import os
 from datetime import datetime, timezone
 
+from .pipeline import CSV_COLUMNS
+
 _TIME_FMT = "%Y-%m-%d %H:%M:%S"
 
 
@@ -50,7 +52,7 @@ def convert_geolife(root, out_csv, users: list[str] | None = None) -> int:
     user_dirs = users if users is not None else sorted(os.listdir(data_dir))
     n = 0
     with open(out_csv, "w", encoding="utf-8", newline="") as out:
-        out.write("user_id,timestamp,lat,lon,label\n")
+        out.write(",".join((*CSV_COLUMNS, "label")) + "\n")
         for user in user_dirs:
             traj_dir = os.path.join(data_dir, user, "Trajectory")
             if not os.path.isdir(traj_dir):

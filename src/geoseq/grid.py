@@ -66,14 +66,14 @@ class GridSpec:
         scales = tuple(float(s) for s in self.scales)
         if len(scales) < 1:
             raise GridError("'scales' needs at least one scale")
-        if any(s <= 0 for s in scales):
-            raise GridError(f"'scales' must be positive, got {scales}")
-        if len(self.origin) != 2:
-            raise GridError(f"'origin' must be two numbers, got {self.origin!r}")
+        if not all(0 < s < math.inf for s in scales):
+            raise GridError(f"'scales' must be finite and positive, got {scales}")
+        if len(self.origin) != 2 or not all(math.isfinite(c) for c in self.origin):
+            raise GridError(f"'origin' must be two finite numbers, got {self.origin!r}")
         ratios = []
         for h in range(1, len(scales)):
             q = scales[h - 1] / scales[h]
-            q_int = round(q)
+            q_int = round(q) if q < math.inf else 0  # the ratio can overflow to inf
             if q_int < 2 or abs(q - q_int) > 1e-9 * q:
                 raise GridError(
                     f"'scales': {scales[h - 1]} is not an integer multiple (>=2) of {scales[h]}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .optim import Adam
-from .pipeline import MAX_SEQ_LEN, Trajectory
+from .pipeline import MAX_SEQ_LEN, Trajectory, _at_least
 from .tensor import Tensor
 from .vocab import PAD_ID
 
@@ -99,15 +99,6 @@ class TrainConfig:
         _at_least(self, 0, "weight_decay", "warmup_steps")
         if len(self.betas) != 2 or not all(0 <= beta < 1 for beta in self.betas):
             raise ValueError(f"'betas' needs two values in [0, 1), got {self.betas!r}")
-
-
-def _at_least(config, low, *names: str, strict: bool = False):
-    """Raise naming the first of `names` below `low` (or equal to it, when `strict`)."""
-    for name in names:
-        value = getattr(config, name)
-        if not (value > low if strict else value >= low):  # NaN fails both
-            bound = f"above {low}" if strict else f"at least {low}"
-            raise ValueError(f"'{name}' must be {bound}, got {value}")
 
 
 def _param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -531,11 +522,10 @@ def check_layout(path, tensors: dict[str, Tensor], layout) -> dict[str, Tensor]:
     return {name: tensors[name] for name, _ in layout}
 
 
-def load_checkpoint(path, config: ModelConfig | None = None) -> ModelState:
-    """Load a model; with `config` given, verify the layout matches it."""
+def load_checkpoint(path) -> ModelState:
+    """Load a model under the config it was saved with; its tensors must fit that config."""
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "model":
         raise CheckpointError(f"{path}: not a model checkpoint")
-    stored = meta_config(meta, path)
-    target = config if config is not None else stored
-    return ModelState(target, check_layout(path, tensors, _param_layout(target)))
+    config = meta_config(meta, path)
+    return ModelState(config, check_layout(path, tensors, _param_layout(config)))

@@ -42,11 +42,10 @@ class Adam:
         self._v = {k: np.zeros(p.data.shape, p.data.dtype) for k, p in self.params.items()}
         self._scratch = {}  # dtype -> two CHUNK-sized buffers
 
-    def effective_lr(self, step: int | None = None) -> float:
-        t = self.step_count if step is None else step
+    def effective_lr(self) -> float:
         lr, warmup = self.train.lr, self.train.warmup_steps
         if warmup > 0:
-            return lr * min(1.0, t / warmup)
+            return lr * min(1.0, self.step_count / warmup)
         return lr
 
     def zero_grad(self):

@@ -27,7 +27,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .grid import GridSpec, finest_cell, project
-from .vocab import Vocabulary, tokenize
+from .vocab import NUM_SPECIALS, SOS_ID, Vocabulary, tokenize
 
 MAX_SEQ_LEN = 32  # the model's cap and the window length, SOS included
 TIMESTAMP_END = 2**63  # timestamps lie in (0, TIMESTAMP_END): they are int64 columns
@@ -71,6 +71,15 @@ class DatasetSplit:
     seed: int = 0
 
 
+def _at_least(config, low, *names: str, strict: bool = False):
+    """Raise naming the first of `names` below `low` (or equal to it, when `strict`)."""
+    for name in names:
+        value = getattr(config, name)
+        if not (value > low if strict else value >= low):  # NaN fails both
+            bound = f"above {low}" if strict else f"at least {low}"
+            raise ValueError(f"'{name}' must be {bound}, got {value}")
+
+
 @dataclass
 class PipelineConfig:
     profile: str = "gps"  # "gps" | "signal"
@@ -86,20 +95,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.profile not in ("gps", "signal"):
             raise ValueError(f"'profile' must be one of ('gps', 'signal'), got {self.profile!r}")
-        if self.resample_interval < 1:
-            raise ValueError(
-                f"'resample_interval' must be at least 1, got {self.resample_interval}"
-            )
-        if not self.stop_speed_kmh > 0:
-            raise ValueError(f"'stop_speed_kmh' must be above 0, got {self.stop_speed_kmh}")
-        if self.min_trajectory_records < 1:
-            raise ValueError(
-                f"'min_trajectory_records' must be at least 1, got {self.min_trajectory_records}"
-            )
-        if self.max_seq_len < 2:
-            raise ValueError(
-                f"'max_seq_len' must be at least 2 (SOS plus one location), got {self.max_seq_len}"
-            )
+        if not -90 < self.ref_lat < 90:
+            raise ValueError(f"'ref_lat' must lie in (-90, 90), got {self.ref_lat}")
+        _at_least(self, 1, "resample_interval", "min_trajectory_records")
+        _at_least(self, 0, "stop_speed_kmh", strict=True)
+        _at_least(self, 0, "min_stay_seconds")
+        _at_least(self, 2, "max_seq_len")
         shares = self.split_fractions
         if (len(shares) != 3 or not all(0 <= f <= 1 for f in shares) or sum(shares[1:]) > 1
                 or shares[0] == 1 or shares[1] == 0):
@@ -367,17 +368,19 @@ def write_trajectories(trajs: list[Trajectory], path):
             f.write("\n")
 
 
-def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
+def read_trajectories(path, level_sizes=None, max_seq_len=None) -> list[Trajectory]:
     """Read `write_trajectories`'s NDJSON as untrusted input.
 
     A line that is not an object with `user`, `ids` and `ts`, whose `ids` and
     `ts` differ in length, that holds no location after the SOS tuple, whose
     id tuples are not non-negative ints (not bools) of the file's one width,
-    whose `ts` holds anything but finite numbers > 0, or whose `label` is
-    neither a string nor null raises ValueError naming the file and the line.
-    Given `level_sizes`, every id must also lie below its level's size. The id and timestamp
-    checks run once, vectorised, over the whole file; a line-by-line scan
-    runs only to name the line of a fault.
+    whose first tuple is not all SOS or whose later tuples hold a special id
+    (SOS or PAD), whose `ts` holds anything but finite numbers > 0, or whose
+    `label` is neither a string nor null raises ValueError naming the file
+    and the line. Given `level_sizes`, every id must also lie below its
+    level's size, and given `max_seq_len`, no line may hold more positions.
+    The id and timestamp checks run once, vectorised, over the whole file; a
+    line-by-line scan runs only to name the line of a fault.
     """
     trajs, line_of = [], []
     with open(path, encoding="utf-8") as f:
@@ -401,6 +404,10 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
                 )
             if len(ids) < 2:
                 raise ValueError(f"{path}, line {lineno}: no location after the SOS tuple")
+            if max_seq_len is not None and len(ids) > max_seq_len:
+                raise ValueError(
+                    f"{path}, line {lineno}: {len(ids)} positions exceed max_seq_len {max_seq_len}"
+                )
             label = doc.get("label")
             if label is not None and not isinstance(label, str):
                 raise ValueError(
@@ -421,7 +428,8 @@ def read_trajectories(path, level_sizes=None) -> list[Trajectory]:
 def _check_ids(path, trajs: list[Trajectory], line_of: list[int], level_sizes):
     """Every id tuple holds non-negative ints, one width across the file (the
     level count when `level_sizes` is given), each below its level's size when
-    `level_sizes` is given."""
+    `level_sizes` is given; each line's first tuple is all SOS and no later
+    tuple holds a special id."""
     rows = [tup for t in trajs for tup in t.ids]
     if not rows:
         return
@@ -439,17 +447,27 @@ def _check_ids(path, trajs: list[Trajectory], line_of: list[int], level_sizes):
                     f"{path}, line {lineno}: each id tuple must hold {width} ints"
                 )
         raise ValueError(f"{path}: ids must be 64-bit ints")
-    bad = ids < 0
+    starts = np.cumsum([0] + [len(t.ids) for t in trajs[:-1]])  # each line's SOS row
+    bad = ids < NUM_SPECIALS  # a negative or special id after the SOS row
+    bad[starts] = ids[starts] != SOS_ID
     if level_sizes is not None:
         bad |= ids >= np.asarray(level_sizes)
     if bad.any():
         row, level = np.argwhere(bad)[0]
-        ends = np.cumsum([len(t.ids) for t in trajs])
-        lineno = line_of[int(np.searchsorted(ends, row, side="right"))]
-        upper = "inf" if level_sizes is None else level_sizes[level]
+        at = int(np.searchsorted(starts, row, side="right")) - 1
+        lineno, value = line_of[at], ids[row, level]
+        if value < 0 or (level_sizes is not None and value >= level_sizes[level]):
+            upper = "inf" if level_sizes is None else level_sizes[level]
+            raise ValueError(
+                f"{path}, line {lineno}: id {value} at level {level + 1} is outside [0, {upper})"
+            )
+        if row == starts[at]:
+            raise ValueError(
+                f"{path}, line {lineno}: first tuple {ids[row].tolist()} is not all SOS"
+            )
         raise ValueError(
-            f"{path}, line {lineno}: id {ids[row, level]} at level {level + 1} "
-            f"is outside [0, {upper})"
+            f"{path}, line {lineno}: tuple {ids[row].tolist()} after the first holds a special "
+            f"id (SOS or PAD)"
         )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, unproject
-from .pipeline import PipelineConfig, RawRecord
+from .pipeline import CSV_COLUMNS, PipelineConfig, RawRecord, _at_least
 
 # per-minute step ranges (meters) per movement mode; all > 4 km/h at 60 s spacing
 MODES = (("walk", 90.0, 150.0), ("bike", 200.0, 380.0), ("car", 450.0, 900.0))
@@ -42,16 +42,14 @@ class SynthConfig:
     ref_lat: float = PipelineConfig.ref_lat
 
     def __post_init__(self):
-        if self.extent_m <= self.scales[0]:
+        if not self.scales[0] < self.extent_m < math.inf:
             raise ValueError(
-                f"'extent_m' {self.extent_m} cannot span two coarse cells of {self.scales[0]} m"
+                f"'extent_m' must be finite and above one coarse cell, 'scales'[0] = "
+                f"{self.scales[0]} m, got {self.extent_m}"
             )
-        if self.users < 1:
-            raise ValueError(f"'users' must be at least 1, got {self.users}")
-        if self.anchors_per_user < 2:
-            raise ValueError(f"'anchors_per_user' must be at least 2, got {self.anchors_per_user}")
-        if self.bursts_per_user < 0:
-            raise ValueError(f"'bursts_per_user' must be at least 0, got {self.bursts_per_user}")
+        _at_least(self, 1, "users")
+        _at_least(self, 2, "anchors_per_user")
+        _at_least(self, 0, "bursts_per_user")
         for name in ("burst_len", "dwell_minutes"):
             span = getattr(self, name)
             if len(span) != 2 or not 0 <= span[0] <= span[1]:
@@ -114,7 +112,7 @@ def generate_records(cfg: SynthConfig) -> list[RawRecord]:
 
 def records_to_csv(records: list[RawRecord]) -> str:
     buf = io.StringIO()
-    buf.write("user_id,timestamp,lat,lon,label\n")
+    buf.write(",".join((*CSV_COLUMNS, "label")) + "\n")
     for r in records:
         buf.write(f"{r.user_id},{r.timestamp},{r.lat:.7f},{r.lon:.7f},{r.label or ''}\n")
     return buf.getvalue()

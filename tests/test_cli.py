@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoseq import bench
 from geoseq.bench import AblationSpec
@@ -407,7 +409,7 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"resample_interval": 0}, "'resample_interval'"),
     ({"attn_dropout": 1.0}, "'attn_dropout'"),
     ({"ablation": {"variants": ["bogus"]}}, "'ablation.variants'"),
-    ({"ablation": {"eval_k": 0}}, "'ablation.eval_k'"),
+    ({"ablation": {"eval_k": 5}}, "unknown key 'ablation.eval_k'"),
     ({"origin": [0.0]}, "'origin'"),
     ({"layers": -1}, "'layers'"),
     ({"lr": -1.0}, "'lr'"),
@@ -419,13 +421,23 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"min_trajectory_records": -5}, "'min_trajectory_records'"),
     ({"split_fractions": [1.0, 0.8, 0.1]}, "'split_fractions'"),
     ({"split_fractions": [0.8, 0.0, 0.1]}, "'split_fractions'"),
+    ({"ref_lat": float("nan")}, "'ref_lat'"),
+    ({"ref_lat": 95.0}, "'ref_lat'"),
+    ({"synth": {"extent_m": float("nan")}}, "'synth.extent_m'"),
+    ({"synth": {"extent_m": float("inf")}}, "'synth.extent_m'"),
+    ({"origin": [float("nan"), 0.0]}, "'origin'"),
+    ({"scales": [float("nan"), 100.0]}, "'scales'"),
+    ({"min_stay_seconds": -5}, "'min_stay_seconds'"),
+    ({"synth": {"anchors_per_user": 1}}, "'synth.anchors_per_user'"),
 ], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed",
         "burst_len_negative", "dwell_minutes_negative", "jitter_negative",
         "heading_noise_negative", "bursts_negative", "max_seq_len_1",
-        "resample_interval_0", "attn_dropout_1", "variant_bogus", "eval_k_0", "origin_one",
-        "layers_negative", "lr_negative", "eps_0", "weight_decay_negative",
+        "resample_interval_0", "attn_dropout_1", "variant_bogus", "eval_k_unknown",
+        "origin_one", "layers_negative", "lr_negative", "eps_0", "weight_decay_negative",
         "warmup_steps_negative", "beta_1_5", "stop_speed_negative",
-        "min_trajectory_records_negative", "split_pretrain_1", "split_train_0"])
+        "min_trajectory_records_negative", "split_pretrain_1", "split_train_0",
+        "ref_lat_nan", "ref_lat_95", "extent_m_nan", "extent_m_inf", "origin_nan",
+        "scales_nan", "min_stay_seconds_negative", "anchors_per_user_1"])
 @pytest.mark.parametrize("command", ["synth", "preprocess"])
 def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, command):
     # every subcommand checks the whole config before it looks at its inputs
@@ -437,6 +449,38 @@ def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, comma
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and key in err
+
+
+def _float_settings() -> list[tuple[str, int | None]]:
+    """(key, list index or None) of every float in the defaults, sections included."""
+    out = []
+    for key, value in DEFAULTS.items():
+        for inner, v in (value.items() if isinstance(value, dict) else [(None, value)]):
+            name = key if inner is None else f"{key}.{inner}"
+            if type(v) is float:
+                out.append((name, None))
+            elif isinstance(v, list) and v and type(v[0]) is float:
+                out += [(name, i) for i in range(len(v))]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    setting=st.sampled_from(_float_settings()),
+    x=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()),
+)
+def test_any_float_key_resolves_or_names_itself(setting, x):
+    name, index = setting
+    key, _, inner = name.partition(".")
+    value = x
+    if index is not None:
+        value = list(DEFAULTS[key][inner] if inner else DEFAULTS[key])
+        value[index] = x
+    doc = {key: {inner: value}} if inner else {key: value}
+    try:
+        resolve_config(doc)
+    except ConfigError as e:
+        assert f"'{name}" in str(e), (doc, str(e))
 
 
 def _preprocess(root, cfg_doc, tmp_path) -> int:
@@ -534,11 +578,11 @@ def test_readme_config_table_names_every_key():
 
 def test_resolved_defaults_are_pinned():
     # deriving the defaults from the config dataclasses must move no default
-    # and no manifest config_hash
+    # and no manifest config_hash (this one is without `ablation.eval_k`)
     cfg = resolve_config({})
     canon = json.dumps(cfg, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(canon).hexdigest() == (
-        "ad06e537c01470d416f69db3c2ae2eaf74b4182a97bd16a75093a75e143e3860"
+        "367a31a09974e6f5c083052eb72a723ddb908b496b99f1555f9736f98b4f02b3"
     )
     assert cfg["seed"] is None  # the CLI requires one
 
@@ -573,13 +617,19 @@ def _ndjson_faults(sizes):
         "label_list": lambda doc: doc.__setitem__("label", ["walk"]),
         "ids_empty": lambda doc: doc.update(ids=[], ts=[]),
         "sos_only": lambda doc: doc.update(ids=doc["ids"][:1], ts=doc["ts"][:1]),
+        "first_not_sos": lambda doc: doc["ids"].__setitem__(0, doc["ids"][1]),
+        "first_part_sos": lambda doc: doc["ids"][0].__setitem__(2, 2),
+        "pad_after_first": lambda doc: doc["ids"].__setitem__(3, [1, 1, 1]),
+        "sos_after_first": set_id(1, 0),
+        "pad_level_after_first": set_id(2, 1),
     }
 
 
 @pytest.mark.parametrize("fault", [
     "no_user", "no_ids", "no_ts", "ragged_tuple", "ts_shorter", "id_float", "id_at_size",
     "id_negative", "ts_str", "ts_zero", "ts_negative", "ts_nan", "ts_bool", "id_bool",
-    "label_int", "label_list", "ids_empty", "sos_only",
+    "label_int", "label_list", "ids_empty", "sos_only", "first_not_sos", "first_part_sos",
+    "pad_after_first", "sos_after_first", "pad_level_after_first",
 ])
 @pytest.mark.parametrize("command", ["pretrain", "eval"])
 def test_malformed_trajectories_exit_1_naming_file_and_line(
@@ -603,6 +653,35 @@ def test_malformed_trajectories_exit_1_naming_file_and_line(
     code = dispatch([command, "--config", str(cfg), *inputs, "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: ValueError: {data}, line 3:")
+
+
+@pytest.mark.parametrize("command", ["pretrain", "eval", "ablate"])
+def test_trajectory_over_max_seq_len_exits_1_naming_file_and_line(
+    workspace, tmp_path, capsys, command
+):
+    # pretrain and ablate read the cap from the config, eval from the checkpoint
+    root, cfg = workspace
+    data = root / "p" / "trajectories.ndjson"
+    lengths = [len(json.loads(line)["ids"]) for line in data.read_text().splitlines()]
+    lineno, n = next((i, n) for i, n in enumerate(lengths, start=1) if n > 16)
+    splits = ["--splits", str(root / "p" / "splits.json")]
+    if command == "eval":
+        sizes = Vocabulary.load(root / "v" / "vocab.json").sizes()
+        config = ModelConfig(sizes, hidden=16, layers=1, heads=2, max_seq_len=16)
+        ckpt = tmp_path / "checkpoint.gsq"
+        save_checkpoint(ModelState.init(config), ckpt)
+        inputs = splits + ["--checkpoint", str(ckpt)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "max_seq_len": 16}), encoding="utf-8")
+        inputs = ["--vocab", str(root / "v" / "vocab.json")]
+        inputs += splits if command == "pretrain" else []
+    inputs += ["--data", str(data)]
+    code = dispatch([command, "--config", str(cfg), *inputs, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ValueError: {data}, line {lineno}: {n} positions exceed max_seq_len 16"
+    )
 
 
 def test_integer_labels_fail_classification_finetune(workspace, tmp_path, capsys):

@@ -573,6 +573,27 @@ def test_head_that_does_not_fit_names_file_and_tensor(task, fault, tmp_path):
     assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
 
 
+@pytest.mark.parametrize("task", ["ffn", "lstm", "classifier"])
+def test_head_from_another_backbone_config_names_file_and_field(task, tmp_path):
+    # the layouts match: only `heads` and `attn_dropout` differ
+    trained_on = micro_config(heads=4)
+    if task == "classifier":
+        meta = {"kind": "classifier", "classes": ["a", "b"]}
+        layout = downstream.TrajectoryClassifier.layout(trained_on, meta["classes"])
+    else:
+        meta = {"kind": "head", "head_kind": task}
+        layout = downstream.HEADS[task].layout(trained_on)
+    path = tmp_path / "head.gsq"
+    save_tensors(path, init_params(layout), {**meta, "config": trained_on.to_json()})
+    state = ModelState.init(micro_config(heads=2, attn_dropout=0.3), seed=66)
+    with pytest.raises(CheckpointError) as err:
+        load_head(path, state)
+    assert str(err.value).startswith(f"{path}: ") and "'heads' 4, not 2" in str(err.value)
+    state.config.heads = 4  # now only `attn_dropout` differs
+    with pytest.raises(CheckpointError, match="'attn_dropout' 0.0, not 0.3"):
+        load_head(path, state)
+
+
 # -- classification --------------------------------------------------------------
 
 def test_classifier_single_class():

@@ -630,13 +630,14 @@ def test_checkpoint_trailing_garbage_rejected(tmp_path):
 
 
 def test_checkpoint_level_mismatch_names_tensor(tmp_path):
+    # tensors of a three-level model under a stored config that does not fit them
     state = ModelState.init(micro_config(level_sizes=(6, 7, 8)), seed=27)
     path = tmp_path / "h3.gsq"
-    save_checkpoint(state, path)
-    with pytest.raises(CheckpointError, match="embed|head"):
-        load_checkpoint(path, config=micro_config(level_sizes=(6, 7)))
-    with pytest.raises(CheckpointError, match="'embed.h1'"):
-        load_checkpoint(path, config=micro_config(level_sizes=(5, 7, 8)))
+    for sizes, message in (((6, 7), "embed|head"), ((5, 7, 8), "'embed.h1'")):
+        meta = {"kind": "model", "config": micro_config(level_sizes=sizes).to_json()}
+        save_tensors(path, state.params, meta)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 def _raw_checkpoint(manifest) -> bytes:
