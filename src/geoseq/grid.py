@@ -9,6 +9,7 @@ keeps the per-level vocabularies small.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +64,15 @@ class GridSpec:
     ratios: tuple[int, ...] = field(init=False)  # ratios[h] = scales[h-1] / scales[h]
 
     def __post_init__(self):
-        scales = tuple(float(s) for s in self.scales)
-        if len(scales) < 1:
+        # bounded by the largest float, not inf: an int of any size compares
+        # below inf, and one past the largest float cannot become a float
+        if len(self.scales) < 1:
             raise GridError("'scales' needs at least one scale")
-        if not all(0 < s < math.inf for s in scales):
-            raise GridError(f"'scales' must be finite and positive, got {scales}")
-        if len(self.origin) != 2 or not all(math.isfinite(c) for c in self.origin):
+        if not all(0 < s <= sys.float_info.max for s in self.scales):
+            raise GridError(f"'scales' must be finite and positive, got {self.scales}")
+        if len(self.origin) != 2 or not all(abs(c) <= sys.float_info.max for c in self.origin):
             raise GridError(f"'origin' must be two finite numbers, got {self.origin!r}")
+        scales = tuple(float(s) for s in self.scales)
         ratios = []
         for h in range(1, len(scales)):
             q = scales[h - 1] / scales[h]

@@ -244,16 +244,29 @@ def decoder_forward(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Pre-norm masked self-attention blocks; output t sees inputs <= t only."""
+    """Pre-norm masked self-attention blocks; output t sees inputs <= t only.
+
+    The blocks run on the real positions of `x` [B, T1, W] alone (the True
+    entries of `keep`, gathered once into [n, W]): the norms, projections,
+    FFN and residual adds skip the PAD rows. Q, K and V are scattered back
+    into the padded [B, heads, T1, hd] layout for the attention node only,
+    so its masking and dropout draw do not change. Returns [B, T1, W] with
+    every PAD row zero; with no layers, `x` itself.
+    """
     cfg = state.config
+    if cfg.layers == 0:
+        return x
     b, t1, w = x.data.shape
     hd = w // cfg.heads
     causal = np.tril(np.ones((t1, t1), dtype=bool))
     attend = causal[None, None, :, :] & keep[:, None, None, :]
+    real = np.flatnonzero(keep)
 
     def split_heads(t: Tensor) -> Tensor:
-        return T.swapaxes(T.reshape(t, (b, t1, cfg.heads, hd)), 1, 2)
+        padded = T.scatter_rows(t, real, b * t1)
+        return T.swapaxes(T.reshape(padded, (b, t1, cfg.heads, hd)), 1, 2)
 
+    x = T.embedding_lookup(T.reshape(x, (b * t1, w)), real)
     for i in range(cfg.layers):
         pre = lambda s: state[f"layer{i}.{s}"]
         h = T.layer_norm(x, pre("ln1.g"), pre("ln1.b"))
@@ -263,14 +276,13 @@ def decoder_forward(
         ctx = T.scaled_dot_product_attention(
             q, k, v, attend, dropout_p=cfg.attn_dropout, rng=rng, training=training
         )
-        ctx = T.reshape(T.swapaxes(ctx, 1, 2), (b, t1, w))
+        ctx = T.embedding_lookup(T.reshape(T.swapaxes(ctx, 1, 2), (b * t1, w)), real)
         x = T.add(x, T.matmul(ctx, pre("attn.wo"), pre("attn.bo")))
         h2 = T.layer_norm(x, pre("ln2.g"), pre("ln2.b"))
         f = T.relu(T.matmul(h2, pre("ff.w1"), pre("ff.b1")))
         x = T.add(x, T.matmul(f, pre("ff.w2"), pre("ff.b2")))
-    if cfg.layers > 0:
-        x = T.layer_norm(x, state["final_ln.g"], state["final_ln.b"])
-    return x
+    x = T.layer_norm(x, state["final_ln.g"], state["final_ln.b"])
+    return T.reshape(T.scatter_rows(x, real, b * t1), (b, t1, w))
 
 
 def one_hot(indices: np.ndarray, depth: int, dtype) -> np.ndarray:

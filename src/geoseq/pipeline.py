@@ -72,12 +72,14 @@ class DatasetSplit:
 
 
 def _at_least(config, low, *names: str, strict: bool = False):
-    """Raise naming the first of `names` below `low` (or equal to it, when `strict`)."""
+    """Raise naming the first of `names` below `low` (or equal to it, when `strict`)
+    or not finite."""
     for name in names:
         value = getattr(config, name)
-        if not (value > low if strict else value >= low):  # NaN fails both
+        # NaN fails every comparison; an int of any size compares below inf
+        if not ((value > low if strict else value >= low) and value < math.inf):
             bound = f"above {low}" if strict else f"at least {low}"
-            raise ValueError(f"'{name}' must be {bound}, got {value}")
+            raise ValueError(f"'{name}' must be finite and {bound}, got {value}")
 
 
 @dataclass

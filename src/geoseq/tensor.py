@@ -1,10 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy arrays.
 
 The sequence models use matmul (with an optional bias added in place), the
-matmul of a concatenated input without the concatenation (`concat_matmul`),
-add/mul, embedding lookup, relu, an LSTM recurrence as one node (`lstm`),
-layer norm, softmax, sum, reshape/swapaxes, basic indexing, cross-entropy,
-and attention as one node (`scaled_dot_product_attention`). Nine more ops
+matmul of a concatenated input without the concatenation (`concat_matmul`,
+which multiplies only the columns of its constant part that are nonzero
+somewhere), add/mul, embedding lookup (also the row gather), its inverse
+`scatter_rows`, relu, an LSTM recurrence as one node (`lstm`), layer norm,
+softmax, sum, reshape/swapaxes, basic indexing, cross-entropy, and attention
+as one node (`scaled_dot_product_attention`). Nine more ops
 (`sub`, `neg`, `log`, `mean`, `masked_fill`, `dropout`, `concat`, `sigmoid`,
 `tanh`) have no caller in the package; they stay because the benchmark's
 tracer (`perfbench/tracer.py`) looks each of them up by name. Every
@@ -13,7 +15,9 @@ accumulation over the recorded graph.
 
 Training runs in float32; pass float64 arrays for verification-grade gradient
 checks. A module-level multiply-accumulate counter tracks matmul work for
-FLOP instrumentation (see `count_macs`).
+FLOP instrumentation (see `count_macs`). It counts the product each op is
+asked for, the convention of `bench.estimate_flops`: a `concat_matmul` whose
+zero columns are skipped still counts its full width.
 """
 
 from __future__ import annotations
@@ -274,6 +278,12 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
     per-sequence `extra` is multiplied once, not at every step. The bias is
     added last, as it was to the concatenated GEMM's output. `extra` None is
     `matmul(a, w, bias)`.
+
+    Only the columns of `extra` that are nonzero somewhere are multiplied:
+    `extra[..., cols] @ w[k + cols]`, which for a one-hot gives the same bits
+    as the whole product. The weight gradient fills `w`'s rows `k + cols` and
+    leaves its other `extra` rows zero. The MAC counter still counts the
+    product the op is asked for, `extra`'s full width, as `estimate_flops` does.
     """
     if extra is None:
         return matmul(a, w, bias)
@@ -289,11 +299,14 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
             f"concat_matmul weight must be [{k + extra.shape[-1]}, n], got {w.data.shape}"
         )
     n = w.data.shape[1]
-    top, bottom = w.data[:k], w.data[k:]
+    top = w.data[:k]
     rows = math.prod(lead)
     a2 = a.data.reshape(rows, k)
     e2 = extra.reshape(-1, extra.shape[-1])
     _MACS += (rows * k + e2.size) * n
+    cols = np.flatnonzero(e2.any(axis=0))
+    e2 = e2[:, cols]
+    bottom = w.data[k + cols]
     out = (a2 @ top).reshape(*lead, n)
     e_out = (e2 @ bottom).reshape(*extra.shape[:-1], n)
     out += e_out[..., None, :] if per_sequence else e_out
@@ -310,10 +323,10 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
         ga = (g2 @ top.T).reshape(a.data.shape) if a.requires_grad else None
         gw = None
         if w.requires_grad:
-            gw = np.empty_like(w.data)
+            gw = np.zeros_like(w.data)
             np.matmul(a2.T, g2, out=gw[:k])
             ge = g.sum(axis=-2) if per_sequence else g
-            np.matmul(e2.T, ge.reshape(len(e2), n), out=gw[k:])
+            gw[k + cols] = e2.T @ ge.reshape(len(e2), n)
         if bias is None:
             return ga, gw
         return ga, gw, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
@@ -349,18 +362,40 @@ def embedding_lookup(table, ids) -> Tensor:
     def backward(g):
         # a stable sort groups each id's rows and one `reduceat` sums each
         # group; it adds them in another order than `np.add.at`, so the sums
-        # agree to float rounding, not bit for bit
+        # agree to float rounding, not bit for bit. Ids that never repeat (a
+        # row gather) skip the sum: each row is its own group's sum.
         gt = np.zeros_like(table.data)
         flat = ids.reshape(-1)
         if flat.size:
+            rows = g.reshape(flat.shape + table.data.shape[1:])
             order = np.argsort(flat, kind="stable")
             sorted_ids = flat[order]
             starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-            rows = g.reshape(flat.shape + table.data.shape[1:])[order]
-            gt[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
+            if len(starts) == flat.size:
+                gt[flat] = rows
+            else:
+                gt[sorted_ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
         return (gt,)
 
     return _make(table.data[ids], (table,), backward)
+
+
+def scatter_rows(a, rows, n: int) -> Tensor:
+    """An [n, ...] tensor holding `a`'s rows at `rows` and zero rows elsewhere.
+
+    `rows` is a strictly increasing int array with one entry per row of `a`,
+    each in [0, n). The inverse of gathering those rows (`embedding_lookup`),
+    and backward is that gather.
+    """
+    a = as_tensor(a)
+    rows = np.asarray(rows)
+    if rows.shape != a.data.shape[:1] or (rows.size and not (
+            rows[0] >= 0 and rows[-1] < n and np.all(rows[1:] > rows[:-1]))):
+        raise ShapeError(f"scatter_rows needs {a.data.shape[:1]} increasing rows in [0, {n}), "
+                         f"got {rows}")
+    out = np.zeros((n,) + a.data.shape[1:], dtype=a.data.dtype)
+    out[rows] = a.data
+    return _make(out, (a,), lambda g: (g[rows],))
 
 
 def getitem(a, key) -> Tensor:

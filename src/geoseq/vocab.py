@@ -97,7 +97,8 @@ class Vocabulary:
 
         Each level's `specials` must be `SPECIALS`. A level-1 key must be a
         pair of ints, and a level-h key (h > 1) an int offset in
-        `[0, ratios[h-2]**2)`; a violation names the level and the field.
+        `[0, ratios[h-2]**2)`; a violation names the level and the field, and
+        'scales' too where its bound comes from them.
         """
         if not isinstance(doc, dict):
             raise ValueError("a vocabulary must be a JSON object")
@@ -110,7 +111,9 @@ class Vocabulary:
         if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_number, origin))):
             raise ValueError(f"'origin' must be two numbers, got {origin!r}")
         if not (isinstance(levels, list) and len(levels) == len(scales)):
-            raise ValueError(f"'levels' must be a list of {len(scales)} levels, one per scale")
+            raise ValueError(
+                f"'levels' must be a list of {len(scales)} levels, one per 'scales' entry"
+            )
         if type(doc["flat_count"]) is not int or doc["flat_count"] < 0:
             raise ValueError(f"'flat_count' must be a non-negative int, got {doc['flat_count']!r}")
         spec = GridSpec(tuple(scales), tuple(origin))
@@ -132,7 +135,8 @@ class Vocabulary:
                     key = tuple(key)
                 elif not (type(key) is int and 0 <= key < offsets):
                     raise ValueError(
-                        f"level {h} 'entries' key {key!r} is not an int in [0, {offsets})"
+                        f"level {h} 'entries' key {key!r} is not an int in [0, {offsets}), "
+                        f"the squared ratio of the 'scales' of levels {h - 1} and {h}"
                     )
                 m[key] = tid
             expected = set(range(NUM_SPECIALS, NUM_SPECIALS + len(m)))

@@ -429,6 +429,10 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"scales": [float("nan"), 100.0]}, "'scales'"),
     ({"min_stay_seconds": -5}, "'min_stay_seconds'"),
     ({"synth": {"anchors_per_user": 1}}, "'synth.anchors_per_user'"),
+    ({"lr": float("inf")}, "'lr'"),
+    ({"eps": float("inf")}, "'eps'"),
+    ({"weight_decay": float("inf")}, "'weight_decay'"),
+    ({"stop_speed_kmh": float("inf")}, "'stop_speed_kmh'"),
 ], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed",
         "burst_len_negative", "dwell_minutes_negative", "jitter_negative",
         "heading_noise_negative", "bursts_negative", "max_seq_len_1",
@@ -437,7 +441,8 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
         "warmup_steps_negative", "beta_1_5", "stop_speed_negative",
         "min_trajectory_records_negative", "split_pretrain_1", "split_train_0",
         "ref_lat_nan", "ref_lat_95", "extent_m_nan", "extent_m_inf", "origin_nan",
-        "scales_nan", "min_stay_seconds_negative", "anchors_per_user_1"])
+        "scales_nan", "min_stay_seconds_negative", "anchors_per_user_1", "lr_inf", "eps_inf",
+        "weight_decay_inf", "stop_speed_inf"])
 @pytest.mark.parametrize("command", ["synth", "preprocess"])
 def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, command):
     # every subcommand checks the whole config before it looks at its inputs
@@ -481,6 +486,8 @@ def test_any_float_key_resolves_or_names_itself(setting, x):
         resolve_config(doc)
     except ConfigError as e:
         assert f"'{name}" in str(e), (doc, str(e))
+    else:
+        assert math.isfinite(x), f"{doc} resolved"
 
 
 def _preprocess(root, cfg_doc, tmp_path) -> int:

@@ -65,6 +65,11 @@ def test_grid_spec_validation():
         GridSpec((100.0, 100.0))  # ratio 1 < 2
     with pytest.raises(GridError, match="'origin'"):
         GridSpec((100.0,), origin=(0.0,))
+    # ints past the largest float (a JSON document can hold them) are named too
+    with pytest.raises(GridError, match="'scales'"):
+        GridSpec((10**400, 100.0))
+    with pytest.raises(GridError, match="'origin'"):
+        GridSpec((100.0,), origin=(0.0, -(10**400)))
     assert GridSpec((100.0,)).levels == 1
     assert SPEC3.ratios == (100, 10)
 

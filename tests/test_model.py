@@ -174,13 +174,42 @@ def test_causality_future_perturbations_bit_exact():
         assert np.array_equal(base[:, : t + 1], out[:, : t + 1])
 
 
+def _ragged_batch(config, lengths, seed):
+    """make_batch of one random trajectory per length (SOS included)."""
+    rng = np.random.default_rng(seed)
+    trajs = []
+    for n in lengths:
+        ids = [(0,) * config.levels] + [
+            tuple(int(rng.integers(2, size)) for size in config.level_sizes) for _ in range(n - 1)
+        ]
+        ts = [int(t) for t in np.cumsum(rng.integers(30, 90, size=n)) + 10**9]
+        trajs.append(Trajectory("u", ids, ts))
+    return trajs, make_batch(trajs, config.levels)
+
+
 def test_zero_layer_stack_is_identity():
     config = micro_config(layers=0)
     state = ModelState.init(config, seed=7)
-    batch = random_batch(config)
-    x = embed_sequence(batch, state)
-    out = decoder_forward(x, batch.keep, state)
-    assert np.array_equal(out.data, x.data)
+    # without PAD, and with PAD rows, which stay as they came in
+    for batch in (random_batch(config), _ragged_batch(config, [5, 2, 4], seed=1)[1]):
+        x = embed_sequence(batch, state)
+        out = decoder_forward(x, batch.keep, state)
+        assert np.array_equal(out.data, x.data)
+
+
+def test_padded_batch_rows_match_each_sequence_alone_and_pad_rows_are_zero():
+    config = ModelConfig(level_sizes=[8, 9], hidden=32, layers=2, heads=4,
+                         attn_dropout=0.0, max_seq_len=16)
+    state = ModelState.init(config, seed=10)
+    trajs, batch = _ragged_batch(config, [9, 3, 12, 6], seed=2)
+    out = decoder_forward(embed_sequence(batch, state), batch.keep, state).data
+    assert out.dtype == np.float32
+    for i, traj in enumerate(trajs):
+        alone = make_batch([traj], config.levels)
+        ref = decoder_forward(embed_sequence(alone, state), alone.keep, state).data[0]
+        n = len(traj.ids)
+        np.testing.assert_allclose(out[i, :n], ref, rtol=1e-5, atol=1e-6)
+        assert not out[i, n:].any()
 
 
 def test_single_position_forward_is_finite_and_deterministic():

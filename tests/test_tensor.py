@@ -675,3 +675,64 @@ def test_concat_matmul_counts_both_gemms_and_checks_shapes():
                           (np.zeros((2, 5)), Tensor(np.zeros((4, 6))))):
         with pytest.raises(ShapeError):
             T.concat_matmul(a, extra, weight)
+
+
+def test_concat_matmul_gradcheck_with_all_zero_columns():
+    # columns 1 and 3 of `extra` are zero in every row, and an all-zero
+    # `extra` multiplies no column at all; float64 gradients either way
+    rng = np.random.default_rng(21)
+    a, w, bias = (Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((2, 3, 4), (4 + 5, 3), (3,)))
+    extra = rng.normal(size=(2, 3, 5))
+    extra[..., [1, 3]] = 0.0
+    c = rng.normal(size=(2, 3, 3))
+    for e in (extra, extra[:, 0], np.zeros_like(extra)):
+        fn = lambda: T.tsum(T.mul(T.concat_matmul(a, e, w, bias), c))
+        assert_grads_match(fn, {"a": a, "w": w, "bias": bias})
+        for p in (a, w, bias):
+            p.grad = None
+        fn().backward()
+        unused = 4 + np.flatnonzero(~e.reshape(-1, 5).any(axis=0))
+        assert not w.grad[unused].any()
+        for p in (a, w, bias):
+            p.grad = None
+
+
+@pytest.mark.parametrize("rows, k, v, n", [(7, 3, 9, 5), (40, 16, 300, 24), (300, 256, 600, 64)])
+def test_one_hot_concat_matmul_forward_is_bitwise_the_full_width_product(rows, k, v, n):
+    # skipping the zero columns of a one-hot leaves `a @ w[:k] + hot @ w[k:] + b`
+    # bit for bit; the single GEMM of the concatenation accumulates the k
+    # range in another order on some shapes, so it only agrees to rounding
+    rng = np.random.default_rng(rows)
+    a = rng.normal(size=(rows, k)).astype(np.float32)
+    w = (0.02 * rng.normal(size=(k + v, n))).astype(np.float32)
+    bias = rng.normal(size=n).astype(np.float32)
+    hot = np.eye(v, dtype=np.float32)[rng.integers(0, v, size=rows)]
+    out = T.concat_matmul(Tensor(a), hot, Tensor(w), Tensor(bias)).data
+    assert np.array_equal(out, a @ w[:k] + hot @ w[k:] + bias)
+    np.testing.assert_allclose(out, np.concatenate([a, hot], -1) @ w + bias, rtol=1e-5, atol=1e-6)
+
+
+def test_scatter_rows_places_rows_and_gathers_gradients():
+    rng = np.random.default_rng(22)
+    a = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+    rows = np.array([0, 2, 5])
+    out = T.scatter_rows(a, rows, 6)
+    assert np.array_equal(out.data[rows], a.data)
+    assert not out.data[[1, 3, 4]].any()
+    c = rng.normal(size=(6, 2, 2))
+    assert_grads_match(lambda: T.tsum(T.mul(T.scatter_rows(a, rows, 6), c)), {"a": a})
+    for bad_rows, n in (([0, 2], 6), ([2, 0, 5], 6), ([0, 2, 2], 6), ([-1, 2, 5], 6), ([0, 2, 6], 6)):
+        with pytest.raises(ShapeError, match="scatter_rows"):
+            T.scatter_rows(a, np.array(bad_rows), n)
+
+
+def test_embedding_backward_of_distinct_ids_places_each_row_exactly():
+    rng = np.random.default_rng(23)
+    table = Tensor(rng.normal(size=(9, 3)).astype(np.float32), requires_grad=True)
+    ids = np.array([[7, 0], [4, 2]])
+    g = rng.normal(size=(2, 2, 3)).astype(np.float32)
+    T.tsum(T.mul(T.embedding_lookup(table, ids), Tensor(g))).backward()
+    want = np.zeros_like(table.data)
+    want[ids] = g
+    assert np.array_equal(table.grad, want)

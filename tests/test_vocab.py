@@ -1,5 +1,6 @@
 """Vocabulary building, closed-vocabulary tokenization, JSON persistence."""
 
+import copy
 import json
 
 import numpy as np
@@ -167,3 +168,53 @@ def test_missing_top_level_key_is_named(points, key):
     del doc[key]
     with pytest.raises(ValueError, match=f"'{key}'"):
         Vocabulary.from_json(doc)
+
+
+def _paths(doc, prefix=()):
+    """Every (path, is_dict_key) into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out = []
+    for k, v in items:
+        out.append((prefix + (k,), isinstance(doc, dict)))
+        if isinstance(v, (dict, list)):
+            out += _paths(v, prefix + (k,))
+    return out
+
+
+_json_values = st.lists(st.sampled_from([100.0, 1_000.0, 10_000.0, 100_000.0]),
+                        min_size=1, max_size=4) | st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12_000) | st.integers()
+    | st.sampled_from([10**400, -(10**400)]) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+_DELETE = object()
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=_points, spec=_specs, data=st.data())
+def test_one_mutated_field_loads_as_written_or_is_named(points, spec, data):
+    # a document with one value replaced (or one object key deleted) either
+    # loads into a vocabulary whose own document is the mutated one, or raises
+    # ValueError naming the field: its key, or "level h" inside level h
+    doc = build_vocab(points, spec).to_json()
+    path, in_dict = data.draw(st.sampled_from(_paths(doc)))
+    value = data.draw(st.just(_DELETE) | _json_values if in_dict else _json_values)
+    mutated = copy.deepcopy(doc)
+    parent = mutated
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    names = [f"'{path[0]}'"]
+    if path[0] == "levels":
+        names.append(f"level {path[1] + 1}" if len(path) > 1 else "level ")
+    try:
+        vocab = Vocabulary.from_json(mutated)
+    except ValueError as e:
+        assert any(name in str(e) for name in names), (path, value, str(e))
+    else:
+        assert vocab.to_json() == mutated, (path, value)
