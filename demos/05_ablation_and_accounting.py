@@ -7,7 +7,6 @@ decoder blocks and heads at 2 per multiply-accumulate.
 """
 
 from geoseq import (
-    AblationSpec,
     GridSpec,
     ModelConfig,
     PipelineConfig,
@@ -46,6 +45,5 @@ rows = run_ablation(
     trajs,
     ModelConfig(level_sizes=vocab.sizes(), hidden=64, layers=2, heads=4),
     TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0),
-    AblationSpec(),
 )
 print(render_table(rows))

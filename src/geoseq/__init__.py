@@ -39,7 +39,7 @@ from .downstream import (
     predict_topk,
     pretrained_predict_topk,
 )
-from .bench import AblationSpec, count_params, estimate_flops, run_ablation
+from .bench import count_params, estimate_flops, run_ablation
 from .synth import SynthConfig, generate_records
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "finetune_classifier",
     "predict_topk",
     "pretrained_predict_topk",
-    "AblationSpec",
     "count_params",
     "estimate_flops",
     "run_ablation",

@@ -14,7 +14,7 @@ hierarchical tokens with chained heads. Results are reported, not ranked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .downstream import evaluate_next_location
 from .model import (
@@ -89,19 +89,6 @@ def estimate_flops(config: ModelConfig, seq_len: int) -> dict:
 # ablation harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AblationSpec:
-    """What the ablation compares; the model shape and training budget come
-    from the `ModelConfig` and `TrainConfig` passed beside it."""
-
-    variants: tuple[str, ...] = VARIANTS
-
-    def __post_init__(self):
-        unknown = set(self.variants) - set(VARIANTS)
-        if unknown:
-            raise ValueError(f"'variants' holds unknown variants {sorted(unknown)}")
-
-
 def flatten_trajectories(trajs: list[Trajectory]) -> tuple[list[Trajectory], int]:
     """Re-express tuple sequences over a flat vocabulary of full tuples.
 
@@ -132,10 +119,9 @@ def run_ablation(
     trajs: list[Trajectory],
     config: ModelConfig,
     train: TrainConfig,
-    spec: AblationSpec = AblationSpec(),
     split_fractions: tuple[float, float, float] = PipelineConfig.split_fractions,
 ) -> list[dict]:
-    """Train every variant with one budget/seed and report the comparison.
+    """Train the `VARIANTS`, in order, with one budget/seed and report the comparison.
 
     `config` gives the hierarchical level sizes and the shape every variant
     shares; each variant sets its own vocabulary and head mode.
@@ -155,7 +141,7 @@ def run_ablation(
         raise ValueError("no evaluable trajectories (need length >= 2)")
     flat_trajs, flat_size = flatten_trajectories(trajs)
     rows = []
-    for variant in spec.variants:
+    for variant in VARIANTS:
         data = flat_trajs if variant == "baseline_flat_alm" else trajs
         variant_config = _variant_config(variant, config, flat_size)
         params = count_params(variant_config)

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bench import AblationSpec, render_table, run_ablation
+from .bench import render_table, run_ablation
 from .downstream import (
     HEAD_KINDS,
     TrajectoryClassifier,
@@ -93,7 +93,6 @@ DEFAULTS = {
     "freeze_backbone": False,
     **_defaults(PipelineConfig),
     "synth": _defaults(SynthConfig, skip=("seed", "scales", "ref_lat")),
-    "ablation": _defaults(AblationSpec),
 }
 
 _CHOICES = {
@@ -110,8 +109,8 @@ def load_config(path: str | None) -> dict:
             raise FileNotFoundError(path)
         try:
             doc = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from None
+        except ValueError as e:  # not UTF-8 (UnicodeDecodeError) or not JSON
+            raise ConfigError(f"{path}: config is not valid UTF-8 JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
     return resolve_config(doc)
@@ -123,15 +122,13 @@ def resolve_config(doc: dict) -> dict:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown key '{key}'")
         cfg[key] = value
-    for section in ("synth", "ablation"):
-        defaults = DEFAULTS[section]
-        sub = cfg.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"'{section}' must be a JSON object")
-        for key in sub:
-            if key not in defaults:
-                raise ConfigError(f"unknown key '{section}.{key}'")
-        cfg[section] = {**defaults, **sub}
+    sub = cfg.get("synth", {})
+    if not isinstance(sub, dict):
+        raise ConfigError("'synth' must be a JSON object")
+    for key in sub:
+        if key not in DEFAULTS["synth"]:
+            raise ConfigError(f"unknown key 'synth.{key}'")
+    cfg["synth"] = {**DEFAULTS["synth"], **sub}
     out = {**DEFAULTS, **cfg}
     _check_number_types(out, DEFAULTS)
     for key, choices in _CHOICES.items():
@@ -149,7 +146,6 @@ def resolve_config(doc: dict) -> dict:
         ("", PipelineConfig, out, {}),
         ("synth.", SynthConfig, out["synth"],
          {"seed": out["seed"], "scales": scales, "ref_lat": out["ref_lat"]}),
-        ("ablation.", AblationSpec, out["ablation"], {}),
     ):
         try:
             _from_cfg(cls, values, **given)
@@ -202,7 +198,10 @@ def _subset(args, config: ModelConfig, *parts: str) -> list[list]:
     every id must lie inside the model's level sizes, and no trajectory may be
     longer than its `max_seq_len`."""
     trajs = read_trajectories(args.data, config.level_sizes, config.max_seq_len)
-    doc = json.loads(Path(args.splits).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.splits).read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8 (UnicodeDecodeError) or not JSON
+        raise ValueError(f"{args.splits}: not valid UTF-8 JSON: {e}") from None
     subsets = []
     for part in parts:
         index = doc.get(part) if isinstance(doc, dict) else None
@@ -315,20 +314,14 @@ def cmd_eval(cfg: dict, args, seed, out: Path) -> list[str]:
 
 
 def cmd_ablate(cfg: dict, args, seed, out: Path) -> list[str]:
-    level_sizes = None if args.vocab is None else Vocabulary.load(args.vocab).sizes()
+    level_sizes = Vocabulary.load(args.vocab).sizes()
     trajs = read_trajectories(args.data, level_sizes, cfg["max_seq_len"])
     if not trajs:
         raise ValueError(f"{args.data}: no trajectories")
-    if level_sizes is None:
-        levels = len(trajs[0].ids[0])
-        level_sizes = [
-            max(tup[h] for t in trajs for tup in t.ids) + 1 for h in range(levels)
-        ]
     rows = run_ablation(
         trajs,
         _from_cfg(ModelConfig, cfg, level_sizes=level_sizes),
         _from_cfg(TrainConfig, cfg, seed=seed),
-        _from_cfg(AblationSpec, cfg["ablation"]),
         tuple(cfg["split_fractions"]),
     )
     (out / "ablation.json").write_text(json.dumps(rows, indent=2), encoding="utf-8")
@@ -371,7 +364,7 @@ COMMANDS = {
         ("--data", "--splits", "--checkpoint"), ("--head-checkpoint",), seeded=False,
     ),
     "ablate": Command(
-        cmd_ablate, "train and compare the model variants", ("--data",), ("--vocab",)
+        cmd_ablate, "train and compare the model variants", ("--data", "--vocab")
     ),
 }
 

@@ -126,10 +126,10 @@ def backbone_outputs(
     state: ModelState,
     batch: Batch,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
+    """The decoder's [B, T1, W] outputs; given an `rng`, with attention dropout."""
     x = embed_sequence(batch, state)
-    return decoder_forward(x, batch.keep, state, rng=rng, training=training)
+    return decoder_forward(x, batch.keep, state, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def _fit_head(
 
         def outputs_of(sources, rng):
             batch = make_batch(sources, levels)
-            return backbone_outputs(state, batch, rng=rng, training=True), batch.keep
+            return backbone_outputs(state, batch, rng=rng), batch.keep
 
     def loss_fn(chunk, rng):
         outputs, keep = outputs_of([source for source, _ in chunk], rng)

@@ -242,10 +242,10 @@ def decoder_forward(
     keep: np.ndarray,
     state: ModelState,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Pre-norm masked self-attention blocks; output t sees inputs <= t only.
 
+    Given an `rng`, the attention weights go through dropout (`attn_dropout`).
     The blocks run on the real positions of `x` [B, T1, W] alone (the True
     entries of `keep`, gathered once into [n, W]): the norms, projections,
     FFN and residual adds skip the PAD rows. Q, K and V are scattered back
@@ -274,7 +274,7 @@ def decoder_forward(
         k = split_heads(T.matmul(h, pre("attn.wk"), pre("attn.bk")))
         v = split_heads(T.matmul(h, pre("attn.wv"), pre("attn.bv")))
         ctx = T.scaled_dot_product_attention(
-            q, k, v, attend, dropout_p=cfg.attn_dropout, rng=rng, training=training
+            q, k, v, attend, dropout_p=cfg.attn_dropout, rng=rng
         )
         ctx = T.embedding_lookup(T.reshape(T.swapaxes(ctx, 1, 2), (b * t1, w)), real)
         x = T.add(x, T.matmul(ctx, pre("attn.wo"), pre("attn.bo")))
@@ -371,11 +371,10 @@ def forward_loss(
     batch: Batch,
     state: ModelState,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
-    """The pre-training loss of a batch; the heads run at its target rows only."""
+    """The pre-training loss of a batch, heads at its target rows; dropout given an `rng`."""
     x = embed_sequence(batch, state)
-    out = decoder_forward(x, batch.keep, state, rng=rng, training=training)
+    out = decoder_forward(x, batch.keep, state, rng=rng)
     features, targets = target_rows(out, batch.ids)
     return sequence_loss(prediction_logits(features, state), targets)
 
@@ -427,7 +426,7 @@ def pretrain(
     state = ModelState.init(config, seed=train.seed)
 
     def loss_fn(chunk, rng):
-        return forward_loss(make_batch(chunk, config.levels), state, rng=rng, training=True)
+        return forward_loss(make_batch(chunk, config.levels), state, rng=rng)
 
     return state, fit(state.params, trajs, loss_fn, train)
 

@@ -21,8 +21,10 @@ import json
 import math
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -294,6 +296,22 @@ def preprocess(
 CSV_COLUMNS = ("user_id", "timestamp", "lat", "lon")
 
 
+@contextmanager
+def _decode_errors_named(path):
+    """Re-raise a UnicodeDecodeError from reading `path` in the block as a
+    ValueError naming the file and the line of its first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise ValueError(f"{path}, line {line}: not UTF-8 ({e.reason})") from None
+        raise
+
+
 def read_csv(path) -> list[RawRecord]:
     """Read `user_id,timestamp,lat,lon[,label]` rows (UTF-8, with header).
 
@@ -302,12 +320,12 @@ def read_csv(path) -> list[RawRecord]:
     or [-180, 180] raises ValueError naming the file, the line and the field.
     """
     records = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with _decode_errors_named(path), open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or any(header.count(c) != 1 for c in CSV_COLUMNS):
             raise ValueError(
-                f"CSV must have each of the columns {list(CSV_COLUMNS)} once, got {header}"
+                f"{path}: CSV must have each of the columns {list(CSV_COLUMNS)} once, got {header}"
             )
         cols = [header.index(c) for c in CSV_COLUMNS]
         iu, it, ilat, ilon = cols
@@ -373,19 +391,20 @@ def write_trajectories(trajs: list[Trajectory], path):
 def read_trajectories(path, level_sizes=None, max_seq_len=None) -> list[Trajectory]:
     """Read `write_trajectories`'s NDJSON as untrusted input.
 
-    A line that is not an object with `user`, `ids` and `ts`, whose `ids` and
-    `ts` differ in length, that holds no location after the SOS tuple, whose
-    id tuples are not non-negative ints (not bools) of the file's one width,
-    whose first tuple is not all SOS or whose later tuples hold a special id
-    (SOS or PAD), whose `ts` holds anything but finite numbers > 0, or whose
-    `label` is neither a string nor null raises ValueError naming the file
-    and the line. Given `level_sizes`, every id must also lie below its
+    A line that is not an object with `user`, `ids` and `ts`, whose `user` is
+    not a string, whose `ids` and `ts` differ in length, that holds no
+    location after the SOS tuple, whose id tuples are not non-negative ints
+    (not bools) of the file's one width, whose first tuple is not all SOS or
+    whose later tuples hold a special id (SOS or PAD), whose `ts` holds
+    anything but finite numbers > 0, or whose `label` is neither a string nor
+    null raises ValueError naming the file and the line; so do bytes that are
+    not UTF-8. Given `level_sizes`, every id must also lie below its
     level's size, and given `max_seq_len`, no line may hold more positions.
     The id and timestamp checks run once, vectorised, over the whole file; a
     line-by-line scan runs only to name the line of a fault.
     """
     trajs, line_of = [], []
-    with open(path, encoding="utf-8") as f:
+    with _decode_errors_named(path), open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -397,6 +416,8 @@ def read_trajectories(path, level_sizes=None, max_seq_len=None) -> list[Trajecto
                 raise ValueError(
                     f"{path}, line {lineno}: needs an object with 'user', 'ids' and 'ts'"
                 )
+            if not isinstance(doc["user"], str):
+                raise ValueError(f"{path}, line {lineno}: 'user' {doc['user']!r} is not a string")
             ids, ts = doc["ids"], doc["ts"]
             if not (isinstance(ids, list) and isinstance(ts, list) and len(ids) == len(ts)
                     and all(isinstance(tup, list) for tup in ids)):
@@ -448,6 +469,12 @@ def _check_ids(path, trajs: list[Trajectory], line_of: list[int], level_sizes):
                 raise ValueError(
                     f"{path}, line {lineno}: each id tuple must hold {width} ints"
                 )
+            for tup in t.ids:  # an int numpy cannot hold as int64
+                for level, value in enumerate(tup):
+                    if not -(2**63) <= value < 2**63:
+                        upper = "inf" if level_sizes is None else level_sizes[level]
+                        raise ValueError(f"{path}, line {lineno}: id {value} at level "
+                                         f"{level + 1} is outside [0, {upper})")
         raise ValueError(f"{path}: ids must be 64-bit ints")
     starts = np.cumsum([0] + [len(t.ids) for t in trajs[:-1]])  # each line's SOS row
     bad = ids < NUM_SPECIALS  # a negative or special id after the SOS row

@@ -578,13 +578,11 @@ def masked_fill(x, keep, value) -> Tensor:
     return _make(out, (x,), lambda g: (g * keep,))
 
 
-def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
+def dropout(x, p: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout, its mask drawn from `rng`; identity without an rng or when p == 0."""
     x = as_tensor(x)
-    if not training or p <= 0.0:
+    if rng is None or p <= 0.0:
         return x
-    if rng is None:
-        raise ShapeError("dropout in training mode needs an rng")
     keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
     return _make(x.data * keep * scale, (x,), lambda g: (g * keep * scale,))
@@ -660,15 +658,14 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 def scaled_dot_product_attention(
-    q, k, v, keep, dropout_p: float = 0.0,
-    rng: np.random.Generator | None = None, training: bool = False,
+    q, k, v, keep, dropout_p: float = 0.0, rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Attention over the trailing two axes; `keep` masks scores to -inf.
 
     `keep` must broadcast against [..., Tq, Tk] and leave at least one True
-    entry per query row, otherwise the softmax row is undefined. In training
-    with `dropout_p` > 0 the attention weights go through inverted dropout,
-    its mask drawn by one `rng.random` call. One node: forward forms the
+    entry per query row, otherwise the softmax row is undefined. Given an
+    `rng` and `dropout_p` > 0 the attention weights go through inverted
+    dropout, its mask drawn by one `rng.random` call. One node: forward forms the
     scores in one batched matmul and scales, masks and normalizes them in
     place, with the arithmetic of `matmul`, `mul`, `masked_fill`, `softmax`
     and `dropout`; backward keeps only the weights (before and after
@@ -690,9 +687,7 @@ def scaled_dot_product_attention(
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     dropped = weights
-    if training and dropout_p > 0.0:
-        if rng is None:
-            raise ShapeError("dropout in training mode needs an rng")
+    if rng is not None and dropout_p > 0.0:
         kept = rng.random(weights.shape) >= dropout_p
         drop_scale = np.asarray(1.0 / (1.0 - dropout_p), dtype=weights.dtype)
         dropped = weights * kept

@@ -16,7 +16,6 @@ import pytest
 
 from geoseq import tensor as T
 from geoseq.bench import (
-    AblationSpec,
     count_params,
     flat_embedding_params,
     flatten_trajectories,
@@ -342,7 +341,7 @@ def test_criterion_9_ablation_harness():
     premise = sum(vocab.sizes()) < flat_size
     model = ModelConfig(vocab.sizes(), hidden=32, layers=1, heads=2)
     train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
-    rows = run_ablation(trajs, model, train, AblationSpec())
+    rows = run_ablation(trajs, model, train)
     table = render_table(rows)
     by_name = {r["variant"]: r for r in rows}
     ok = (

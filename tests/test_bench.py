@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from geoseq import tensor as T
 from geoseq.bench import (
-    AblationSpec,
     count_params,
     estimate_flops,
     flat_embedding_params,
@@ -314,7 +313,7 @@ def test_ablation_emits_all_variants(small_corpus):
     trajs, vocab = small_corpus
     model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
     train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
-    rows = run_ablation(trajs, model, train, AblationSpec())
+    rows = run_ablation(trajs, model, train)
     assert [r["variant"] for r in rows] == [
         "baseline_flat_alm", "gt_independent_alm", "gt_halm",
     ]
@@ -332,7 +331,7 @@ def test_ablation_flat_embeddings_cost_more(small_corpus):
         pytest.skip("corpus too small to exercise the compression premise")
     model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
     train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
-    rows = {r["variant"]: r for r in run_ablation(trajs, model, train, AblationSpec())}
+    rows = {r["variant"]: r for r in run_ablation(trajs, model, train)}
     assert rows["baseline_flat_alm"]["embedding_params"] > rows["gt_halm"]["embedding_params"]
     assert rows["gt_halm"]["embedding_params"] == rows["gt_independent_alm"]["embedding_params"]
 
@@ -341,8 +340,7 @@ def test_ablation_is_deterministic(small_corpus):
     trajs, vocab = small_corpus
     model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
     train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=3)
-    spec = AblationSpec()
-    assert run_ablation(trajs, model, train, spec) == run_ablation(trajs, model, train, spec)
+    assert run_ablation(trajs, model, train) == run_ablation(trajs, model, train)
 
 
 def test_ablation_param_delta_between_gt_variants(small_corpus):
@@ -350,7 +348,7 @@ def test_ablation_param_delta_between_gt_variants(small_corpus):
     sizes = vocab.sizes()
     model = ModelConfig(sizes, hidden=16, layers=1, heads=2)
     train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
-    rows = {r["variant"]: r for r in run_ablation(trajs, model, train, AblationSpec())}
+    rows = {r["variant"]: r for r in run_ablation(trajs, model, train)}
     expected_delta = model.hidden * sum(sizes[:-1])
     assert rows["gt_halm"]["params"] - rows["gt_independent_alm"]["params"] == expected_delta
 
@@ -359,7 +357,7 @@ def test_render_table_alignment(small_corpus):
     trajs, vocab = small_corpus
     model = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2)
     train = TrainConfig(epochs=1, batch_size=16, warmup_steps=0, seed=0)
-    text = render_table(run_ablation(trajs, model, train, AblationSpec()))
+    text = render_table(run_ablation(trajs, model, train))
     lines = text.strip().split("\n")
     assert lines[0].startswith("variant")
     assert len(lines) == 5  # header + rule + three variants

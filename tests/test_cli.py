@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoseq import bench
-from geoseq.bench import AblationSpec
 from geoseq.cli import DEFAULTS, dispatch, resolve_config, ConfigError
 from geoseq.downstream import make_head
 from geoseq.grid import GridSpec
-from geoseq.model import ModelConfig, ModelState, TrainConfig, save_checkpoint, save_tensors
+from geoseq.model import (
+    ModelConfig, ModelState, TrainConfig, make_batch, save_checkpoint, save_tensors,
+)
 from geoseq.pipeline import PipelineConfig, read_trajectories
 from geoseq.synth import SynthConfig
 from geoseq.vocab import Vocabulary
@@ -170,7 +171,7 @@ def test_ablate_rejects_an_empty_share_before_training(
     monkeypatch.setattr(bench, "pretrain", lambda *args: calls.append(args))
     code = dispatch(["ablate", "--config", str(cfg),
                      "--data", str(root / "p" / "trajectories.ndjson"),
-                     "--out", str(tmp_path / "a")])
+                     "--vocab", str(root / "v" / "vocab.json"), "--out", str(tmp_path / "a")])
     assert calls == []
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: ValueError: {message}")
@@ -179,7 +180,7 @@ def test_ablate_rejects_an_empty_share_before_training(
 def test_shared_config_fields_have_one_default():
     """A field name two config dataclasses share gets one default value."""
     defaults = {}
-    for cls in (GridSpec, ModelConfig, TrainConfig, PipelineConfig, SynthConfig, AblationSpec):
+    for cls in (GridSpec, ModelConfig, TrainConfig, PipelineConfig, SynthConfig):
         for f in fields(cls):
             if f.default is not MISSING:
                 defaults.setdefault(f.name, []).append((cls.__name__, f.default))
@@ -216,7 +217,7 @@ def test_manifests_list_what_each_command_read_and_wrote(tmp_path):
         ("finetune", {**data, "--checkpoint": ckpt}, None),
         ("eval", {**data, "--checkpoint": ckpt,
                   "--head-checkpoint": tmp_path / "finetune" / "head.gsq"}, 5),
-        ("ablate", {"--data": data["--data"]}, None),
+        ("ablate", {"--data": data["--data"], "--vocab": vocab}, None),
     ]
     seeds = {}
     for command, inputs, seed in runs:
@@ -247,6 +248,16 @@ def test_unknown_flag_exits_2(capsys):
         dispatch(["synth", "--wat", "--out", "x"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+def test_model_sizing_commands_require_vocab(capsys, command):
+    # the level sizes come from the vocabulary, never from the data
+    splits = ["--splits", "s.json"] if command == "pretrain" else []
+    with pytest.raises(SystemExit) as exc:
+        dispatch([command, "--data", "t.ndjson", *splits, "--out", "x"])
+    assert exc.value.code == 2
+    assert "--vocab" in capsys.readouterr().err
 
 
 def test_missing_input_exits_3(workspace, tmp_path, capsys):
@@ -299,6 +310,44 @@ def test_malformed_splits_exit_1_naming_file_and_key(workspace, tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and str(splits) in err and "'pretrain'" in err
+
+
+@pytest.mark.parametrize("flag, bad", [
+    ("--config", "not_utf8"),
+    ("--splits", "not_utf8"),
+    ("--splits", "not_json"),
+    ("--data", "not_utf8"),
+    ("--input", "not_utf8"),
+])
+def test_undecodable_inputs_name_their_file(workspace, tmp_path, capsys, flag, bad):
+    # the config exits 2 as a bad config; every other input exits 1; a
+    # line-oriented input (NDJSON, CSV) also names the line of the bad byte
+    root, cfg = workspace
+    given = {
+        "--config": cfg,
+        "--splits": root / "p" / "splits.json",
+        "--data": root / "p" / "trajectories.ndjson",
+        "--input": root / "d" / "synth.csv",
+    }
+    lines = given[flag].read_bytes().split(b"\n")
+    if bad == "not_json":
+        lines = [b"{'pretrain': [0]}"]
+    else:
+        lines[2 if len(lines) > 3 else 0] += b"\xff"
+    path = given[flag] = tmp_path / given[flag].name
+    path.write_bytes(b"\n".join(lines))
+    if flag == "--input":
+        argv = ["vocab", "--input", str(path)]
+    else:
+        argv = ["pretrain", "--data", str(given["--data"]), "--splits", str(given["--splits"]),
+                "--vocab", str(root / "v" / "vocab.json")]
+    code = dispatch([*argv, "--config", str(given["--config"]), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if flag == "--config":
+        assert code == 2 and err.startswith(f"error: config: {path}:"), err
+    else:
+        line = ", line 3:" if flag in ("--data", "--input") else ":"
+        assert code == 1 and err.startswith(f"error: ValueError: {path}{line}"), err
 
 
 @pytest.mark.parametrize("override", [
@@ -408,8 +457,8 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"max_seq_len": 1}, "'max_seq_len'"),
     ({"resample_interval": 0}, "'resample_interval'"),
     ({"attn_dropout": 1.0}, "'attn_dropout'"),
-    ({"ablation": {"variants": ["bogus"]}}, "'ablation.variants'"),
-    ({"ablation": {"eval_k": 5}}, "unknown key 'ablation.eval_k'"),
+    ({"ablation": {"variants": ["bogus"]}}, "unknown key 'ablation'"),
+    ({"ablation": {"eval_k": 5}}, "unknown key 'ablation'"),
     ({"origin": [0.0]}, "'origin'"),
     ({"layers": -1}, "'layers'"),
     ({"lr": -1.0}, "'lr'"),
@@ -579,17 +628,18 @@ def test_readme_config_table_names_every_key():
     rows = [line for line in table.split("\n\n", 1)[0].splitlines() if line.startswith("| `")]
     named = sorted(key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1]))
     expected = [key for key, value in DEFAULTS.items() if not isinstance(value, dict)]
-    expected += ["synth.*", *(f"ablation.{key}" for key in DEFAULTS["ablation"])]
+    expected += ["synth.*"]
     assert named == sorted(expected)
 
 
 def test_resolved_defaults_are_pinned():
     # deriving the defaults from the config dataclasses must move no default
-    # and no manifest config_hash (this one is without `ablation.eval_k`)
+    # and no manifest config_hash (this one is without the `ablation` section,
+    # and equals the earlier defaults' hash with that section dropped)
     cfg = resolve_config({})
     canon = json.dumps(cfg, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(canon).hexdigest() == (
-        "367a31a09974e6f5c083052eb72a723ddb908b496b99f1555f9736f98b4f02b3"
+        "762226f6fe6be2288a68dd2c731faa107aa8839f8e0bc3fd9f64ec894a940751"
     )
     assert cfg["seed"] is None  # the CLI requires one
 
@@ -660,6 +710,67 @@ def test_malformed_trajectories_exit_1_naming_file_and_line(
     code = dispatch([command, "--config", str(cfg), *inputs, "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: ValueError: {data}, line 3:")
+
+
+def _json_paths(node, prefix=()):
+    """The path of every value inside a decoded JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, prefix + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers() | st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**400])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ndjson_mutations")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_line_ndjson_mutation_loads_or_names_file_and_line(workspace, mutation_dir, data):
+    # a value replaced, a key or element deleted, or the line truncated: the
+    # file either loads into well-typed trajectories the model can batch, or
+    # its ValueError names the file and the mutated line
+    root, _ = workspace
+    sizes = Vocabulary.load(root / "v" / "vocab.json").sizes()
+    lines = (root / "p" / "trajectories.ndjson").read_text().splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    kind = data.draw(st.sampled_from(["replace", "delete", "truncate"]), label="kind")
+    if kind == "truncate":
+        lines[at] = lines[at][: data.draw(st.integers(0, len(lines[at]) - 1), label="keep")]
+    else:
+        doc = json.loads(lines[at])
+        path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "replace":
+            parent[path[-1]] = data.draw(_json_values, label="value")
+        else:
+            del parent[path[-1]]
+        lines[at] = json.dumps(doc)
+    mutated = mutation_dir / "trajectories.ndjson"
+    mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        trajs = read_trajectories(mutated, sizes, DEFAULTS["max_seq_len"])
+    except ValueError as e:
+        assert str(e).startswith(f"{mutated}, line {at + 1}:"), str(e)
+    else:
+        assert all(isinstance(t.user, str) and isinstance(t.label, (str, type(None)))
+                   for t in trajs)
+        batch = make_batch(trajs, len(sizes))
+        assert batch.ids.shape[0] == len(lines) - (not lines[at].strip())
 
 
 @pytest.mark.parametrize("command", ["pretrain", "eval", "ablate"])
@@ -738,9 +849,7 @@ def test_malformed_vocab_exits_1_naming_file_and_key(workspace, tmp_path, capsys
     assert err.startswith(f"error: ValueError: {vocab}:") and f"'{key}'" in err
 
 
-def test_ablate_without_vocab_rejects_negative_ids_and_empty_data(workspace, tmp_path, capsys):
-    # without --vocab the level sizes come from the data, so only a negative
-    # id or an empty file can slip past them
+def test_ablate_rejects_negative_ids_and_empty_data(workspace, tmp_path, capsys):
     root, cfg = workspace
     lines = (root / "p" / "trajectories.ndjson").read_text().splitlines()
     doc = json.loads(lines[2])
@@ -752,6 +861,6 @@ def test_ablate_without_vocab_rejects_negative_ids_and_empty_data(workspace, tmp
     empty.write_text("", encoding="utf-8")
     for path, message in ((data, f"{data}, line 3:"), (empty, f"{empty}: no trajectories")):
         code = dispatch(["ablate", "--config", str(cfg), "--data", str(path),
-                         "--out", str(tmp_path / "o")])
+                         "--vocab", str(root / "v" / "vocab.json"), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: ValueError: {message}")

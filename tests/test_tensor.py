@@ -203,21 +203,21 @@ def test_structural_primitive_gradients_randomized(seed):
         d = T.neg(T.swapaxes(d, 0, 1))
         d = T.reshape(d, (3, 8))
         d = T.masked_fill(d, keep.reshape(3, 8), 0.5)
-        d = T.dropout(d, 0.25, rng=np.random.default_rng(7), training=True)
+        d = T.dropout(d, 0.25, rng=np.random.default_rng(7))
         total = T.tsum(T.mul(d, d))
         return T.mean(T.reshape(total, (1, 1)))
 
     assert_grads_match(loss_fn, {"a": a, "b": b})
 
 
-def _attention_composed(q, k, v, keep, dropout_p=0.0, rng=None, training=False):
+def _attention_composed(q, k, v, keep, dropout_p=0.0, rng=None):
     """Attention as the graph of seven nodes it was before it became one."""
     dk = q.data.shape[-1]
     scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)),
                    1.0 / np.sqrt(np.asarray(dk, dtype=q.data.dtype)))
     scores = T.masked_fill(scores, keep, -np.inf)
     weights = T.softmax(scores)
-    weights = T.dropout(weights, dropout_p, rng, training)
+    weights = T.dropout(weights, dropout_p, rng)
     return T.matmul(weights, v)
 
 
@@ -250,18 +250,19 @@ def test_attention_gradients_with_dropout_and_padding():
 
     def loss_fn():
         out = T.scaled_dot_product_attention(
-            q, k, v, keep, dropout_p=0.3, rng=np.random.default_rng(4), training=True)
+            q, k, v, keep, dropout_p=0.3, rng=np.random.default_rng(4))
         return T.mean(T.mul(out, out))
 
     assert_grads_match(loss_fn, {"q": q, "k": k, "v": v})
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("dropout_p, training", [(0.0, True), (0.1, False), (0.1, True)])
+@pytest.mark.parametrize("dropout_p, with_rng", [(0.0, True), (0.1, False), (0.1, True)])
 @pytest.mark.parametrize("seed", range(3))
-def test_attention_node_is_the_composed_graph(seed, dropout_p, training, dtype):
-    # forward and gradient bits equal, dropout's rng draw included; in
-    # float64 and at the attention shape of the benchmark's pretrain step
+def test_attention_node_is_the_composed_graph(seed, dropout_p, with_rng, dtype):
+    # forward and gradient bits equal, dropout's rng draw included (dropout
+    # runs only given an rng); in float64 and at the attention shape of the
+    # benchmark's pretrain step
     shape = (4, 8, 28, 32) if dtype == np.float32 else (2, 3, 6, 4)
     qkv, keep = _attention_inputs(seed, shape, dtype)
     g = np.random.default_rng(seed + 50).normal(size=shape).astype(dtype)
@@ -270,7 +271,7 @@ def test_attention_node_is_the_composed_graph(seed, dropout_p, training, dtype):
         for t in qkv:
             t.grad = None
         rng = np.random.default_rng(seed + 100)
-        out = attend(*qkv, keep, dropout_p=dropout_p, rng=rng, training=training)
+        out = attend(*qkv, keep, dropout_p=dropout_p, rng=rng if with_rng else None)
         T.tsum(T.mul(out, Tensor(g))).backward()
         results.append((out.data, [t.grad for t in qkv], rng.random()))
     (want, want_grads, want_next), (got, got_grads, got_next) = results
@@ -284,24 +285,22 @@ def test_attention_is_one_node_and_counts_both_products():
     (q, k, v), keep = _attention_inputs(13, shape=(2, 3, 5, 4))
     with T.count_macs() as box:
         out = T.scaled_dot_product_attention(
-            q, k, v, keep, dropout_p=0.2, rng=np.random.default_rng(0), training=True)
+            q, k, v, keep, dropout_p=0.2, rng=np.random.default_rng(0))
     assert out._parents == (q, k, v)
     assert box.macs == 2 * 3 * (5 * 4 * 5 + 5 * 5 * 4)
-    with pytest.raises(ShapeError, match="dropout in training mode needs an rng"):
-        T.scaled_dot_product_attention(q, k, v, keep, dropout_p=0.2, training=True)
     with pytest.raises(ShapeError, match="attention expects"):
         T.scaled_dot_product_attention(q, k, Tensor(np.zeros((2, 3, 4, 4))), keep)
 
 
 def test_dropout_identity_in_eval():
     x = Tensor(np.ones((4, 4)))
-    assert T.dropout(x, 0.5, training=False) is x
+    assert T.dropout(x, 0.5) is x
 
 
 def test_dropout_scales_in_train():
     rng = np.random.default_rng(5)
     x = Tensor(np.ones((1000,)))
-    out = T.dropout(x, 0.25, rng=rng, training=True).data
+    out = T.dropout(x, 0.25, rng=rng).data
     kept = out != 0
     assert np.allclose(out[kept], 1 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.05
