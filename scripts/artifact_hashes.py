@@ -2,40 +2,45 @@
 
 Usage, from the root of a geoseq checkout:
 
-    python3 scripts/artifact_hashes.py [--parent REV] [--seed 11]
+    python3 scripts/artifact_hashes.py [--parent REV]
 
 Runs the whole CLI chain through `geoseq.cli.dispatch` on a tiny config (with
-the default attention dropout) in a temporary directory: synth, vocab,
+the default attention dropout, seed `SEED`) in a temporary directory, in a
+fresh process that imports `geoseq` from a checkout's `src/`: synth, vocab,
 preprocess (the `gps` profile, and `signal` with `min_stay_seconds` 0),
 pretrain, finetune (FFN, LSTM and classifier heads, each with a frozen and an
 unfrozen backbone), eval (the pre-training heads, then the frozen FFN, LSTM
-and classifier heads) and ablate with `--vocab`. It prints one JSON object mapping each
-artifact, as `<step>/<file>`, to its sha256. A `manifest.json` is hashed
-without its `config` and `config_hash`, and with its input paths made
-relative to the run directory, so it compares across checkouts and runs.
+and classifier heads) and ablate with `--vocab`. It prints one JSON object
+mapping each artifact, as `<step>/<file>`, to its sha256. A `manifest.json`
+is hashed without its `config` and `config_hash`, and with its input paths
+made relative to the run directory, so it compares across checkouts and runs.
 
-With `--parent`, commit REV is unpacked with `git archive` into a temporary
-directory (the repository's `.git` is left as it was) and both sides run the
-chain in a fresh process each, the change side from this checkout as it
-stands, uncommitted edits included. It then prints which artifacts are the
-same, which differ and which only one side wrote, and exits 1 if any
-artifact other than the manifests differs or is missing on one side.
+Without `--parent` that checkout is this one. With `--parent`, commit REV is
+unpacked with `git archive` (by `bench_pairs.export`) into a temporary
+directory, leaving the repository's `.git` as it was, and the chain runs once
+on each side, the change side from this checkout as it stands, uncommitted
+edits included. It then prints which artifacts are the same, which differ
+and which only one side wrote, and exits 1 if any artifact other than the
+manifests differs or is missing on one side.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
+import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_pairs import export
+
+SCRIPTS = Path(__file__).resolve().parent
+ROOT = SCRIPTS.parent
+SEED = 11
 
 TINY = {
     "hidden": 16,
@@ -84,14 +89,14 @@ def _manifest_digest(path: Path, work: Path) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def run_chain(work: Path, seed: int) -> dict[str, str]:
+def run_chain(work: Path) -> dict[str, str]:
     """Run every step in `work` and hash what each wrote; a failing step raises."""
     from geoseq.cli import dispatch
 
     hashes = {}
     for step, overrides, inputs in _steps(work):
         cfg = work / f"{step}.json"
-        cfg.write_text(json.dumps({**TINY, **overrides, "seed": seed}), encoding="utf-8")
+        cfg.write_text(json.dumps({**TINY, **overrides, "seed": SEED}), encoding="utf-8")
         out = work / step
         argv = [step.split("_")[0], "--config", str(cfg), "--out", str(out)]
         argv += [str(a) for flag_path in inputs.items() for a in flag_path]
@@ -125,39 +130,34 @@ def compare(parent: dict[str, str], change: dict[str, str]) -> dict:
     return report
 
 
-def export(rev: str, dest: Path) -> None:
-    """Unpack commit `rev` of this repository into `dest`."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
-                         capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+def print_hashes() -> None:
+    """Run the chain in a temporary directory and print its hashes as JSON."""
+    with tempfile.TemporaryDirectory(prefix="artifact_hashes_") as work:
+        print(json.dumps(run_chain(Path(work)), indent=1))
 
 
-def hashes_of(src: Path, seed: int) -> dict[str, str]:
+def hashes_of(src: Path) -> dict[str, str]:
     """The chain's hashes with `geoseq` imported from `src`, in a fresh process."""
-    cmd = [sys.executable, __file__, "--src", str(src), "--seed", str(seed)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    path = [str(src), str(SCRIPTS), *filter(None, [os.environ.get("PYTHONPATH")])]
+    cmd = [sys.executable, "-c", "import artifact_hashes; artifact_hashes.print_hashes()"]
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"the chain on {src} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
 
 
 def main(argv) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", help="git revision to compare against")
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--src", type=Path, default=ROOT / "src", help="where to import geoseq from")
     args = p.parse_args(argv)
     if args.parent is None:
-        sys.path.insert(0, str(args.src.resolve()))
-        with tempfile.TemporaryDirectory(prefix="artifact_hashes_") as work:
-            print(json.dumps(run_chain(Path(work), args.seed), indent=1))
+        print(json.dumps(hashes_of(ROOT / "src"), indent=1))
         return 0
     parent_dir = Path(tempfile.mkdtemp(prefix="artifact_hashes_parent_"))
     try:
         export(args.parent, parent_dir)
-        report = compare(hashes_of(parent_dir / "src", args.seed),
-                         hashes_of(ROOT / "src", args.seed))
+        report = compare(hashes_of(parent_dir / "src"), hashes_of(ROOT / "src"))
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
     print(json.dumps(report, indent=1))

@@ -470,7 +470,7 @@ def load_tensors(path) -> tuple[dict, dict[str, Tensor]]:
         raise CheckpointError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise CheckpointError(f"{path}: corrupt manifest: {e}") from None
     if not (
         isinstance(manifest, dict)

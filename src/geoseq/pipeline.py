@@ -410,7 +410,7 @@ def read_trajectories(path, level_sizes=None, max_seq_len=None) -> list[Trajecto
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # not JSON, or an int past Python's digit limit
                 raise ValueError(f"{path}, line {lineno}: not JSON ({e})") from None
             if not (isinstance(doc, dict) and "user" in doc and "ids" in doc and "ts" in doc):
                 raise ValueError(
@@ -465,17 +465,17 @@ def _check_ids(path, trajs: list[Trajectory], line_of: list[int], level_sizes):
             pass
     if ids is None or ids.shape != (len(rows), width) or ids.dtype.kind != "i":
         for t, lineno in zip(trajs, line_of):
-            if any(len(tup) != width or not all(type(i) is int for i in tup) for tup in t.ids):
-                raise ValueError(
-                    f"{path}, line {lineno}: each id tuple must hold {width} ints"
-                )
+            if any(not tup or len(tup) != width or not all(type(i) is int for i in tup)
+                   for tup in t.ids):
+                raise ValueError(f"{path}, line {lineno}: each id tuple must hold "
+                                 f"{width or 'one or more'} ints")
             for tup in t.ids:  # an int numpy cannot hold as int64
                 for level, value in enumerate(tup):
                     if not -(2**63) <= value < 2**63:
                         upper = "inf" if level_sizes is None else level_sizes[level]
                         raise ValueError(f"{path}, line {lineno}: id {value} at level "
                                          f"{level + 1} is outside [0, {upper})")
-        raise ValueError(f"{path}: ids must be 64-bit ints")
+        raise AssertionError("every row that numpy cannot hold as int64 fails a check above")
     starts = np.cumsum([0] + [len(t.ids) for t in trajs[:-1]])  # each line's SOS row
     bad = ids < NUM_SPECIALS  # a negative or special id after the SOS row
     bad[starts] = ids[starts] != SOS_ID

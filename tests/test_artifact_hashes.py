@@ -1,9 +1,12 @@
 """scripts/artifact_hashes.py: the comparison of two runs' artifact hashes."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_hashes.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))  # the script imports bench_pairs, as it does when run
+SCRIPT = SCRIPTS / "artifact_hashes.py"
 spec = importlib.util.spec_from_file_location("artifact_hashes", SCRIPT)
 artifact_hashes = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(artifact_hashes)

@@ -710,6 +710,15 @@ def test_load_tensors_rejects_malformed_manifests(tmp_path, manifest):
         load_tensors(path)
 
 
+def test_load_tensors_names_a_manifest_int_past_the_digit_limit(tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for it
+    blob = json.dumps(_entry(shape="huge")).encode("utf-8").replace(b'"huge"', b"9" * 4301)
+    path = tmp_path / "bad.gsq"
+    path.write_bytes(b"GSQ1" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(CheckpointError, match="corrupt manifest"):
+        load_tensors(path)
+
+
 @pytest.mark.parametrize("config", [
     None,
     [8, 1],

@@ -263,6 +263,20 @@ def test_trajectory_ndjson_round_trip(tmp_path):
     assert back == trajs
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"user": "u", "ids": [[0], [' + "9" * 4301 + '], "ts": [1, 1]}', "not JSON"),
+    ('{"user": "u", "ids": [[], []], "ts": [1, 1]}', "each id tuple must hold one or more ints"),
+], ids=["int_past_the_digit_limit", "empty_tuples"])
+def test_trajectory_line_past_json_or_numpy_names_file_and_line(tmp_path, line, message):
+    # json.loads raises a plain ValueError for an int of more than 4300 digits,
+    # and numpy reads a file of empty id tuples as a float array of width 0
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_trajectories(path)
+    assert str(err.value).startswith(f"{path}, line 2: {message}")
+
+
 def test_preprocess_gps_profile_end_to_end():
     # one user: dwell (stops), move burst of 12, dwell again
     records = []
