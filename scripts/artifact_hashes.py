@@ -4,20 +4,24 @@ Usage, from the root of a geoseq checkout:
 
     python3 scripts/artifact_hashes.py [--parent REV]
 
-Runs the whole CLI chain through `geoseq.cli.dispatch` on a tiny config (with
-the default attention dropout, seed `SEED`) in a temporary directory, in a
-fresh process that imports `geoseq` from a checkout's `src/`: synth, vocab,
-preprocess (the `gps` profile, and `signal` with `min_stay_seconds` 0),
-pretrain, finetune (FFN, LSTM and classifier heads, each with a frozen and an
-unfrozen backbone), eval (the pre-training heads, then the frozen FFN, LSTM
-and classifier heads) and ablate with `--vocab`. It prints one JSON object
-mapping each artifact, as `<step>/<file>`, to its sha256. A `manifest.json`
-is hashed without its `config` and `config_hash`, and with its input paths
-made relative to the run directory, so it compares across checkouts and runs.
+Runs two CLI chains through `geoseq.cli.dispatch`, with seed `SEED`, in a
+temporary directory, in a fresh process that imports `geoseq` from a
+checkout's `src/`. The first is the whole chain on a tiny config (with the
+default attention dropout): synth, vocab, preprocess (the `gps` profile, and
+`signal` with `min_stay_seconds` 0), pretrain, finetune (FFN, LSTM and
+classifier heads, each with a frozen and an unfrozen backbone), eval (the
+pre-training heads, then the frozen FFN, LSTM and classifier heads) and
+ablate with `--vocab`. The second is synth, vocab and preprocess on the
+benchmark's corpus, `CORPUS_USERS` users at the default config, so the
+tokenizer is checked at that size too; its steps end in `_corpus`. It
+prints one JSON object mapping each artifact, as `<step>/<file>`, to its
+sha256. A `manifest.json` is hashed without its `config` and `config_hash`,
+and with its input paths made relative to the run directory, so it compares
+across checkouts and runs.
 
 Without `--parent` that checkout is this one. With `--parent`, commit REV is
 unpacked with `git archive` (by `bench_pairs.export`) into a temporary
-directory, leaving the repository's `.git` as it was, and the chain runs once
+directory, leaving the repository's `.git` as it was, and the chains run once
 on each side, the change side from this checkout as it stands, uncommitted
 edits included. It then prints which artifacts are the same, which differ
 and which only one side wrote, and exits 1 if any artifact other than the
@@ -51,10 +55,11 @@ TINY = {
     "warmup_steps": 0,
     "synth": {"users": 8, "extent_m": 250_000.0},
 }
+CORPUS_USERS = 200  # perfbench's corpus
 
 
 def _steps(work: Path) -> list[tuple[str, dict, dict]]:
-    """(step name, config overrides, input flags) in run order; a step writes to work/<name>."""
+    """(step name, config, input flags) in run order; a step writes to work/<name>."""
     data = {"--data": work / "preprocess" / "trajectories.ndjson",
             "--splits": work / "preprocess" / "splits.json"}
     ckpt = {"--checkpoint": work / "pretrain" / "checkpoint.gsq"}
@@ -78,7 +83,14 @@ def _steps(work: Path) -> list[tuple[str, dict, dict]]:
         head = work / f"finetune_{name}_frozen" / "head.gsq"
         steps.append((f"eval_{name}", {}, {**data, **ckpt, "--head-checkpoint": head}))
     steps.append(("ablate", {}, {"--data": data["--data"], "--vocab": vocab}))
-    return steps
+    steps = [(name, {**TINY, **overrides}, inputs) for name, overrides, inputs in steps]
+    corpus = {"synth": {"users": CORPUS_USERS}}
+    csv, vocab = work / "synth_corpus" / "synth.csv", work / "vocab_corpus" / "vocab.json"
+    return steps + [
+        ("synth_corpus", corpus, {}),
+        ("vocab_corpus", corpus, {"--input": csv}),
+        ("preprocess_corpus", corpus, {"--input": csv, "--vocab": vocab}),
+    ]
 
 
 def _manifest_digest(path: Path, work: Path) -> str:
@@ -94,9 +106,9 @@ def run_chain(work: Path) -> dict[str, str]:
     from geoseq.cli import dispatch
 
     hashes = {}
-    for step, overrides, inputs in _steps(work):
+    for step, config, inputs in _steps(work):
         cfg = work / f"{step}.json"
-        cfg.write_text(json.dumps({**TINY, **overrides, "seed": SEED}), encoding="utf-8")
+        cfg.write_text(json.dumps({**config, "seed": SEED}), encoding="utf-8")
         out = work / step
         argv = [step.split("_")[0], "--config", str(cfg), "--out", str(out)]
         argv += [str(a) for flag_path in inputs.items() for a in flag_path]

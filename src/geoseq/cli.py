@@ -171,14 +171,24 @@ def _check_number_types(value, default, name: str = ""):
             raise ConfigError(f"'{name}' must be {type(default).__name__}, got {value!r}")
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs: list, outputs: list):
+def _file_sha256(path) -> str:
+    """The sha256 of a file, read 1 MB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs: dict, outputs: list):
+    """`inputs` maps each input path to its sha256, taken before the command ran."""
     canon = json.dumps(cfg, sort_keys=True).encode("utf-8")
     manifest = {
         "command": command,
         "config": cfg,
         "config_hash": hashlib.sha256(canon).hexdigest(),
         "seed": seed,
-        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+        "inputs": inputs,
         "outputs": outputs,
         "versions": {
             "geoseq": __version__,
@@ -396,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     """Resolve the config (exit 2), check the given inputs exist (3), resolve the
-    seed (2), run the handler, then write the manifest of what it read and wrote."""
+    seed (2), digest the inputs, run the handler, then write the manifest of what
+    it read and wrote. The digests come first because a command may overwrite an
+    input (`finetune --out` in the checkpoint's directory)."""
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
@@ -410,10 +422,11 @@ def dispatch(argv: list[str]) -> int:
         seed = cfg["seed"] if args.seed is None else args.seed
         if seed is None and command.seeded:
             raise ConfigError("'seed' is required (set it in the config or pass --seed)")
+        digests = {str(path): _file_sha256(path) for path in inputs}
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         outputs = command.handler(cfg, args, seed, out)
-        _write_manifest(out, args.command, cfg, seed, inputs, outputs)
+        _write_manifest(out, args.command, cfg, seed, digests, outputs)
         return 0
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)

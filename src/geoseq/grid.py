@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
+# `project`'s largest x and y: every projected coordinate lies within +-these
+PROJECTED_END_M = (EARTH_RADIUS_M * math.radians(180.0), EARTH_RADIUS_M * math.radians(90.0))
+INT64_END = 2**63  # cell indices and offsets are int64 columns: |value| < INT64_END
 
 
 class GridError(ValueError):
@@ -57,6 +60,8 @@ class GridSpec:
 
     `scales[0] > scales[1] > ... > scales[-1]` in meters, each an exact
     integer multiple (>= 2) of the next, so cells nest without overlap.
+    Keys are int64: every offset range `ratios[h]**2`, and the absolute value of
+    every finest-scale cell index of a projected point, must lie below 2^63.
     """
 
     scales: tuple[float, ...] = (100_000.0, 1_000.0, 100.0)
@@ -81,7 +86,23 @@ class GridSpec:
                 raise GridError(
                     f"'scales': {scales[h - 1]} is not an integer multiple (>=2) of {scales[h]}"
                 )
+            if q_int**2 >= INT64_END:
+                raise GridError(
+                    f"'scales': the level-{h + 1} offset range {q_int}**2 does not fit in int64"
+                )
             ratios.append(q_int)
+
+        def indices_fit(origin) -> bool:  # rounding is monotone: the extremes bound every index
+            return all(abs((v - o) / scales[-1]) < INT64_END
+                       for end, o in zip(PROJECTED_END_M, origin) for v in (-end, end))
+
+        if not indices_fit((0.0, 0.0)):
+            raise GridError(f"'scales': cell indices at {scales[-1]} m do not fit in int64")
+        if not indices_fit(self.origin):
+            raise GridError(
+                f"'origin' {self.origin!r} puts cell indices at the finest of 'scales', "
+                f"{scales[-1]} m, past int64"
+            )
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
         object.__setattr__(self, "ratios", tuple(ratios))
@@ -91,24 +112,41 @@ class GridSpec:
         return len(self.scales)
 
 
-def encode_point(x: float, y: float, spec: GridSpec):
-    """Map projected meters to hierarchical keys.
+def _cell_index(v: np.ndarray, v0: float, scale: float) -> np.ndarray:
+    """floor((v - v0) / scale) as int64; a value past int64 (or NaN) raises GridError."""
+    cell = np.floor((v - v0) / scale)
+    if not (np.abs(cell) < INT64_END).all():
+        bad = v[~(np.abs(cell) < INT64_END)][0]
+        raise GridError(f"coordinate {bad} has no int64 cell index at {scale} m")
+    return cell.astype(np.int64)
 
-    Returns a list of length `spec.levels`: element 0 is the absolute coarse
-    cell `(i, j)`; element h-1 for h > 1 is the linearized offset
+
+def encode_points(x, y, spec: GridSpec) -> np.ndarray:
+    """Map columns of projected meters to hierarchical key columns.
+
+    Returns an int64 array [N, levels + 1]: columns 0 and 1 are the absolute
+    coarse cell `(i, j)`; column h for h > 1 is the level-h offset
     `o_x * q_h + o_y` inside its parent, with floor division and Euclidean
     mod so negative coordinates stay well-defined.
     """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     x0, y0 = spec.origin
-    r1 = spec.scales[0]
-    keys: list = [(math.floor((x - x0) / r1), math.floor((y - y0) / r1))]
+    keys = np.empty((len(x), spec.levels + 1), dtype=np.int64)
+    keys[:, 0] = _cell_index(x, x0, spec.scales[0])
+    keys[:, 1] = _cell_index(y, y0, spec.scales[0])
     for h in range(2, spec.levels + 1):
         rh = spec.scales[h - 1]
         q = spec.ratios[h - 2]
-        ox = math.floor((x - x0) / rh) % q
-        oy = math.floor((y - y0) / rh) % q
-        keys.append(ox * q + oy)
+        keys[:, h] = _cell_index(x, x0, rh) % q * q + _cell_index(y, y0, rh) % q
     return keys
+
+
+def encode_point(x: float, y: float, spec: GridSpec):
+    """One point's keys: a list of length `spec.levels`, the absolute coarse cell
+    `(i, j)` and then each finer level's offset (see `encode_points`)."""
+    i, j, *offsets = encode_points([x], [y], spec)[0].tolist()
+    return [(i, j), *offsets]
 
 
 def decode_keys(keys, spec: GridSpec) -> tuple[float, float, float]:
@@ -136,8 +174,15 @@ def decode_keys(keys, spec: GridSpec) -> tuple[float, float, float]:
     return cx + half, cy + half, spec.scales[-1]
 
 
-def finest_cell(x: float, y: float, spec: GridSpec) -> tuple[int, int]:
-    """Absolute cell index at the finest scale (identifies a flat location)."""
-    x0, y0 = spec.origin
+def finest_cells(x, y, spec: GridSpec) -> np.ndarray:
+    """Absolute cell indices [N, 2] at the finest scale (each a flat location)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     r = spec.scales[-1]
-    return math.floor((x - x0) / r), math.floor((y - y0) / r)
+    return np.stack([_cell_index(x, spec.origin[0], r), _cell_index(y, spec.origin[1], r)], axis=1)
+
+
+def finest_cell(x: float, y: float, spec: GridSpec) -> tuple[int, int]:
+    """One point's absolute cell index at the finest scale."""
+    i, j = finest_cells([x], [y], spec)[0].tolist()
+    return i, j

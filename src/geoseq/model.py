@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -458,47 +459,52 @@ def save_tensors(path, tensors: dict[str, Tensor], meta: dict):
 
 
 def load_tensors(path) -> tuple[dict, dict[str, Tensor]]:
+    """Read `save_tensors`'s file: the header and manifest, then each payload
+    straight into its own array, so no buffer holds the whole file. Sizes are
+    checked against the file's length before each payload is read."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    (mlen,) = struct.unpack_from("<Q", raw, 8)
-    if 16 + mlen > len(raw):
-        raise CheckpointError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
-    except ValueError as e:  # not UTF-8, not JSON, or an int past Python's digit limit
-        raise CheckpointError(f"{path}: corrupt manifest: {e}") from None
-    if not (
-        isinstance(manifest, dict)
-        and isinstance(manifest.get("meta"), dict)
-        and isinstance(manifest.get("tensors"), list)
-    ):
-        raise CheckpointError(f"{path}: manifest needs an object 'meta' and a list 'tensors'")
-    offset = 16 + mlen
-    tensors: dict[str, Tensor] = {}
-    for entry in manifest["tensors"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise CheckpointError(f"{path}: tensor entry without a string 'name'")
-        name, shape, code = entry["name"], entry.get("shape"), entry.get("dtype")
-        if name in tensors:
-            raise CheckpointError(f"{path}: tensor '{name}' is listed twice")
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise CheckpointError(f"{path}: tensor '{name}' has bad shape {shape!r}")
-        if not isinstance(code, str) or code not in _DTYPE_CODES.values():
-            raise CheckpointError(f"{path}: tensor '{name}' has unsupported dtype {code!r}")
-        dtype = np.dtype(code)
-        count = math.prod(shape)
-        if offset + dtype.itemsize * count > len(raw):
-            raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
-        data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        tensors[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
-        offset += dtype.itemsize * count
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payloads")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(16)
+        if len(head) < 16 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        (mlen,) = struct.unpack_from("<Q", head, 8)
+        if 16 + mlen > size:
+            raise CheckpointError(f"{path}: truncated manifest")
+        try:
+            manifest = json.loads(f.read(mlen).decode("utf-8"))
+        except ValueError as e:  # not UTF-8, not JSON, or an int past Python's digit limit
+            raise CheckpointError(f"{path}: corrupt manifest: {e}") from None
+        if not (
+            isinstance(manifest, dict)
+            and isinstance(manifest.get("meta"), dict)
+            and isinstance(manifest.get("tensors"), list)
+        ):
+            raise CheckpointError(f"{path}: manifest needs an object 'meta' and a list 'tensors'")
+        offset = 16 + mlen
+        tensors: dict[str, Tensor] = {}
+        for entry in manifest["tensors"]:
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise CheckpointError(f"{path}: tensor entry without a string 'name'")
+            name, shape, code = entry["name"], entry.get("shape"), entry.get("dtype")
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor '{name}' is listed twice")
+            if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+                raise CheckpointError(f"{path}: tensor '{name}' has bad shape {shape!r}")
+            if not isinstance(code, str) or code not in _DTYPE_CODES.values():
+                raise CheckpointError(f"{path}: tensor '{name}' has unsupported dtype {code!r}")
+            nbytes = np.dtype(code).itemsize * math.prod(shape)
+            if offset + nbytes > size:
+                raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
+            data = np.empty(shape, dtype=code)
+            if f.readinto(data) != nbytes:  # the file shrank since fstat
+                raise CheckpointError(f"{path}: truncated payload for tensor '{name}'")
+            tensors[name] = Tensor(data, requires_grad=True)
+            offset += nbytes
+    if offset != size:
+        raise CheckpointError(f"{path}: {size - offset} trailing bytes after payloads")
     return manifest["meta"], tensors
 
 

@@ -1,12 +1,13 @@
 """Raw GPS/signal records to fixed-length tokenized training sequences.
 
-Each user's records are sorted by time and held as numpy columns. The stages
-are pure functions over those columns that return kept indices, speeds or
-segment bounds: optionally resample to one record per interval, project to
-meters, optionally collapse same-cell runs into stays and drop short ones,
-compute speeds, flag stops (< 4 km/h), cut the stream at stop records,
-tokenize, and window to the model's max sequence length. Two profiles mirror
-the two data styles:
+The records are held as numpy columns, sorted by user and then time, and
+projected to meters. Per user, the stages are pure functions over those
+columns that return kept indices, speeds or segment bounds: optionally
+resample to one record per interval, optionally collapse same-cell runs into
+stays and drop short ones, compute speeds, flag stops (< 4 km/h) and cut the
+stream at stop records. Every kept point is then tokenized in one column
+lookup, and each segment is windowed to the model's max sequence length. Two
+profiles mirror the two data styles:
 
   "gps"    — dense GPS logs: resample on, stay filtering off
   "signal" — cell-signal logs: resample off, stay filtering on
@@ -23,19 +24,19 @@ import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, finest_cell, project
-from .vocab import NUM_SPECIALS, SOS_ID, Vocabulary, tokenize
+from .grid import GridSpec, encode_points, finest_cells, project
+from .vocab import NUM_SPECIALS, SOS_ID, Vocabulary
 
 MAX_SEQ_LEN = 32  # the model's cap and the window length, SOS included
 TIMESTAMP_END = 2**63  # timestamps lie in (0, TIMESTAMP_END): they are int64 columns
 
 
-@dataclass
+@dataclass(slots=True)
 class RawRecord:
     """One CSV row."""
 
@@ -158,10 +159,10 @@ def filter_short_stays(
     A run lasts from its first to its last timestamp, so a lone point lasts
     zero seconds and is dropped.
     """
-    cells = list(map(finest_cell, x.tolist(), y.tolist(), repeat(spec)))
-    changed = [a != b for a, b in zip(cells, cells[1:])]
-    first = np.flatnonzero([True] + changed)
-    last = np.flatnonzero(changed + [True])
+    cells = finest_cells(x, y, spec)
+    changed = (cells[1:] != cells[:-1]).any(axis=1)
+    first = np.flatnonzero(np.r_[True, changed])
+    last = np.flatnonzero(np.r_[changed, True])
     return first[ts[last] - ts[first] >= min_duration]
 
 
@@ -232,15 +233,48 @@ def split(n_trajectories: int, seed: int, fractions=PipelineConfig.split_fractio
 # end-to-end assembly
 # ---------------------------------------------------------------------------
 
-def _majority_label(labels: list[str | None]) -> str | None:
-    counts: dict[str, int] = {}
-    for label in labels:
-        if label:
-            counts[label] = counts.get(label, 0) + 1
-    if not counts:
-        return None
-    best = max(counts.values())
-    return sorted(k for k, v in counts.items() if v == best)[0]
+def _majority_label(codes: np.ndarray, names: list[str]) -> str | None:
+    """The most frequent label of a segment, the first in sorted order on a tie.
+
+    `codes` index `names` (the labels in sorted order) from 1; code 0 is no label.
+    """
+    counts = np.bincount(codes)
+    counts[0] = 0
+    return names[int(counts.argmax()) - 1] if counts.any() else None
+
+
+def _sorted_columns(records: list[RawRecord]):
+    """The records as columns sorted by user and then time, stably, so equal
+    timestamps keep their input order: (user code, timestamp, lat, lon, label
+    code), plus the sorted distinct users and labels that the codes index
+    (labels from 1; 0 is no label)."""
+    n = len(records)
+    try:
+        ts = np.array([r.timestamp for r in records], dtype=np.int64)
+    except OverflowError:  # past int64, named below
+        ts = np.zeros(n, dtype=np.int64)
+    if not (ts > 0).all():  # int() as the int64 column truncates
+        r = next(r for r in records if not 0 < int(r.timestamp) < TIMESTAMP_END)
+        raise ValueError(f"timestamp {r.timestamp} for user {r.user_id} is not in (0, 2^63)")
+    users = sorted({r.user_id for r in records})
+    names = sorted({r.label for r in records if r.label})
+    user_code = dict(zip(users, range(len(users))))
+    label_code = dict(zip(names, range(1, len(names) + 1)))
+    user = np.fromiter((user_code[r.user_id] for r in records), dtype=np.int64, count=n)
+    order = np.lexsort((ts, user))
+
+    def column(values, dtype):
+        return np.fromiter(values, dtype=dtype, count=n)[order]
+
+    return (
+        user[order],
+        ts[order],
+        column((r.lat for r in records), np.float64),
+        column((r.lon for r in records), np.float64),
+        column((label_code.get(r.label, 0) for r in records), np.int64),
+        users,
+        names,
+    )
 
 
 def preprocess(
@@ -249,43 +283,41 @@ def preprocess(
     """Run the full per-user pipeline and return windowed tokenized trajectories.
 
     Users are processed independently, in sorted order, each user's records
-    in a stable time sort, so parallel ingestion stays deterministic.
+    in a stable time sort, so parallel ingestion stays deterministic. The
+    points of every segment are tokenized together at the end; an unseen key
+    raises OutOfVocabularyError for the first such point in user and time order.
     """
-    by_user: dict[str, list[RawRecord]] = {}
-    for r in records:
-        if not 0 < r.timestamp < TIMESTAMP_END:
-            raise ValueError(
-                f"timestamp {r.timestamp} for user {r.user_id} is not in (0, 2^63)"
-            )
-        by_user.setdefault(r.user_id, []).append(r)
-
-    trajs: list[Trajectory] = []
-    for user in sorted(by_user):
-        rs = sorted(by_user[user], key=lambda r: r.timestamp)
-        ts = np.array([r.timestamp for r in rs], dtype=np.int64)
-        lat = np.array([r.lat for r in rs])
-        lon = np.array([r.lon for r in rs])
-        labels = np.array([r.label for r in rs], dtype=object)
+    user, ts, lat, lon, label, users, names = _sorted_columns(records)
+    x, y = project(lat, lon, cfg.ref_lat)
+    bounds = np.searchsorted(user, np.arange(len(users) + 1))
+    segments: list[tuple[str, np.ndarray]] = []  # (user, row of each point)
+    for u, name in enumerate(users):
+        rows = np.arange(bounds[u], bounds[u + 1])
         if cfg.profile == "gps":
-            keep = resample(ts, cfg.resample_interval)
-            ts, lat, lon, labels = ts[keep], lat[keep], lon[keep], labels[keep]
-        x, y = project(lat, lon, cfg.ref_lat)
+            rows = rows[resample(ts[rows], cfg.resample_interval)]
         if cfg.profile == "signal":
-            keep = filter_short_stays(ts, x, y, vocab.spec, cfg.min_stay_seconds)
-            ts, x, y, labels = ts[keep], x[keep], y[keep], labels[keep]
-        if len(ts) < 2:
+            rows = rows[filter_short_stays(ts[rows], x[rows], y[rows], vocab.spec,
+                                           cfg.min_stay_seconds)]
+        if len(rows) < 2:
             continue
-        stops = compute_velocity(ts, x, y) < cfg.stop_speed_kmh
-        xs, ys, stamps, labels = x.tolist(), y.tolist(), ts.tolist(), labels.tolist()
+        stops = compute_velocity(ts[rows], x[rows], y[rows]) < cfg.stop_speed_kmh
         for a, b in segment_trajectories(stops, cfg.min_trajectory_records):
-            ids = [tokenize(xs[i], ys[i], vocab).ids for i in range(a, b + 1)]
-            traj = Trajectory(
-                user=user,
-                ids=[vocab.sos_tuple()] + ids,
-                timestamps=stamps[a : a + 1] + stamps[a : b + 1],
-                label=_majority_label(labels[a : b + 1]),
-            )
-            trajs.extend(window(traj, cfg.max_seq_len))
+            segments.append((name, rows[a : b + 1]))
+
+    kept = np.concatenate([rows for _, rows in segments]) if segments else np.zeros(0, int)
+    ids = vocab.ids_for(encode_points(x[kept], y[kept], vocab.spec))
+    trajs: list[Trajectory] = []
+    start = 0
+    for name, rows in segments:
+        stamps = ts[rows].tolist()
+        traj = Trajectory(
+            user=name,
+            ids=[vocab.sos_tuple()] + list(map(tuple, ids[start : start + len(rows)].tolist())),
+            timestamps=stamps[:1] + stamps,
+            label=_majority_label(label[rows], names),
+        )
+        trajs.extend(window(traj, cfg.max_seq_len))
+        start += len(rows)
     return trajs
 
 
@@ -364,11 +396,12 @@ def _row_fault(row: list[str], cols: list[int]) -> str:
     return f"malformed row {row!r}"
 
 
-def iter_csv_points(path, ref_lat: float):
-    """Projected (x, y) of every CSV record in file order (vocabulary building)."""
+def iter_csv_points(path, ref_lat: float) -> np.ndarray:
+    """Projected (x, y) of every CSV record in file order, as an array [N, 2]
+    (vocabulary building)."""
     rows = read_csv(path)
     x, y = project([r.lat for r in rows], [r.lon for r in rows], ref_lat)
-    return zip(x.tolist(), y.tolist())
+    return np.stack([x, y], axis=1)
 
 
 def write_trajectories(trajs: list[Trajectory], path):

@@ -4,15 +4,19 @@ Each level maps observed cell keys to dense ids assigned in first-seen order
 after the two specials (SOS=0, PAD=1). The vocabulary is closed: tokenizing a
 key that was never observed raises instead of falling back to an UNK token.
 The flat count (distinct finest-scale cells) is kept for compression
-reporting.
+reporting. Building and lookup both work on whole key columns
+(`grid.encode_points`); a single point is a one-row call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .grid import GridSpec, encode_point, finest_cell
+import numpy as np
+
+from .grid import INT64_END, GridSpec, encode_point, encode_points, finest_cells
 
 SOS_ID = 0
 PAD_ID = 1
@@ -69,11 +73,36 @@ class Vocabulary:
         """Sum of observed per-level counts, specials excluded."""
         return sum(len(m) for m in self._maps)
 
-    def id_for(self, level: int, key) -> int:
-        try:
-            return self._maps[level - 1][key]
-        except KeyError:
-            raise OutOfVocabularyError(level, key) from None
+    @cached_property
+    def _columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level, the known keys as int64 columns [V, width] and their ids [V]."""
+        return [
+            (np.array(list(m), dtype=np.int64).reshape(len(m), 2 if h == 1 else 1),
+             np.fromiter(m.values(), dtype=np.int64, count=len(m)))
+            for h, m in enumerate(self._maps, start=1)
+        ]
+
+    def ids_for(self, keys: np.ndarray) -> np.ndarray:
+        """Token ids [N, levels] of `encode_points` key columns [N, levels + 1].
+
+        A key never seen raises OutOfVocabularyError for the first row that holds
+        one, at that row's lowest unseen level.
+        """
+        ids = np.empty((len(keys), self.levels), dtype=np.int64)
+        for h, (known, known_ids) in enumerate(self._columns, start=1):
+            cols = slice(0, 2) if h == 1 else slice(h, h + 1)
+            codes = _row_codes(np.concatenate([known, keys[:, cols]]))
+            table = np.full(len(codes), -1, dtype=np.int64)  # code -> id, -1 for unseen
+            table[codes[: len(known)]] = known_ids
+            ids[:, h - 1] = table[codes[len(known):]]
+        unseen = ids < 0
+        if unseen.any():
+            row, level = np.argwhere(unseen)[0]  # row-major: the first row, its lowest level
+            key = keys[row].tolist()
+            raise OutOfVocabularyError(
+                int(level) + 1, tuple(key[:2]) if level == 0 else key[level + 1]
+            )
+        return ids
 
     def sos_tuple(self) -> tuple[int, ...]:
         return tuple(SOS_ID for _ in range(self.levels))
@@ -130,8 +159,10 @@ class Vocabulary:
             for key, tid in entries:
                 if h == 1:
                     if not (isinstance(key, list) and len(key) == 2
-                            and all(type(c) is int for c in key)):
-                        raise ValueError(f"level 1 'entries' key {key!r} is not a pair of ints")
+                            and all(type(c) is int and abs(c) < INT64_END for c in key)):
+                        raise ValueError(
+                            f"level 1 'entries' key {key!r} is not a pair of int64 ints"
+                        )
                     key = tuple(key)
                 elif not (type(key) is int and 0 <= key < offsets):
                     raise ValueError(
@@ -147,7 +178,7 @@ class Vocabulary:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f)
+            f.write(json.dumps(self.to_json()))  # dumps runs the C encoder; dump does not
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -160,28 +191,47 @@ class Vocabulary:
                 raise ValueError(f"{path}: {e}") from None
 
 
+def _row_codes(keys: np.ndarray) -> np.ndarray:
+    """Dense codes in [0, N) of the rows of an int64 array [N, width], equal
+    exactly where the rows are equal."""
+    _, codes = np.unique(keys[:, 0], return_inverse=True)
+    for col in keys.T[1:]:  # mixed radix over the columns' ranks, re-ranked below N
+        _, rank = np.unique(col, return_inverse=True)
+        _, codes = np.unique(codes * len(keys) + rank, return_inverse=True)
+    return codes
+
+
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """The rows of `keys` that hold each distinct row's first occurrence, in order."""
+    _, first = np.unique(_row_codes(keys), return_index=True)
+    return keys[np.sort(first)]
+
+
 def build_vocab(points, spec: GridSpec) -> Vocabulary:
-    """Scan (x, y) points in projected meters and register every key seen.
+    """Register every key of (x, y) points in projected meters: an [N, 2] array
+    or an iterable of pairs.
 
     Ids follow first-seen order starting at 2 (after SOS=0, PAD=1), so the
     same corpus in the same order reproduces the same ids exactly.
     """
-    maps: list[dict] = [{} for _ in range(spec.levels)]
-    flat_cells = set()
-    empty = True
-    for x, y in points:
-        empty = False
-        for level_map, key in zip(maps, encode_point(x, y, spec)):
-            if key not in level_map:
-                level_map[key] = NUM_SPECIALS + len(level_map)
-        flat_cells.add(finest_cell(x, y, spec))
-    if empty:
+    xy = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
+    if xy.size == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    return Vocabulary(spec, maps, len(flat_cells))
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"points must be (x, y) pairs, got an array of shape {xy.shape}")
+    x, y = xy[:, 0], xy[:, 1]
+    keys = encode_points(x, y, spec)
+    first = _first_seen(keys[:, :2]).tolist()
+    maps = [dict(zip(map(tuple, first), range(NUM_SPECIALS, NUM_SPECIALS + len(first))))]
+    for h in range(2, spec.levels + 1):
+        first = _first_seen(keys[:, h : h + 1])[:, 0].tolist()
+        maps.append(dict(zip(first, range(NUM_SPECIALS, NUM_SPECIALS + len(first)))))
+    flat_count = int(_row_codes(finest_cells(x, y, spec)).max()) + 1  # codes are dense
+    return Vocabulary(spec, maps, flat_count)
 
 
 def tokenize(x: float, y: float, vocab: Vocabulary) -> TokenizedLocation:
-    """Encode a projected point and map each level's key to its token id."""
+    """Encode one projected point and map each level's key to its token id."""
     keys = encode_point(x, y, vocab.spec)
-    ids = tuple(vocab.id_for(h, key) for h, key in enumerate(keys, start=1))
-    return TokenizedLocation(ids=ids, raw_keys=tuple(keys))
+    ids = vocab.ids_for(np.array([[*keys[0], *keys[1:]]], dtype=np.int64))[0]
+    return TokenizedLocation(ids=tuple(ids.tolist()), raw_keys=tuple(keys))

@@ -38,3 +38,12 @@ def test_an_artifact_on_one_side_only_fails():
     assert not report["ok"]
     # a manifest missing on one side is a missing artifact, not a tolerated difference
     assert not compare({"eval/manifest.json": "m"}, {})["ok"]
+
+
+def test_a_second_chain_runs_the_benchmark_corpus_at_the_default_config():
+    steps = artifact_hashes._steps(Path("work"))
+    names = [name for name, _, _ in steps]
+    assert names[-3:] == ["synth_corpus", "vocab_corpus", "preprocess_corpus"]
+    for _, config, _ in steps[-3:]:
+        assert config == {"synth": {"users": artifact_hashes.CORPUS_USERS}}
+    assert all(config["hidden"] == 16 for _, config, _ in steps[:-3])  # the tiny chain

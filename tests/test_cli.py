@@ -235,6 +235,28 @@ def test_manifests_list_what_each_command_read_and_wrote(tmp_path):
     assert seeds == {command: seed or TINY["seed"] for command, _, seed in runs}
 
 
+def test_manifest_digests_an_input_the_command_overwrites_as_it_was_read(workspace, tmp_path):
+    # an unfrozen finetune writing into its checkpoint's directory replaces the
+    # checkpoint it read; the manifest records the bytes it read
+    root, cfg = workspace
+    d = tmp_path / "d"
+    assert dispatch([
+        "pretrain", "--config", str(cfg), "--data", str(root / "p" / "trajectories.ndjson"),
+        "--splits", str(root / "p" / "splits.json"), "--vocab", str(root / "v" / "vocab.json"),
+        "--out", str(d),
+    ]) == 0
+    ckpt = d / "checkpoint.gsq"
+    read = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert dispatch([
+        "finetune", "--config", str(cfg), "--data", str(root / "p" / "trajectories.ndjson"),
+        "--splits", str(root / "p" / "splits.json"), "--checkpoint", str(ckpt), "--out", str(d),
+    ]) == 0
+    written = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert written != read  # the command did overwrite its input
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["inputs"][str(ckpt)] == read
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"wat": 1}), encoding="utf-8")

@@ -1,21 +1,29 @@
 """Projection, nested-cell encoding/decoding, and the round-trip law."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geoseq.cli import dispatch
 from geoseq.grid import (
     EARTH_RADIUS_M,
     GridError,
     GridSpec,
     decode_keys,
     encode_point,
+    encode_points,
     finest_cell,
+    finest_cells,
     project,
     unproject,
 )
+
+from grid_oracle import oracle_finest_cell, oracle_keys
 
 SPEC3 = GridSpec((100_000.0, 1_000.0, 100.0))
 
@@ -125,7 +133,8 @@ _ROUND_TRIP_SPECS = (
 @st.composite
 def _coordinate(draw, origin, finest):
     """Projected meters anywhere on Earth, half of them on a finest-cell edge."""
-    cell = draw(st.integers(-(2 * 10**7) // int(finest), (2 * 10**7) // int(finest)))
+    bound = int(2e7 / finest)
+    cell = draw(st.integers(-bound, bound))
     inside = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
     return origin + (cell + inside) * finest
 
@@ -171,3 +180,81 @@ def test_encode_respects_origin():
 def test_finest_cell_matches_full_decomposition():
     x, y = 123456.0, 7890.0
     assert finest_cell(x, y, SPEC3) == (1234, 78)
+
+
+# -- the key columns equal the scalar oracle ------------------------------------
+
+_ORACLE_SPECS = _ROUND_TRIP_SPECS + (
+    GridSpec((5.0, 2.5), origin=(-1e6, 3e6)),
+    GridSpec((1e-4, 5e-5)),  # finest indices near 2^38 anywhere on Earth
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(_ORACLE_SPECS), n=st.integers(0, 12))
+def test_encode_points_rows_equal_the_scalar_oracle(data, spec, n):
+    # on cell edges, inside cells, negative and positive, around a non-zero origin
+    x = [data.draw(_coordinate(spec.origin[0], spec.scales[-1])) for _ in range(n)]
+    y = [data.draw(_coordinate(spec.origin[1], spec.scales[-1])) for _ in range(n)]
+    keys = encode_points(np.array(x), np.array(y), spec)
+    assert keys.dtype == np.int64 and keys.shape == (n, spec.levels + 1)
+    cells = finest_cells(np.array(x), np.array(y), spec)
+    assert cells.dtype == np.int64 and cells.shape == (n, 2)
+    for row, cell, a, b in zip(keys.tolist(), cells.tolist(), x, y):
+        want = oracle_keys(a, b, spec.scales, spec.origin)
+        assert row == [*want[0], *want[1:]]
+        assert encode_point(a, b, spec) == want  # the one-row call
+        assert tuple(cell) == oracle_finest_cell(a, b, spec.scales, spec.origin)
+        assert finest_cell(a, b, spec) == tuple(cell)
+
+
+def test_encode_points_rejects_a_coordinate_without_an_int64_index():
+    spec = GridSpec((1000.0, 100.0))
+    for bad in (1e30, -1e30, math.inf, math.nan):
+        with pytest.raises(GridError, match="int64"):
+            encode_points(np.array([0.0, bad]), np.array([0.0, 0.0]), spec)
+        with pytest.raises(GridError, match="int64"):
+            finest_cells(np.array([0.0]), np.array([bad]), spec)
+
+
+def _oracle_int64_fault(scales, origin):
+    """The key the int64 rule names for a spec, or None: an offset range q**2 or a
+    finest cell index of `project`'s extreme points, by math.floor, past 2^63."""
+    ends = (EARTH_RADIUS_M * math.radians(180.0), EARTH_RADIUS_M * math.radians(90.0))
+
+    def fits(org):
+        for end, o in zip(ends, org):
+            for v in (-end, end):
+                f = (v - o) / scales[-1]
+                if not (math.isfinite(f) and abs(math.floor(f)) < 2**63):
+                    return False
+        return True
+
+    if any(round(a / b) ** 2 >= 2**63 for a, b in zip(scales, scales[1:])):
+        return "scales"
+    if not fits((0.0, 0.0)):
+        return "scales"
+    return None if fits(origin) else "origin"
+
+
+@settings(max_examples=120, deadline=None)
+@given(finest=st.floats(1e-12, 1e-10) | st.sampled_from([2.0 * 10**-12, 2.2e-12, 1.0]),
+       ratio=st.sampled_from([2, 10, 3_037_000_499, 3_037_000_500]),
+       origin=st.tuples(*[st.sampled_from([0.0, 1e6, -1e7, 1e8, -1e9, 1e300])] * 2))
+def test_grid_spec_int64_rule_exits_2_naming_its_key(tmp_path_factory, finest, ratio, origin):
+    # the config exits 2 naming the oracle's key, or resolves (and the run goes
+    # on to the missing --input, exit 3)
+    scales = [finest * ratio, finest]
+    fault = _oracle_int64_fault(scales, origin)
+    d = tmp_path_factory.mktemp("int64")
+    cfg = d / "cfg.json"
+    doc = {"scales": scales, "origin": list(origin), "synth": {"extent_m": 2 * scales[0]}}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = dispatch(["vocab", "--config", str(cfg), "--input", str(d / "none.csv"),
+                         "--out", str(d / "v")])
+    if fault is None:
+        assert code == 3, err.getvalue()
+    else:
+        assert code == 2 and err.getvalue().startswith(f"error: config: '{fault}'"), err.getvalue()

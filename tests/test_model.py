@@ -719,6 +719,27 @@ def test_load_tensors_names_a_manifest_int_past_the_digit_limit(tmp_path):
         load_tensors(path)
 
 
+def test_tensors_of_any_shape_and_dtype_round_trip_bitwise(tmp_path):
+    # payloads are read straight into their arrays: a scalar, empty arrays and
+    # float64 come back with the same shape, dtype and bits
+    rng = np.random.default_rng(0)
+    tensors = {
+        "scalar": Tensor(np.float32(-0.0).reshape(())),
+        "empty": Tensor(np.zeros((0, 5), dtype=np.float32)),
+        "w": Tensor(rng.normal(size=(3, 4)).astype(np.float32)),
+        "empty_tail": Tensor(np.zeros((3, 0), dtype=np.float64)),
+        "v": Tensor(rng.normal(size=7)),
+    }
+    path = tmp_path / "t.gsq"
+    save_tensors(path, tensors, {"kind": "test"})
+    meta, loaded = load_tensors(path)
+    assert meta == {"kind": "test"} and list(loaded) == list(tensors)
+    for name, t in tensors.items():
+        got = loaded[name].data
+        assert got.shape == t.data.shape and got.dtype == t.data.dtype, name
+        assert got.tobytes() == t.data.tobytes(), name
+
+
 @pytest.mark.parametrize("config", [
     None,
     [8, 1],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoseq.grid import EARTH_RADIUS_M, GridError, GridSpec, finest_cell, project
+from geoseq.grid import EARTH_RADIUS_M, GridError, GridSpec, project
 from geoseq.pipeline import (
     PipelineConfig,
     RawRecord,
@@ -23,7 +23,9 @@ from geoseq.pipeline import (
     window,
     write_trajectories,
 )
-from geoseq.vocab import SOS_ID, build_vocab, tokenize
+from geoseq.vocab import SOS_ID, OutOfVocabularyError, build_vocab
+
+from grid_oracle import OracleUnseenKey, doc_maps, oracle_finest_cell, oracle_ids
 
 SPEC = GridSpec((1_000.0, 100.0))
 
@@ -378,7 +380,7 @@ def oracle_mark_stops(records, threshold_kmh):
 
 def oracle_filter_short_stays(records, spec, min_duration):
     def cell(r):
-        return finest_cell(r.x, r.y, spec)
+        return oracle_finest_cell(r.x, r.y, spec.scales, spec.origin)
 
     kept = []
     i = 0
@@ -431,10 +433,14 @@ def oracle_marked_users(records, vocab, cfg):
 
 
 def oracle_preprocess(records, vocab, cfg):
+    """The record loop's windows; an unseen key raises OracleUnseenKey(level, key)
+    for the first point tokenized, in user and time order."""
+    doc = vocab.to_json()
+    maps = doc_maps(doc)
     trajs = []
     for rs in oracle_marked_users(records, vocab, cfg).values():
         for seg in oracle_segment_trajectories(rs, cfg.min_trajectory_records):
-            ids = [vocab.sos_tuple()] + [tokenize(r.x, r.y, vocab).ids for r in seg]
+            ids = [(SOS_ID,) * len(maps)] + [oracle_ids(r.x, r.y, doc, maps) for r in seg]
             ts = [seg[0].timestamp] + [r.timestamp for r in seg]
             traj = Trajectory(seg[0].user_id, ids, ts, oracle_majority_label(seg))
             trajs.extend(window(traj, cfg.max_seq_len))
@@ -563,6 +569,28 @@ def test_preprocess_equals_the_record_loop_oracle(records, profile, min_stay, mi
     got = preprocess(records, vocab, cfg)
     assert got == oracle_preprocess(records, vocab, cfg)
     assert all(type(t) is int for traj in got for t in traj.timestamps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=corpora(), profile=st.sampled_from(["gps", "signal"]),
+       min_len=st.integers(1, 3), data=st.data())
+def test_preprocess_raises_the_oracles_first_unseen_key(records, profile, min_len, data):
+    # a vocabulary built from some of the records misses cells of others: the
+    # error names the first unseen point in user and time order, at its lowest
+    # unseen level, or (nothing unseen among the tokenized points) the windows
+    # equal the oracle's
+    spec = GridSpec((1_000.0, 100.0), origin=(-150.0, 70.0))
+    points = [oracle_project(r.lat, r.lon, 0.0) for r in records]
+    vocab = build_vocab(data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6)), spec)
+    cfg = PipelineConfig(profile=profile, min_stay_seconds=0, min_trajectory_records=min_len)
+    try:
+        want = oracle_preprocess(records, vocab, cfg)
+    except OracleUnseenKey as e:
+        with pytest.raises(OutOfVocabularyError) as err:
+            preprocess(records, vocab, cfg)
+        assert (err.value.level, err.value.key) == e.args
+    else:
+        assert preprocess(records, vocab, cfg) == want
 
 
 @st.composite

@@ -15,6 +15,8 @@ from geoseq.vocab import (
     tokenize,
 )
 
+from grid_oracle import OracleUnseenKey, doc_maps, oracle_ids, oracle_vocab
+
 SPEC3 = GridSpec((100_000.0, 1_000.0, 100.0))
 
 
@@ -142,7 +144,7 @@ def test_last_offset_below_q_squared_loads():
     doc = build_vocab([(50.0, 50.0)], SPEC3).to_json()
     doc["levels"][1]["entries"][0][0] = 100 * 100 - 1
     doc["levels"][2]["entries"][0][0] = 10 * 10 - 1
-    assert Vocabulary.from_json(doc).id_for(2, 9999) == 2
+    assert tokenize(99_950.0, 99_950.0, Vocabulary.from_json(doc)).ids == (2, 2, 2)
 
 
 _points = st.lists(
@@ -218,3 +220,53 @@ def test_one_mutated_field_loads_as_written_or_is_named(points, spec, data):
         assert any(name in str(e) for name in names), (path, value, str(e))
     else:
         assert vocab.to_json() == mutated, (path, value)
+
+
+# -- the column build and lookup equal the per-point oracle ----------------------
+
+_pool = st.lists(
+    st.tuples(st.integers(-3_000, 3_000).map(lambda k: k * 100.0)
+              | st.floats(-300_000.0, 300_000.0), st.floats(-300_000.0, 300_000.0)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=_pool, spec=_specs, data=st.data())
+def test_build_vocab_equals_the_first_seen_oracle(pool, spec, data):
+    # few distinct points, drawn with repeats, many of them on cell edges
+    points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    maps, flat_count = oracle_vocab(points, spec.scales, spec.origin)
+    for given in (points, np.array(points)):
+        vocab = build_vocab(given, spec)
+        doc = vocab.to_json()
+        assert doc_maps(doc) == maps
+        assert [list(m) for m in doc_maps(doc)] == [list(m) for m in maps]  # first-seen order
+        assert doc["flat_count"] == flat_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=_pool, spec=_specs, data=st.data())
+def test_tokenize_equals_the_oracle_or_raises_its_unseen_key(pool, spec, data):
+    # a vocabulary of some points; other points tokenize to the oracle's ids or
+    # raise at the oracle's lowest unseen level with its key
+    seen = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    vocab = build_vocab(seen, spec)
+    doc = vocab.to_json()
+    maps = doc_maps(doc)
+    for x, y in pool:
+        try:
+            want = oracle_ids(x, y, doc, maps)
+        except OracleUnseenKey as e:
+            with pytest.raises(OutOfVocabularyError) as err:
+                tokenize(x, y, vocab)
+            assert (err.value.level, err.value.key) == e.args
+        else:
+            assert tokenize(x, y, vocab).ids == want
+
+
+def test_vocabulary_document_rejects_a_level_1_key_past_int64():
+    doc = build_vocab([(50.0, 50.0)], SPEC3).to_json()
+    doc["levels"][0]["entries"][0][0] = [2**63, 0]
+    with pytest.raises(ValueError, match="level 1 'entries' key .* int64"):
+        Vocabulary.from_json(doc)
