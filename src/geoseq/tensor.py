@@ -36,8 +36,6 @@ _GRAD_ENABLED = True
 
 # Running multiply-accumulate count over all matmuls (used by FLOP oracles).
 _MACS = 0
-# score rows from which attention takes the row max as a column loop
-_COLUMN_MAX_MIN_ROWS = 512
 
 
 @contextmanager
@@ -686,16 +684,7 @@ def scaled_dot_product_attention(
     weights *= scale
     masked = ~np.asarray(keep, dtype=bool)
     np.copyto(weights, np.asarray(-np.inf, dtype=weights.dtype), where=masked)
-    # max is exact, so both forms of the row max give the same bits: over many
-    # short rows (a training batch) a loop of np.maximum over the score columns
-    # is ~3x faster than max(axis=-1), over a few rows (batch 1) ~2x slower
-    if weights.size // max(weights.shape[-1], 1) >= _COLUMN_MAX_MIN_ROWS:
-        row_max = weights[..., :1].copy()
-        for c in range(1, weights.shape[-1]):
-            np.maximum(row_max, weights[..., c : c + 1], out=row_max)
-    else:
-        row_max = weights.max(axis=-1, keepdims=True)
-    weights -= row_max
+    weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     dropped = weights

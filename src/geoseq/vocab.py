@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,28 +72,20 @@ class Vocabulary:
         """Sum of observed per-level counts, specials excluded."""
         return sum(len(m) for m in self._maps)
 
-    @cached_property
-    def _columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per level, the known keys as int64 columns [V, width] and their ids [V]."""
-        return [
-            (np.array(list(m), dtype=np.int64).reshape(len(m), 2 if h == 1 else 1),
-             np.fromiter(m.values(), dtype=np.int64, count=len(m)))
-            for h, m in enumerate(self._maps, start=1)
-        ]
-
     def ids_for(self, keys: np.ndarray) -> np.ndarray:
         """Token ids [N, levels] of `encode_points` key columns [N, levels + 1].
 
-        A key never seen raises OutOfVocabularyError for the first row that holds
-        one, at that row's lowest unseen level.
+        Each level looks up its distinct keys in its dict and scatters the ids
+        back. A key never seen raises OutOfVocabularyError for the first row
+        that holds one, at that row's lowest unseen level.
         """
         ids = np.empty((len(keys), self.levels), dtype=np.int64)
-        for h, (known, known_ids) in enumerate(self._columns, start=1):
-            cols = slice(0, 2) if h == 1 else slice(h, h + 1)
-            codes = _row_codes(np.concatenate([known, keys[:, cols]]))
-            table = np.full(len(codes), -1, dtype=np.int64)  # code -> id, -1 for unseen
-            table[codes[: len(known)]] = known_ids
-            ids[:, h - 1] = table[codes[len(known):]]
+        for h, level_map in enumerate(self._maps, start=1):
+            column = _pair_codes(keys[:, :2]) if h == 1 else keys[:, h]
+            _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+            distinct = map(tuple, keys[first, :2].tolist()) if h == 1 else keys[first, h].tolist()
+            found = np.array([level_map.get(k, -1) for k in distinct], dtype=np.int64)
+            ids[:, h - 1] = found[inverse]  # -1 marks an unseen key
         unseen = ids < 0
         if unseen.any():
             row, level = np.argwhere(unseen)[0]  # row-major: the first row, its lowest level
@@ -191,20 +182,18 @@ class Vocabulary:
                 raise ValueError(f"{path}: {e}") from None
 
 
-def _row_codes(keys: np.ndarray) -> np.ndarray:
-    """Dense codes in [0, N) of the rows of an int64 array [N, width], equal
-    exactly where the rows are equal."""
-    _, codes = np.unique(keys[:, 0], return_inverse=True)
-    for col in keys.T[1:]:  # mixed radix over the columns' ranks, re-ranked below N
-        _, rank = np.unique(col, return_inverse=True)
-        _, codes = np.unique(codes * len(keys) + rank, return_inverse=True)
-    return codes
+def _pair_codes(pairs: np.ndarray) -> np.ndarray:
+    """Codes of the rows of an int64 array [N, 2], equal exactly where the rows
+    are equal. `np.unique(axis=0)` groups the same way but sorts structured
+    rows: ≈6 against ≈1 ms over the 19 k level-1 keys of the 200-user corpus."""
+    _, i = np.unique(pairs[:, 0], return_inverse=True)
+    _, j = np.unique(pairs[:, 1], return_inverse=True)
+    return i * len(pairs) + j
 
 
-def _first_seen(keys: np.ndarray) -> np.ndarray:
-    """The rows of `keys` that hold each distinct row's first occurrence, in order."""
-    _, first = np.unique(_row_codes(keys), return_index=True)
-    return keys[np.sort(first)]
+def _first_rows(column: np.ndarray) -> np.ndarray:
+    """The rows that hold each distinct value's first occurrence, in order."""
+    return np.sort(np.unique(column, return_index=True)[1])
 
 
 def build_vocab(points, spec: GridSpec) -> Vocabulary:
@@ -221,12 +210,12 @@ def build_vocab(points, spec: GridSpec) -> Vocabulary:
         raise ValueError(f"points must be (x, y) pairs, got an array of shape {xy.shape}")
     x, y = xy[:, 0], xy[:, 1]
     keys = encode_points(x, y, spec)
-    first = _first_seen(keys[:, :2]).tolist()
+    first = keys[_first_rows(_pair_codes(keys[:, :2])), :2].tolist()
     maps = [dict(zip(map(tuple, first), range(NUM_SPECIALS, NUM_SPECIALS + len(first))))]
     for h in range(2, spec.levels + 1):
-        first = _first_seen(keys[:, h : h + 1])[:, 0].tolist()
+        first = keys[_first_rows(keys[:, h]), h].tolist()
         maps.append(dict(zip(first, range(NUM_SPECIALS, NUM_SPECIALS + len(first)))))
-    flat_count = int(_row_codes(finest_cells(x, y, spec)).max()) + 1  # codes are dense
+    flat_count = len(np.unique(_pair_codes(finest_cells(x, y, spec))))
     return Vocabulary(spec, maps, flat_count)
 
 

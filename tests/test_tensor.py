@@ -281,24 +281,6 @@ def test_attention_node_is_the_composed_graph(seed, dropout_p, with_rng, dtype):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shape", [(1, 8, 20, 32), (4, 8, 28, 32)])
-def test_attention_row_max_forms_give_the_same_bits(monkeypatch, shape):
-    # the column loop and max(axis=-1) over one input, at batch 1 and at a
-    # training batch; scores hold exact ties and masked (-inf) keys
-    (q, k, v), keep = _attention_inputs(21, shape, np.float32)
-    q.data[:, :, :, :] = np.round(q.data * 4) / 4  # coarse values tie often
-    g = np.random.default_rng(22).normal(size=shape).astype(np.float32)
-    results = []
-    for min_rows in (0, 10**9):  # every shape loops, then none does
-        monkeypatch.setattr(T, "_COLUMN_MAX_MIN_ROWS", min_rows)
-        for t in (q, k, v):
-            t.grad = None
-        out = T.scaled_dot_product_attention(q, k, v, keep)
-        T.tsum(T.mul(out, Tensor(g))).backward()
-        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)])
-    assert results[0] == results[1]
-
-
 def test_attention_is_one_node_and_counts_both_products():
     (q, k, v), keep = _attention_inputs(13, shape=(2, 3, 5, 4))
     with T.count_macs() as box:
