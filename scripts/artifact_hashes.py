@@ -4,20 +4,25 @@ Usage, from the root of a geoseq checkout:
 
     python3 scripts/artifact_hashes.py [--parent REV]
 
-Runs two CLI chains through `geoseq.cli.dispatch`, with seed `SEED`, in a
+Runs three CLI chains through `geoseq.cli.dispatch`, with seed `SEED`, in a
 temporary directory, in a fresh process that imports `geoseq` from a
 checkout's `src/`. The first is the whole chain on a tiny config (with the
 default attention dropout): synth, vocab, preprocess (the `gps` profile, and
 `signal` with `min_stay_seconds` 0), pretrain, finetune (FFN, LSTM and
 classifier heads, each with a frozen and an unfrozen backbone), eval (the
 pre-training heads, then the frozen FFN, LSTM and classifier heads) and
-ablate with `--vocab`. The second is synth, vocab and preprocess on the
-benchmark's corpus, `CORPUS_USERS` users at the default config, so the
-tokenizer is checked at that size too; its steps end in `_corpus`. It
-prints one JSON object mapping each artifact, as `<step>/<file>`, to its
-sha256. A `manifest.json` is hashed without its `config` and `config_hash`,
-and with its input paths made relative to the run directory, so it compares
-across checkouts and runs.
+ablate with `--vocab`. That corpus has one `finetune_test` trajectory, so
+the second chain is sized for rankings: the same tiny model on the
+`RANKING` corpus, split so that 36 trajectories are ranked, through
+synth, vocab, preprocess, pretrain, the frozen FFN and LSTM finetunes (each
+reports its rankings) and eval with the pre-training heads; its steps end
+in `_ranking`. The third is synth, vocab and preprocess on the benchmark's
+corpus, `CORPUS_USERS` users at the default config, so the tokenizer is
+checked at that size too; its steps end in `_corpus`. It prints one JSON
+object mapping each artifact, as `<step>/<file>`, to its sha256. A
+`manifest.json` is hashed without its `config` and `config_hash`, and with
+its input paths made relative to the run directory, so it compares across
+checkouts and runs.
 
 Without `--parent` that checkout is this one. With `--parent`, commit REV is
 unpacked with `git archive` (by `bench_pairs.export`) into a temporary
@@ -55,6 +60,12 @@ TINY = {
     "warmup_steps": 0,
     "synth": {"users": 8, "extent_m": 250_000.0},
 }
+# The ranking chain's corpus: 40 users in a 5 km square on a grid of 4, 2 and
+# 1 km cells, so that the models of one tiny epoch rank some targets right
+# (a report of all zeros would not move when a ranking does); pretrain gets
+# half the trajectories, and of the rest 40% train the heads and 36 are ranked.
+RANKING = {"synth": {**TINY["synth"], "users": 40, "extent_m": 5_000.0},
+           "scales": [4_000.0, 2_000.0, 1_000.0], "split_fractions": [0.5, 0.4, 0.0]}
 CORPUS_USERS = 200  # perfbench's corpus
 
 
@@ -84,6 +95,7 @@ def _steps(work: Path) -> list[tuple[str, dict, dict]]:
         steps.append((f"eval_{name}", {}, {**data, **ckpt, "--head-checkpoint": head}))
     steps.append(("ablate", {}, {"--data": data["--data"], "--vocab": vocab}))
     steps = [(name, {**TINY, **overrides}, inputs) for name, overrides, inputs in steps]
+    steps += _ranking_steps(work)
     corpus = {"synth": {"users": CORPUS_USERS}}
     csv, vocab = work / "synth_corpus" / "synth.csv", work / "vocab_corpus" / "vocab.json"
     return steps + [
@@ -91,6 +103,27 @@ def _steps(work: Path) -> list[tuple[str, dict, dict]]:
         ("vocab_corpus", corpus, {"--input": csv}),
         ("preprocess_corpus", corpus, {"--input": csv, "--vocab": vocab}),
     ]
+
+
+def _ranking_steps(work: Path) -> list[tuple[str, dict, dict]]:
+    """The tiny chain again on a corpus with enough `finetune_test` trajectories to rank."""
+    at = lambda step, name: work / f"{step}_ranking" / name
+    data = {"--data": at("preprocess", "trajectories.ndjson"),
+            "--splits": at("preprocess", "splits.json")}
+    ckpt = {"--checkpoint": at("pretrain", "checkpoint.gsq")}
+    csv, vocab = at("synth", "synth.csv"), at("vocab", "vocab.json")
+    config = {**TINY, **RANKING}
+    steps = [
+        ("synth", {}, {}),
+        ("vocab", {}, {"--input": csv}),
+        ("preprocess", {}, {"--input": csv, "--vocab": vocab}),
+        ("pretrain", {}, {**data, "--vocab": vocab}),
+        ("finetune_ffn", {"head": "ffn", "freeze_backbone": True}, {**data, **ckpt}),
+        ("finetune_lstm", {"head": "lstm", "freeze_backbone": True}, {**data, **ckpt}),
+        ("eval_own_heads", {}, {**data, **ckpt}),
+    ]
+    return [(f"{name}_ranking", {**config, **overrides}, inputs)
+            for name, overrides, inputs in steps]
 
 
 def _manifest_digest(path: Path, work: Path) -> str:
@@ -101,12 +134,15 @@ def _manifest_digest(path: Path, work: Path) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def run_chain(work: Path) -> dict[str, str]:
-    """Run every step in `work` and hash what each wrote; a failing step raises."""
+def run_chain(work: Path, steps=None) -> dict[str, str]:
+    """Run `steps` (every step by default) in `work` and hash what each wrote.
+
+    A failing step raises.
+    """
     from geoseq.cli import dispatch
 
     hashes = {}
-    for step, config, inputs in _steps(work):
+    for step, config, inputs in _steps(work) if steps is None else steps:
         cfg = work / f"{step}.json"
         cfg.write_text(json.dumps({**config, "seed": SEED}), encoding="utf-8")
         out = work / step

@@ -11,6 +11,7 @@ coarse predictions steer fine ones without leaking gradients backwards.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -203,13 +204,19 @@ def make_batch(trajs: list[Trajectory], levels: int) -> Batch:
 # forward pieces
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def positional_encoding(n_positions: int, width: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sinusoidal table: sin on even dims, cos on odd, base 10000."""
+    """Fixed sinusoidal table: sin on even dims, cos on odd, base 10000.
+
+    Computed once per `(n_positions, width, dtype)` and returned read-only;
+    `embed_sequence` caps `n_positions` at `max_seq_len` before asking.
+    """
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
     dim = np.arange(width, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (dim - dim % 2) / width)
-    table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(dtype)
+    table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
+    table.flags.writeable = False
+    return table
 
 
 def temporal_encoding(timestamps: np.ndarray, state: ModelState) -> Tensor:

@@ -13,6 +13,12 @@ tracer (`perfbench/tracer.py`) looks each of them up by name. Every
 operation registers a backward closure; `Tensor.backward` runs reverse-mode
 accumulation over the recorded graph.
 
+The graph is kept apart from the data. A `Tensor` holds its array and its
+`Node`; the node holds the gradient, the parent nodes and the backward
+closure, and no array. A closure holds only what its backward reads (arrays,
+shapes and flags), never a `Tensor`, so an activation that no backward reads
+is freed as soon as the caller drops its tensor.
+
 Training runs in float32; pass float64 arrays for verification-grade gradient
 checks. A module-level multiply-accumulate counter tracks matmul work for
 FLOP instrumentation (see `count_macs`). It counts the product each op is
@@ -65,19 +71,55 @@ def count_macs():
         box.macs = _MACS - start
 
 
-class Tensor:
-    """A dense array plus optional gradient and the op that produced it."""
+class Node:
+    """A tensor's place in the graph: what backward reads and writes of it.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A node holds the gradient, whether one is wanted, the dtype gradients are
+    cast to, the parent nodes and the backward closure. It holds no data, so
+    an op's output array lives only as long as its `Tensor` or a closure that
+    reads it.
+    """
+
+    __slots__ = ("grad", "requires_grad", "dtype", "parents", "backward")
+
+    def __init__(self, requires_grad: bool, dtype):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.dtype = dtype
+        self.parents = ()
+        self.backward = None
+
+
+class Tensor:
+    """A dense array plus its graph node (the gradient and the op that produced it)."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
             raise ShapeError(f"requires_grad needs a float tensor, got {self.data.dtype}")
-        self.requires_grad = requires_grad
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = Node(requires_grad, self.data.dtype)
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _backward(self):
+        return self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure):
+        self._node.backward = closure
 
     @property
     def shape(self):
@@ -96,6 +138,12 @@ class Tensor:
     def backward(self):
         """Reverse-mode gradient accumulation from this scalar into all leaves.
 
+        The graph is made of nodes, not tensors: a node holds its gradient,
+        its parent nodes and its backward closure, and each closure holds
+        only the arrays its backward reads (plus shapes and flags), never a
+        `Tensor`. So an op's input that backward does not read is freed as
+        soon as the caller drops its tensor, before backward starts.
+
         Gradients are summed out of place: the first one to reach a tensor
         becomes its `.grad` as the closure returned it, and each later one
         replaces `.grad` with `.grad + g`, either cast to the tensor's dtype
@@ -104,9 +152,9 @@ class Tensor:
 
         Each node lets go of its parents and its closure once its gradient
         has moved on to them, and this call drops its own reference to the
-        node then too: a node nothing else holds is freed, with its output
-        and its gradient, before the next one runs. A node the caller holds
-        keeps its `.grad`.
+        node then too: a node nothing else holds is freed, with its gradient
+        and the arrays its closure read, before the next one runs. A node
+        whose tensor the caller holds keeps its `.grad`.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
@@ -116,7 +164,7 @@ class Tensor:
         # Iterative topological order over the recorded graph.
         order = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -126,24 +174,24 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
+        self._node.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
-            grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, grads):
+            grads = node.backward(node.grad)
+            for parent, g in zip(node.parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is not None:
                     g = parent.grad + g
-                parent.grad = np.asarray(g, dtype=parent.data.dtype)
-            node._parents = ()
-            node._backward = None
+                parent.grad = np.asarray(g, dtype=parent.dtype)
+            node.parents = ()
+            node.backward = None
 
 
 def as_tensor(x) -> Tensor:
@@ -155,8 +203,8 @@ def _make(data, parents, backward):
     req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
     if req:
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node.parents = tuple(p._node for p in parents)
+        out._node.backward = backward
     return out
 
 
@@ -177,19 +225,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
     return _make(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
     )
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
     return _make(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
     )
 
 
@@ -200,12 +250,16 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
+    # each factor is kept only for the other's gradient
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
     return _make(
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            None if bd is None else _unbroadcast(g * bd, sa),
+            None if ad is None else _unbroadcast(g * ad, sb),
         ),
     )
 
@@ -219,50 +273,59 @@ def matmul(a, b, bias=None) -> Tensor:
     is added into the GEMM's output in place and is a third parent, with the
     gradient an `add` node would give it. Operands that are both batched
     (attention's scores and context) take the broadcasting path.
-    Backward computes only the gradients of operands that require one.
+    Backward computes only the gradients of operands that require one, and
+    keeps each operand only for the other's gradient.
     """
     global _MACS
     a, b = as_tensor(a), as_tensor(b)
+    sa, ra, rb = a.data.shape, a.requires_grad, b.requires_grad
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
+        raise ShapeError(f"matmul needs >=2-D operands, got {sa} @ {b.data.shape}")
+    if sa[-1] != b.data.shape[-2]:
+        raise ShapeError(f"matmul inner dims differ: {sa} @ {b.data.shape}")
     if b.data.ndim == 2:
-        k, n = b.data.shape
-        rows = math.prod(a.data.shape[:-1])
+        bd = b.data
+        k, n = bd.shape
+        rows = math.prod(sa[:-1])
         a2 = a.data.reshape(rows, k)
         _MACS += rows * k * n
-        out = (a2 @ b.data).reshape(*a.data.shape[:-1], n)
+        out = (a2 @ bd).reshape(*sa[:-1], n)
         parents = (a, b)
+        rbias = None
         if bias is not None:
             bias = as_tensor(bias)
             if bias.data.shape != (n,):
                 raise ShapeError(f"matmul bias must be [{n}], got {bias.data.shape}")
             out += bias.data
-            parents = (a, b, bias)
+            parents, rbias = (a, b, bias), bias.requires_grad
+        if not rb:
+            a2 = None
 
         def backward(g):
             g2 = g.reshape(rows, n)
-            ga = (g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
-            gb = a2.T @ g2 if b.requires_grad else None
-            if bias is None:
+            ga = (g2 @ bd.T).reshape(sa) if ra else None
+            gb = a2.T @ g2 if rb else None
+            if rbias is None:
                 return ga, gb
-            return ga, gb, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
+            return ga, gb, _unbroadcast(g, (n,)) if rbias else None
 
         return _make(out, parents, backward)
 
     if bias is not None:
         raise ShapeError(f"matmul bias needs a 2-D weight, got {b.data.shape}")
     out = np.matmul(a.data, b.data)
-    m, k, n = a.data.shape[-2], a.data.shape[-1], b.data.shape[-1]
+    m, k, n = sa[-2], sa[-1], b.data.shape[-1]
     _MACS += int(np.prod(out.shape[:-2], dtype=np.int64)) * m * k * n
+    sb = b.data.shape
+    ad = a.data if rb else None
+    bd = b.data if ra else None
 
     def backward(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+        if ra:
+            ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), sa)
+        if rb:
+            gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), sb)
         return ga, gb
 
     return _make(out, (a, b), backward)
@@ -299,6 +362,8 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
             f"concat_matmul weight must be [{k + extra.shape[-1]}, n], got {w.data.shape}"
         )
     n = w.data.shape[1]
+    sa, sw, dtype = a.data.shape, w.data.shape, w.data.dtype
+    ra, rw = a.requires_grad, w.requires_grad
     top = w.data[:k]
     rows = math.prod(lead)
     a2 = a.data.reshape(rows, k)
@@ -311,25 +376,28 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
     e_out = (e2 @ bottom).reshape(*extra.shape[:-1], n)
     out += e_out[..., None, :] if per_sequence else e_out
     parents = (a, w)
+    rbias = None
     if bias is not None:
         bias = as_tensor(bias)
         if bias.data.shape != (n,):
             raise ShapeError(f"concat_matmul bias must be [{n}], got {bias.data.shape}")
         out += bias.data
-        parents = (a, w, bias)
+        parents, rbias = (a, w, bias), bias.requires_grad
+    if not rw:
+        a2 = e2 = None
 
     def backward(g):
         g2 = g.reshape(rows, n)
-        ga = (g2 @ top.T).reshape(a.data.shape) if a.requires_grad else None
+        ga = (g2 @ top.T).reshape(sa) if ra else None
         gw = None
-        if w.requires_grad:
-            gw = np.zeros_like(w.data)
+        if rw:
+            gw = np.zeros(sw, dtype=dtype)
             np.matmul(a2.T, g2, out=gw[:k])
             ge = g.sum(axis=-2) if per_sequence else g
             gw[k + cols] = e2.T @ ge.reshape(len(e2), n)
-        if bias is None:
+        if rbias is None:
             return ga, gw
-        return ga, gw, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
+        return ga, gw, _unbroadcast(g, (n,)) if rbias else None
 
     return _make(out, parents, backward)
 
@@ -339,11 +407,12 @@ def concat(tensors, axis: int = -1) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
+    count = len(tensors)
 
     def backward(g):
         return tuple(
             np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
+            for i in range(count)
         )
 
     return _make(out, tuple(tensors), backward)
@@ -353,9 +422,10 @@ def embedding_lookup(table, ids) -> Tensor:
     """Gather rows of a [V, W] table by an integer id array of any shape."""
     table = as_tensor(table)
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+    shape, dtype = table.data.shape, table.data.dtype
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
         raise ShapeError(
-            f"embedding id out of range [0, {table.data.shape[0]}): "
+            f"embedding id out of range [0, {shape[0]}): "
             f"min={ids.min()} max={ids.max()}"
         )
 
@@ -364,10 +434,10 @@ def embedding_lookup(table, ids) -> Tensor:
         # group; it adds them in another order than `np.add.at`, so the sums
         # agree to float rounding, not bit for bit. Ids that never repeat (a
         # row gather) skip the sum: each row is its own group's sum.
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype=dtype)
         flat = ids.reshape(-1)
         if flat.size:
-            rows = g.reshape(flat.shape + table.data.shape[1:])
+            rows = g.reshape(flat.shape + shape[1:])
             order = np.argsort(flat, kind="stable")
             sorted_ids = flat[order]
             starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
@@ -401,9 +471,10 @@ def scatter_rows(a, rows, n: int) -> Tensor:
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
     out = a.data[key]
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype=dtype)
         # basic slicing never repeats elements, so += is exact there;
         # advanced (array) indices may repeat and need unbuffered add
         keys = key if isinstance(key, tuple) else (key,)
@@ -418,7 +489,8 @@ def getitem(a, key) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    sa = a.data.shape
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
@@ -433,7 +505,8 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0)
-    return _make(out, (a,), lambda g: (g * (a.data > 0),))
+    # out > 0 exactly where a > 0 (NaN in neither), so `a` need not be kept
+    return _make(out, (a,), lambda g: (g * (out > 0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -491,12 +564,16 @@ def lstm(x_gates, wh, last) -> Tensor:
             if record:
                 acts[t], cs[t + 1], tanh_cs[t] = gates, c, tanh_c
     rows = np.arange(b)
+    out = hs[last + 1, rows]
+    dtype, rx, rw = xg.dtype, x_gates.requires_grad, wh.requires_grad
+    if not rw:
+        hs = None
 
     def backward(grad):
-        dgates = np.empty((b, t1, 4 * w), dtype=xg.dtype)
-        dh_out = np.zeros((t1, b, w), dtype=xg.dtype)
+        dgates = np.empty((b, t1, 4 * w), dtype=dtype)
+        dh_out = np.zeros((t1, b, w), dtype=dtype)
         dh_out[last, rows] = grad
-        dh = dc = np.zeros((b, w), dtype=xg.dtype)
+        dh = dc = np.zeros((b, w), dtype=dtype)
         for t in range(t1 - 1, -1, -1):
             i, f, g, o = np.split(acts[t], 4, axis=1)
             dh = dh + dh_out[t]
@@ -510,12 +587,12 @@ def lstm(x_gates, wh, last) -> Tensor:
             if t:
                 dh = d @ whd.T
         dwh = None
-        if wh.requires_grad:
+        if rw:
             h_prev = hs[:-1].swapaxes(0, 1).reshape(b * t1, w)  # h before each step
             dwh = h_prev.T @ dgates.reshape(b * t1, 4 * w)
-        return (dgates if x_gates.requires_grad else None), dwh
+        return (dgates if rx else None), dwh
 
-    return _make(hs[last + 1, rows], (x_gates, wh), backward)
+    return _make(out, (x_gates, wh), backward)
 
 
 def log(a) -> Tensor:
@@ -528,6 +605,7 @@ def log(a) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    gd, sg, sb = gain.data, gain.data.shape, bias.data.shape
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     out = xhat * xhat
@@ -540,7 +618,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     def backward(g):
         # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in that
         # order, in two buffers
-        dx = g * gain.data
+        dx = g * gd
         tmp = dx * xhat
         m2 = tmp.mean(axis=-1, keepdims=True)
         dx_mean = dx.mean(axis=-1, keepdims=True)
@@ -548,11 +626,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         dx -= dx_mean
         dx -= tmp
         dx *= inv
-        return (
-            dx,
-            _unbroadcast(g * xhat, gain.data.shape),
-            _unbroadcast(g, bias.data.shape),
-        )
+        return dx, _unbroadcast(g * xhat, sg), _unbroadcast(g, sb)
 
     return _make(out, (x, gain, bias), backward)
 
@@ -595,12 +669,13 @@ def dropout(x, p: float, rng: np.random.Generator | None = None) -> Tensor:
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else x.data.shape[axis]
+    shape = x.data.shape
+    count = x.data.size if axis is None else shape[axis]
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     return _make(out, (x,), backward)
 
@@ -608,11 +683,12 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(out, (x,), backward)
 
@@ -626,7 +702,9 @@ def cross_entropy(logits, targets) -> Tensor:
 
     `logits` is [N, C], `targets` an int array [N]. Forward keeps the
     shifted exponentials and their row sums, so backward's softmax is one
-    division and `exp` runs once.
+    division and `exp` runs once. Backward divides, subtracts and scales in
+    place in those exponentials, which nothing else reads, and returns them
+    as the gradient.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
@@ -650,10 +728,10 @@ def cross_entropy(logits, targets) -> Tensor:
     loss = -picked.sum() / n
 
     def backward(g):
-        dl = e / total
-        dl[rows, targets] -= 1.0
-        dl *= g / n
-        return (dl,)
+        np.divide(e, total, out=e)
+        e[rows, targets] -= 1.0
+        np.multiply(e, g / n, out=e)
+        return (e,)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
 
@@ -669,8 +747,8 @@ def scaled_dot_product_attention(
     dropout, its mask drawn by one `rng.random` call. One node: forward forms the
     scores in one batched matmul and scales, masks and normalizes them in
     place, with the arithmetic of `matmul`, `mul`, `masked_fill`, `softmax`
-    and `dropout`; backward keeps only the weights (before and after
-    dropout) and the dropout mask.
+    and `dropout`; backward keeps the weights (before and after dropout),
+    the dropout mask, and those of q, k and v that a wanted gradient reads.
     """
     global _MACS
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -696,10 +774,15 @@ def scaled_dot_product_attention(
     out = np.matmul(dropped, vd)
     batch = int(np.prod(out.shape[:-2], dtype=np.int64))
     _MACS += batch * weights.shape[-2] * weights.shape[-1] * (qd.shape[-1] + vd.shape[-1])
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+    # each input is kept only for a gradient that reads it
+    qd, kd = (qd if rk else None), (kd if rq else None)
+    if not (rq or rk):
+        vd = None
 
     def backward(g):
-        gv = np.matmul(dropped.swapaxes(-1, -2), g) if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
+        gv = np.matmul(dropped.swapaxes(-1, -2), g) if rv else None
+        if not (rq or rk):
             return None, None, gv
         ds = np.matmul(g, vd.swapaxes(-1, -2))
         if dropped is not weights:
@@ -710,8 +793,8 @@ def scaled_dot_product_attention(
         ds -= (ds * weights).sum(axis=-1, keepdims=True)
         ds *= weights
         ds *= scale
-        gq = np.matmul(ds, kd) if q.requires_grad else None
-        gk = np.matmul(qd.swapaxes(-1, -2), ds).swapaxes(-1, -2) if k.requires_grad else None
+        gq = np.matmul(ds, kd) if rq else None
+        gk = np.matmul(qd.swapaxes(-1, -2), ds).swapaxes(-1, -2) if rk else None
         return gq, gk, gv
 
     return _make(out, (q, k, v), backward)

@@ -1,6 +1,7 @@
 """scripts/artifact_hashes.py: the comparison of two runs' artifact hashes."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -47,3 +48,13 @@ def test_a_second_chain_runs_the_benchmark_corpus_at_the_default_config():
     for _, config, _ in steps[-3:]:
         assert config == {"synth": {"users": artifact_hashes.CORPUS_USERS}}
     assert all(config["hidden"] == 16 for _, config, _ in steps[:-3])  # the tiny chain
+
+
+def test_the_ranking_chain_ranks_at_least_thirty_test_trajectories(tmp_path):
+    steps = [s for s in artifact_hashes._steps(tmp_path) if s[0].endswith("_ranking")]
+    assert [name for name, _, _ in steps] == [
+        "synth_ranking", "vocab_ranking", "preprocess_ranking", "pretrain_ranking",
+        "finetune_ffn_ranking", "finetune_lstm_ranking", "eval_own_heads_ranking"]
+    artifact_hashes.run_chain(tmp_path, steps[:3])
+    splits = json.loads((tmp_path / "preprocess_ranking" / "splits.json").read_text())
+    assert len(splits["finetune_test"]) >= 30

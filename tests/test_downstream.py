@@ -38,6 +38,7 @@ from geoseq.pipeline import Trajectory
 from geoseq.tensor import Tensor
 
 from gradcheck import assert_grads_match
+from graphs import closure_tensors, graph_nodes
 
 
 def micro_config(level_sizes=(6, 7), **kw):
@@ -366,6 +367,27 @@ def _finetune(task, state, trajs, eval_trajs, train, freeze_backbone):
                                    freeze_backbone=freeze_backbone)
     return finetune_next_location(state, task, trajs, eval_trajs, train,
                                   freeze_backbone=freeze_backbone)
+
+
+@pytest.mark.parametrize("task", ["ffn", "lstm", "classifier"])
+def test_no_backward_closure_of_a_finetune_loss_holds_a_tensor(task, monkeypatch):
+    # the loss `fit` would step on, with the backbone unfrozen and dropout on
+    config = micro_config(attn_dropout=0.1)
+    trajs = make_trajs(6, 4, config.level_sizes, seed=42, label_from=["a", "b"])
+    walked = []
+
+    def one_step(params, items, loss_fn, train):
+        loss = loss_fn(items[:4], np.random.default_rng(43))
+        walked.append((sum(n.backward is not None for n in graph_nodes(loss)),
+                       closure_tensors(loss)))
+        return [float(loss.data)]
+
+    monkeypatch.setattr(downstream, "fit", one_step)
+    train = TrainConfig(epochs=1, batch_size=4, warmup_steps=0, seed=44)
+    _finetune(task, ModelState.init(config, seed=45), trajs, trajs[:2], train,
+              freeze_backbone=False)
+    ((nodes, held),) = walked
+    assert nodes > 20 and held == []
 
 
 @pytest.mark.parametrize("freeze_backbone", [True, False])

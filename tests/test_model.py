@@ -5,6 +5,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from geoseq.vocab import PAD_ID
 
 from checkpoints import list_twice
 from gradcheck import assert_grads_match
+from graphs import closure_tensors, graph_nodes
 
 
 def micro_config(level_sizes=(6, 7), **kw):
@@ -105,6 +107,17 @@ def test_positional_dim0_is_sin_t():
 
 def test_positional_is_input_independent():
     assert np.array_equal(positional_encoding(7, 16), positional_encoding(7, 16))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_positional_table_is_cached_read_only_and_bit_equal_to_a_fresh_one(dtype):
+    cached = positional_encoding(9, 12, dtype)
+    assert positional_encoding(9, 12, dtype) is cached
+    fresh = positional_encoding.__wrapped__(9, 12, dtype)
+    assert fresh is not cached and fresh.dtype == cached.dtype == dtype
+    assert cached.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 1.0
 
 
 # -- embedding ----------------------------------------------------------------
@@ -573,20 +586,18 @@ def test_fit_clears_gradients_before_each_forward():
     assert seen == [[True, True]] * 6
 
 
-def _graph_nodes(root):
-    seen, stack, nodes = set(), [root], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
-
-
-def test_backward_peaks_at_the_forward_plus_gradients_and_one_activation():
+def test_backward_peaks_at_the_forward_plus_gradients_and_one_activation(monkeypatch):
     # backward frees each node once its gradient has moved on, so it never
     # holds the whole graph's gradients on top of its activations
+    out_bytes = {}  # id of each op's node -> the bytes of its output
+    make = T._make
+
+    def recording_make(data, parents, backward):
+        out = make(data, parents, backward)
+        out_bytes[id(out._node)] = out.data.nbytes
+        return out
+
+    monkeypatch.setattr(T, "_make", recording_make)
     config = micro_config(level_sizes=(11, 60, 30), hidden=32, layers=2, max_seq_len=32)
     state = ModelState.init(config, seed=0)
     batch = random_batch(config, b=8, t1=16, seed=1)
@@ -594,7 +605,7 @@ def test_backward_peaks_at_the_forward_plus_gradients_and_one_activation():
     try:
         loss = forward_loss(batch, state)
         forward_end = tracemalloc.get_traced_memory()[0]
-        largest = max(n.data.nbytes for n in _graph_nodes(loss) if n._backward is not None)
+        largest = max(out_bytes[id(n)] for n in graph_nodes(loss) if n.backward is not None)
         tracemalloc.reset_peak()
         loss.backward()
         peak = tracemalloc.get_traced_memory()[1]
@@ -603,6 +614,43 @@ def test_backward_peaks_at_the_forward_plus_gradients_and_one_activation():
     grad_bytes = sum(p.data.nbytes for p in state.params.values())
     assert all(p.grad is not None for p in state.params.values())
     assert peak - forward_end <= grad_bytes + largest
+
+
+def test_no_backward_closure_of_forward_loss_holds_a_tensor():
+    # chained heads and attention dropout on: every op of a pretrain step
+    config = micro_config(level_sizes=(5, 6, 7), layers=2, attn_dropout=0.1)
+    state = ModelState.init(config, seed=3)
+    loss = forward_loss(random_batch(config, b=3, t1=6, seed=4), state,
+                        rng=np.random.default_rng(5))
+    assert sum(n.backward is not None for n in graph_nodes(loss)) > 50
+    assert closure_tensors(loss) == []
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns `array`'s memory (a view's base, else itself)."""
+    return array if array.base is None else array.base
+
+
+def test_forward_loss_frees_what_no_backward_reads(monkeypatch):
+    # the inputs of every relu (the FFN's pre-activation among them) and of
+    # every scatter_rows (the unpadded Q, K and V projections, and the final
+    # norm) are freed once the caller drops them, before backward starts
+    refs = {"relu": [], "scatter_rows": []}
+    for name in refs:
+        def recording(a, *args, _op=getattr(T, name), _refs=refs[name]):
+            _refs.append(weakref.ref(_owner(a.data)))
+            return _op(a, *args)
+
+        monkeypatch.setattr(T, name, recording)
+    config = micro_config(level_sizes=(5, 6), layers=2, attn_dropout=0.1)
+    state = ModelState.init(config, seed=6)
+    loss = forward_loss(random_batch(config, b=3, t1=6, seed=7), state,
+                        rng=np.random.default_rng(8))
+    # relu: time, two FFNs, two heads; scatter_rows: Q, K, V per layer, then the output
+    assert [len(refs["relu"]), len(refs["scatter_rows"])] == [5, 7]
+    assert [r() is None for r in refs["relu"] + refs["scatter_rows"]] == [True] * 12
+    loss.backward()
+    assert all(p.grad is not None for p in state.params.values())
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -100,6 +100,23 @@ def test_cross_entropy_gradient_matches_the_old_formula(n, c, magnitude, seed):
     assert np.abs(logits.grad - want).max() <= 1e-12
 
 
+def test_cross_entropy_backward_in_place_gives_the_out_of_place_bits():
+    # backward divides, subtracts and scales in the forward's exponentials;
+    # the float32 gradient is that of the same ops into a fresh buffer
+    rng = np.random.default_rng(41)
+    n, c = 37, 301
+    logits = Tensor((rng.normal(size=(n, c)) * 4).astype(np.float32), requires_grad=True)
+    targets = rng.integers(0, c, size=n)
+    loss = T.cross_entropy(logits, targets)
+    loss.backward()
+    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    dl = e / e.sum(axis=-1, keepdims=True)
+    dl[np.arange(n), targets] -= 1.0
+    dl *= np.ones_like(loss.data) / n
+    assert logits.grad.dtype == np.float32
+    assert np.array_equal(logits.grad, dl)
+
+
 def test_cross_entropy_rejects_no_rows_and_bad_targets():
     with pytest.raises(ShapeError, match="at least one row"):
         T.cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
@@ -286,7 +303,7 @@ def test_attention_is_one_node_and_counts_both_products():
     with T.count_macs() as box:
         out = T.scaled_dot_product_attention(
             q, k, v, keep, dropout_p=0.2, rng=np.random.default_rng(0))
-    assert out._parents == (q, k, v)
+    assert out._node.parents == (q._node, k._node, v._node)
     assert box.macs == 2 * 3 * (5 * 4 * 5 + 5 * 5 * 4)
     with pytest.raises(ShapeError, match="attention expects"):
         T.scaled_dot_product_attention(q, k, Tensor(np.zeros((2, 3, 4, 4))), keep)
