@@ -17,8 +17,11 @@ the second chain is sized for rankings: the same tiny model on the
 synth, vocab, preprocess, pretrain, the frozen FFN and LSTM finetunes (each
 reports its rankings) and eval with the pre-training heads; its steps end
 in `_ranking`. The third is synth, vocab and preprocess on the benchmark's
-corpus, `CORPUS_USERS` users at the default config, so the tokenizer is
-checked at that size too; its steps end in `_corpus`. It prints one JSON
+corpus, `CORPUS_USERS` users at the default config, so the tokenizer and
+the stages are checked at that size too, then `preprocess_signal_corpus`:
+the `signal` profile with `min_stay_seconds` 0 on that corpus (at the
+default 300 s it keeps no trajectory, and the step would exit 1); its steps
+end in `_corpus`. It prints one JSON
 object mapping each artifact, as `<step>/<file>`, to its sha256. A
 `manifest.json` is hashed without its `config` and `config_hash`, and with
 its input paths made relative to the run directory, so it compares across
@@ -102,6 +105,8 @@ def _steps(work: Path) -> list[tuple[str, dict, dict]]:
         ("synth_corpus", corpus, {}),
         ("vocab_corpus", corpus, {"--input": csv}),
         ("preprocess_corpus", corpus, {"--input": csv, "--vocab": vocab}),
+        ("preprocess_signal_corpus", {**corpus, "profile": "signal", "min_stay_seconds": 0},
+         {"--input": csv, "--vocab": vocab}),
     ]
 
 

@@ -3,7 +3,9 @@
 Expects the standard layout `<root>/Data/<user>/Trajectory/*.plt` with the
 optional per-user `labels.txt` carrying transportation-mode intervals. Each
 PLT data line is `lat,lon,0,altitude,days,date,time`; the first six lines
-are header. Records falling inside a labeled interval get its mode.
+are header. A `labels.txt` row is `start<TAB>end<TAB>mode`, with times
+such as `2008/04/02 11:24:21`. Records falling inside a labeled interval get
+its mode.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ _TIME_FMT = "%Y-%m-%d %H:%M:%S"
 
 
 def _parse_time(date_s: str, time_s: str) -> int:
+    date_s = date_s.replace("/", "-")  # labels.txt writes 2008/04/02, PLT files 2008-04-02
     dt = datetime.strptime(f"{date_s} {time_s}", _TIME_FMT).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
 

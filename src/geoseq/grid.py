@@ -180,9 +180,3 @@ def finest_cells(x, y, spec: GridSpec) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     r = spec.scales[-1]
     return np.stack([_cell_index(x, spec.origin[0], r), _cell_index(y, spec.origin[1], r)], axis=1)
-
-
-def finest_cell(x: float, y: float, spec: GridSpec) -> tuple[int, int]:
-    """One point's absolute cell index at the finest scale."""
-    i, j = finest_cells([x], [y], spec)[0].tolist()
-    return i, j

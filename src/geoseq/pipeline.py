@@ -1,13 +1,13 @@
 """Raw GPS/signal records to fixed-length tokenized training sequences.
 
 The records are held as numpy columns, sorted by user and then time, and
-projected to meters. Per user, the stages are pure functions over those
-columns that return kept indices, speeds or segment bounds: optionally
-resample to one record per interval, optionally collapse same-cell runs into
-stays and drop short ones, compute speeds, flag stops (< 4 km/h) and cut the
-stream at stop records. Every kept point is then tokenized in one column
-lookup, and each segment is windowed to the model's max sequence length. Two
-profiles mirror the two data styles:
+projected to meters. Each stage is one pure function over all users' columns,
+with user boundaries as masks, that returns kept indices, speeds or segment
+bounds: optionally resample to one record per interval, optionally collapse
+same-cell runs into stays and drop short ones, compute speeds, flag stops
+(< 4 km/h) and cut each user's stream at stop records. Every kept point is
+then tokenized in one column lookup, and each segment is windowed to the
+model's max sequence length. Two profiles mirror the two data styles:
 
   "gps"    — dense GPS logs: resample on, stay filtering off
   "signal" — cell-signal logs: resample off, stay filtering on
@@ -116,67 +116,75 @@ class PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-user preprocessing stages
+# preprocessing stages, each over all users (the sorted user code column first)
 # ---------------------------------------------------------------------------
 
-def resample(ts: np.ndarray, interval: int) -> np.ndarray:
-    """Indices of the first timestamp in each interval-length bucket.
+def resample(user: np.ndarray, ts: np.ndarray, interval: int) -> np.ndarray:
+    """Indices of the first timestamp in each of a user's interval-length buckets.
 
-    Buckets are anchored at the first timestamp, so timestamps already
+    Buckets are anchored at each user's first timestamp, so timestamps already
     spaced >= interval apart are all kept.
     """
-    bucket = (ts - ts[:1]) // interval
-    return np.flatnonzero(np.diff(bucket, prepend=-1))
+    bucket = (ts - ts[np.searchsorted(user, user)]) // interval
+    return np.flatnonzero(np.diff(user, prepend=-1) | np.diff(bucket, prepend=-1))  # either moved
 
 
-def compute_velocity(ts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def compute_velocity(
+    user: np.ndarray, ts: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
     """Instantaneous speed in km/h at each projected point.
 
-    A point's speed is the step from the point before it. The first point
-    copies the second's speed; a zero time step repeats the previous speed.
-    Each step's length is `math.hypot`, so a speed at the stop threshold
-    rounds the same way on every platform.
+    A point's speed is the step from the point before it, and no step crosses
+    users. A user's first point copies its second's speed; a zero time step
+    repeats the previous speed. Each step's length is `math.hypot`, so a speed
+    at the stop threshold rounds the same way on every platform.
     """
-    if len(ts) < 2:
+    if (np.bincount(user) == 1).any():
         raise ValueError("velocity needs at least two records per user")
     dt = np.diff(ts)
     dist_m = np.array(list(map(math.hypot, np.diff(x).tolist(), np.diff(y).tolist())))
     speeds = np.zeros(len(ts))
-    later = dt > 0
+    within = np.diff(user) == 0
+    later = (dt > 0) & within
     speeds[1:][later] = (dist_m[later] / dt[later]) * 3.6
-    for i in np.flatnonzero(~later).tolist():  # rare: duplicate timestamps
+    for i in np.flatnonzero(within & ~later).tolist():  # rare: duplicate timestamps
         speeds[i + 1] = speeds[i]
-    speeds[0] = speeds[1]
+    first = np.flatnonzero(np.diff(user, prepend=-1))
+    speeds[first] = speeds[first + 1]
     return speeds
 
 
 def filter_short_stays(
-    ts: np.ndarray, x: np.ndarray, y: np.ndarray, spec: GridSpec, min_duration: int
+    user: np.ndarray, ts: np.ndarray, x: np.ndarray, y: np.ndarray, spec: GridSpec,
+    min_duration: int,
 ) -> np.ndarray:
     """Indices of the stays kept: the first point of each same-finest-cell run
-    that lasts at least `min_duration` seconds.
+    of one user that lasts at least `min_duration` seconds.
 
     A run lasts from its first to its last timestamp, so a lone point lasts
     zero seconds and is dropped.
     """
     cells = finest_cells(x, y, spec)
-    changed = (cells[1:] != cells[:-1]).any(axis=1)
-    first = np.flatnonzero(np.r_[True, changed])
-    last = np.flatnonzero(np.r_[changed, True])
+    # a run starts at a row whose user or cell differs from the row before
+    run = (np.diff(user, prepend=-1) != 0) | np.diff(cells, axis=0, prepend=0).any(axis=1)
+    first = np.flatnonzero(run)
+    last = np.flatnonzero(np.roll(run, -1))  # row 0 starts a run, so the last row ends one
     return first[ts[last] - ts[first] >= min_duration]
 
 
-def segment_trajectories(stops: np.ndarray, min_len: int) -> list[tuple[int, int]]:
+def segment_trajectories(
+    user: np.ndarray, stops: np.ndarray, min_len: int
+) -> list[tuple[int, int]]:
     """(first, last) indices of the segments cut at stops, both ends inclusive.
 
-    Consecutive segments share their boundary stop. Only segments of strictly
-    more than `min_len` points survive; points before the first stop or after
-    the last are discarded.
+    Consecutive segments of a user share their boundary stop. Only segments of
+    strictly more than `min_len` points survive; points before a user's first
+    stop or after its last are discarded.
     """
     at = np.flatnonzero(stops)
     first, last = at[:-1], at[1:]
-    long = last - first + 1 > min_len
-    return list(zip(first[long].tolist(), last[long].tolist()))
+    keep = (last - first + 1 > min_len) & (user[first] == user[last])
+    return list(zip(first[keep].tolist(), last[keep].tolist()))
 
 
 def window(traj: Trajectory, max_seq_len: int) -> list[Trajectory]:
@@ -280,44 +288,36 @@ def _sorted_columns(records: list[RawRecord]):
 def preprocess(
     records: list[RawRecord], vocab: Vocabulary, cfg: PipelineConfig
 ) -> list[Trajectory]:
-    """Run the full per-user pipeline and return windowed tokenized trajectories.
+    """Run the full pipeline and return windowed tokenized trajectories.
 
-    Users are processed independently, in sorted order, each user's records
-    in a stable time sort, so parallel ingestion stays deterministic. The
-    points of every segment are tokenized together at the end; an unseen key
-    raises OutOfVocabularyError for the first such point in user and time order.
+    Each stage runs once over all users' rows, sorted by user and stably by
+    time. A user left with fewer than two rows has no speed and is dropped.
+    The points of every segment are tokenized together at the end; an unseen
+    key raises OutOfVocabularyError for the first such point in user and time order.
     """
     user, ts, lat, lon, label, users, names = _sorted_columns(records)
     x, y = project(lat, lon, cfg.ref_lat)
-    bounds = np.searchsorted(user, np.arange(len(users) + 1))
-    segments: list[tuple[str, np.ndarray]] = []  # (user, row of each point)
-    for u, name in enumerate(users):
-        rows = np.arange(bounds[u], bounds[u + 1])
-        if cfg.profile == "gps":
-            rows = rows[resample(ts[rows], cfg.resample_interval)]
-        if cfg.profile == "signal":
-            rows = rows[filter_short_stays(ts[rows], x[rows], y[rows], vocab.spec,
-                                           cfg.min_stay_seconds)]
-        if len(rows) < 2:
-            continue
-        stops = compute_velocity(ts[rows], x[rows], y[rows]) < cfg.stop_speed_kmh
-        for a, b in segment_trajectories(stops, cfg.min_trajectory_records):
-            segments.append((name, rows[a : b + 1]))
-
-    kept = np.concatenate([rows for _, rows in segments]) if segments else np.zeros(0, int)
+    rows = (resample(user, ts, cfg.resample_interval) if cfg.profile == "gps"
+            else filter_short_stays(user, ts, x, y, vocab.spec, cfg.min_stay_seconds))
+    rows = rows[np.bincount(user[rows])[user[rows]] > 1]  # users with two rows or more
+    u = user[rows]
+    stops = compute_velocity(u, ts[rows], x[rows], y[rows]) < cfg.stop_speed_kmh
+    cuts = segment_trajectories(u, stops, cfg.min_trajectory_records)
+    segments = [rows[a : b + 1] for a, b in cuts]
+    kept = np.concatenate(segments) if segments else np.zeros(0, int)
     ids = vocab.ids_for(encode_points(x[kept], y[kept], vocab.spec))
     trajs: list[Trajectory] = []
     start = 0
-    for name, rows in segments:
-        stamps = ts[rows].tolist()
+    for seg in segments:
+        stamps = ts[seg].tolist()
         traj = Trajectory(
-            user=name,
-            ids=[vocab.sos_tuple()] + list(map(tuple, ids[start : start + len(rows)].tolist())),
+            user=users[user[seg[0]]],
+            ids=[vocab.sos_tuple()] + list(map(tuple, ids[start : start + len(seg)].tolist())),
             timestamps=stamps[:1] + stamps,
-            label=_majority_label(label[rows], names),
+            label=_majority_label(label[seg], names),
         )
         trajs.extend(window(traj, cfg.max_seq_len))
-        start += len(rows)
+        start += len(seg)
     return trajs
 
 

@@ -363,13 +363,16 @@ def test_criterion_9_ablation_harness():
 # -- 10: pipeline rules ---------------------------------------------------------------------
 
 def test_criterion_10_pipeline_rules():
+    def one_user(n):  # the stages take each row's user code first
+        return np.zeros(n, dtype=np.int64)
+
     def cols(*points):
         ts, x, y = zip(*points)
-        return np.array(ts), np.array(x, dtype=float), np.array(y, dtype=float)
+        return one_user(len(ts)), np.array(ts), np.array(x, dtype=float), np.array(y, dtype=float)
 
     # 1-minute resampling keeps the first record per bucket
     ts = np.array([1000, 1010, 1020, 1070])
-    resample_ok = ts[resample(ts, 60)].tolist() == [1000, 1070]
+    resample_ok = ts[resample(one_user(4), ts, 60)].tolist() == [1000, 1070]
     # 4 km/h threshold is strict
     speeds = compute_velocity(*cols((60, 0, 0), (120, 50, 0), (180, 50, 200), (240, 116.6667, 200)))
     stops = speeds < PipelineConfig().stop_speed_kmh
@@ -387,8 +390,8 @@ def test_criterion_10_pipeline_rules():
         and len(filter_short_stays(*cols((100, 10, 10)), spec, 300)) == 0
     )
     # > 10-record trajectory filter
-    seg25 = segment_trajectories(np.isin(np.arange(25), (0, 24)), 10)
-    seg8 = segment_trajectories(np.isin(np.arange(8), (0, 7)), 10)
+    seg25 = segment_trajectories(one_user(25), np.isin(np.arange(25), (0, 24)), 10)
+    seg8 = segment_trajectories(one_user(8), np.isin(np.arange(8), (0, 7)), 10)
     segment_ok = seg25 == [(0, 24)] and seg8 == []
     ok = resample_ok and stops_ok and stay_ok and segment_ok
     report(10, ok,

@@ -44,10 +44,14 @@ def test_an_artifact_on_one_side_only_fails():
 def test_a_second_chain_runs_the_benchmark_corpus_at_the_default_config():
     steps = artifact_hashes._steps(Path("work"))
     names = [name for name, _, _ in steps]
-    assert names[-3:] == ["synth_corpus", "vocab_corpus", "preprocess_corpus"]
-    for _, config, _ in steps[-3:]:
-        assert config == {"synth": {"users": artifact_hashes.CORPUS_USERS}}
-    assert all(config["hidden"] == 16 for _, config, _ in steps[:-3])  # the tiny chain
+    assert names[-4:] == ["synth_corpus", "vocab_corpus", "preprocess_corpus",
+                          "preprocess_signal_corpus"]
+    corpus = {"synth": {"users": artifact_hashes.CORPUS_USERS}}
+    for _, config, _ in steps[-4:-1]:
+        assert config == corpus
+    # the stay filter at corpus size: at the default min_stay_seconds it keeps nothing
+    assert steps[-1][1] == {**corpus, "profile": "signal", "min_stay_seconds": 0}
+    assert all(config["hidden"] == 16 for _, config, _ in steps[:-4])  # the tiny chain
 
 
 def test_the_ranking_chain_ranks_at_least_thirty_test_trajectories(tmp_path):

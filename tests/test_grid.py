@@ -17,7 +17,6 @@ from geoseq.grid import (
     decode_keys,
     encode_point,
     encode_points,
-    finest_cell,
     finest_cells,
     project,
     unproject,
@@ -153,7 +152,7 @@ def test_encode_decode_round_trip_property(data, spec):
     assert abs(cx - x) <= size / 2 + 1e-6
     assert abs(cy - y) <= size / 2 + 1e-6
     assert encode_point(cx, cy, spec) == keys
-    assert finest_cell(x, y, spec) == finest_cell(cx, cy, spec)
+    assert finest_cells([x], [y], spec).tolist() == finest_cells([cx], [cy], spec).tolist()
 
 
 def test_offsets_shared_across_parents():
@@ -179,7 +178,7 @@ def test_encode_respects_origin():
 
 def test_finest_cell_matches_full_decomposition():
     x, y = 123456.0, 7890.0
-    assert finest_cell(x, y, SPEC3) == (1234, 78)
+    assert finest_cells([x], [y], SPEC3).tolist() == [[1234, 78]]
 
 
 # -- the key columns equal the scalar oracle ------------------------------------
@@ -205,7 +204,7 @@ def test_encode_points_rows_equal_the_scalar_oracle(data, spec, n):
         assert row == [*want[0], *want[1:]]
         assert encode_point(a, b, spec) == want  # the one-row call
         assert tuple(cell) == oracle_finest_cell(a, b, spec.scales, spec.origin)
-        assert finest_cell(a, b, spec) == tuple(cell)
+        assert finest_cells([a], [b], spec).tolist() == [cell]
 
 
 def test_encode_points_rejects_a_coordinate_without_an_int64_index():

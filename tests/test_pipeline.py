@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geoseq import pipeline
 from geoseq.grid import EARTH_RADIUS_M, GridError, GridSpec, project
 from geoseq.pipeline import (
     PipelineConfig,
@@ -30,10 +31,16 @@ from grid_oracle import OracleUnseenKey, doc_maps, oracle_finest_cell, oracle_id
 SPEC = GridSpec((1_000.0, 100.0))
 
 
+def one_user(n):
+    """The user code column of n rows of one user."""
+    return np.zeros(n, dtype=np.int64)
+
+
 def cols(*points):
-    """(ts, x, y) columns of (ts, x, y) points."""
+    """(user, ts, x, y) columns of one user's (ts, x, y) points."""
     ts, x, y = zip(*points)
-    return np.array(ts, dtype=np.int64), np.array(x, dtype=float), np.array(y, dtype=float)
+    return (one_user(len(ts)), np.array(ts, dtype=np.int64), np.array(x, dtype=float),
+            np.array(y, dtype=float))
 
 
 def stops_at(n, *at):
@@ -44,16 +51,16 @@ def stops_at(n, *at):
 
 def test_resample_keeps_first_per_bucket():
     ts = np.array([1000, 1010, 1020, 1070])
-    assert ts[resample(ts, 60)].tolist() == [1000, 1070]
+    assert ts[resample(one_user(4), ts, 60)].tolist() == [1000, 1070]
 
 
 def test_resample_empty():
-    assert resample(np.array([], dtype=np.int64), 60).tolist() == []
+    assert resample(one_user(0), np.array([], dtype=np.int64), 60).tolist() == []
 
 
 def test_resample_sparse_input_unchanged():
     ts = np.array([1, 61, 181, 241])  # all >= 60 s apart
-    assert resample(ts, 60).tolist() == [0, 1, 2, 3]
+    assert resample(one_user(4), ts, 60).tolist() == [0, 1, 2, 3]
 
 
 # -- velocity and stops -------------------------------------------------------
@@ -93,7 +100,7 @@ def test_stop_threshold_is_strict():
     records = [RawRecord("u", 60 * (i + 1), 0.0, lon, None) for i, lon in enumerate(lons)]
     ts = np.array([r.timestamp for r in records])
     x, y = project([r.lat for r in records], [r.lon for r in records], 0.0)
-    speeds = compute_velocity(ts, x, y)
+    speeds = compute_velocity(one_user(len(ts)), ts, x, y)
     threshold = float(speeds[3])
     assert (speeds < threshold).tolist() == [True, True, False, False, True, True]
     vocab = build_vocab(zip(x.tolist(), y.tolist()), SPEC)
@@ -104,15 +111,15 @@ def test_stop_threshold_is_strict():
 # -- stay filtering -----------------------------------------------------------
 
 def test_stay_spanning_600s_kept_as_one():
-    ts, x, y = cols(*[(t, 10, 10) for t in (100, 400, 700)])  # same 100 m cell
-    kept = filter_short_stays(ts, x, y, SPEC, 300)
+    user, ts, x, y = cols(*[(t, 10, 10) for t in (100, 400, 700)])  # same 100 m cell
+    kept = filter_short_stays(user, ts, x, y, SPEC, 300)
     assert len(kept) == 1
     assert ts[kept[0]] == 100
 
 
 def test_short_stay_dropped():
-    ts, x, y = cols((100, 10, 10), (220, 10, 10))  # 120 s in one cell
-    assert filter_short_stays(ts, x, y, SPEC, 300).tolist() == []
+    user, ts, x, y = cols((100, 10, 10), (220, 10, 10))  # 120 s in one cell
+    assert filter_short_stays(user, ts, x, y, SPEC, 300).tolist() == []
 
 
 def test_single_record_stay_dropped():
@@ -120,15 +127,15 @@ def test_single_record_stay_dropped():
 
 
 def test_stays_split_by_cell_change():
-    ts, x, y = cols((100, 10, 10), (500, 10, 10), (600, 250, 10), (1000, 250, 10))
-    kept = filter_short_stays(ts, x, y, SPEC, 300)
+    user, ts, x, y = cols((100, 10, 10), (500, 10, 10), (600, 250, 10), (1000, 250, 10))
+    kept = filter_short_stays(user, ts, x, y, SPEC, 300)
     assert ts[kept].tolist() == [100, 600]
 
 
 # -- segmentation -------------------------------------------------------------
 
 def test_segment_between_boundary_stops():
-    segments = segment_trajectories(stops_at(25, 0, 24), 10)
+    segments = segment_trajectories(one_user(25), stops_at(25, 0, 24), 10)
     assert len(segments) == 1
     first, last = segments[0]
     assert last - first + 1 == 25
@@ -136,17 +143,17 @@ def test_segment_between_boundary_stops():
 
 def test_segment_shorter_than_threshold_discarded():
     # 8 records between and including two stops: 8 <= 10 so it goes
-    assert segment_trajectories(stops_at(8, 0, 7), 10) == []
+    assert segment_trajectories(one_user(8), stops_at(8, 0, 7), 10) == []
 
 
 def test_no_stops_no_segments():
-    assert segment_trajectories(np.zeros(50, dtype=bool), 10) == []
+    assert segment_trajectories(one_user(50), np.zeros(50, dtype=bool), 10) == []
 
 
 def test_segments_partition_between_first_and_last_stop():
     rng = np.random.default_rng(0)
     stops = rng.random(200) < 0.2
-    segments = segment_trajectories(stops, min_len=0)
+    segments = segment_trajectories(one_user(200), stops, min_len=0)
     at = np.flatnonzero(stops).tolist()
     if len(at) >= 2:
         inner = []
@@ -437,20 +444,25 @@ def oracle_preprocess(records, vocab, cfg):
     for the first point tokenized, in user and time order."""
     doc = vocab.to_json()
     maps = doc_maps(doc)
+    sos = (SOS_ID,) * len(maps)
+    chunk = cfg.max_seq_len - 1
     trajs = []
     for rs in oracle_marked_users(records, vocab, cfg).values():
         for seg in oracle_segment_trajectories(rs, cfg.min_trajectory_records):
-            ids = [(SOS_ID,) * len(maps)] + [oracle_ids(r.x, r.y, doc, maps) for r in seg]
-            ts = [seg[0].timestamp] + [r.timestamp for r in seg]
-            traj = Trajectory(seg[0].user_id, ids, ts, oracle_majority_label(seg))
-            trajs.extend(window(traj, cfg.max_seq_len))
+            ids = [oracle_ids(r.x, r.y, doc, maps) for r in seg]  # a dropped point's too
+            for a in range(0, len(seg), chunk):
+                part = seg[a : a + chunk]
+                if len(part) > 1:  # a lone trailing point has nothing to predict
+                    ts = [r.timestamp for r in part]
+                    trajs.append(Trajectory(seg[0].user_id, [sos] + ids[a : a + chunk],
+                                            ts[:1] + ts, oracle_majority_label(seg)))
     return trajs
 
 
-def oracle_records(ts, x, y):
+def oracle_records(ts, x, y, user="u"):
     records = []
     for t, a, b in zip(ts.tolist(), x.tolist(), y.tolist()):
-        r = OracleRecord("u", t, 0.0, 0.0)
+        r = OracleRecord(user, t, 0.0, 0.0)
         r.x, r.y = a, b
         records.append(r)
     return records
@@ -458,9 +470,11 @@ def oracle_records(ts, x, y):
 
 # sorted timestamps with repeats, steps on both sides of 60 s and 300 s
 _steps = st.sampled_from([0, 0, 1, 30, 59, 60, 61, 119, 120, 299, 300, 301, 3600])
+# a few fixed starts, so that users' times overlap
+_first_times = st.one_of(st.integers(1, 2**40), st.sampled_from([1, 300, 600]))
 _times = st.builds(
     lambda start, steps: np.cumsum([start] + steps).astype(np.int64),
-    st.integers(1, 2**40), st.lists(_steps, max_size=40),
+    _first_times, st.lists(_steps, max_size=40),
 )
 # negative and positive meters, many exactly on 100 m (SPEC's finest) cell edges
 _meters = st.one_of(
@@ -502,7 +516,7 @@ def test_project_equals_the_scalar_formula_bit_for_bit(lat, lon, ref_lat):
 def test_resample_keeps_the_oracles_records(columns, interval):
     ts, x, y = columns
     records = oracle_records(ts, x, y)
-    kept = [records[i] for i in resample(ts, interval).tolist()]
+    kept = [records[i] for i in resample(one_user(len(ts)), ts, interval).tolist()]
     assert kept == oracle_resample(records, interval)
 
 
@@ -511,7 +525,8 @@ def test_resample_keeps_the_oracles_records(columns, interval):
 def test_filter_short_stays_keeps_the_oracles_records(columns, min_duration):
     ts, x, y = columns
     records = oracle_records(ts, x, y)
-    kept = [records[i] for i in filter_short_stays(ts, x, y, SPEC, min_duration).tolist()]
+    kept = [records[i] for i in filter_short_stays(one_user(len(ts)), ts, x, y, SPEC,
+                                                   min_duration).tolist()]
     assert kept == oracle_filter_short_stays(records, SPEC, min_duration)
 
 
@@ -522,10 +537,10 @@ def test_speeds_stops_and_segments_equal_the_oracles(columns, min_len):
     if len(ts) < 2:
         return
     records = oracle_compute_velocity(oracle_records(ts, x, y))
-    speeds = compute_velocity(ts, x, y)
+    speeds = compute_velocity(one_user(len(ts)), ts, x, y)
     assert speeds.tobytes() == np.array([r.speed_kmh for r in records]).tobytes()
     oracle_mark_stops(records, 4.0)
-    segments = segment_trajectories(speeds < 4.0, min_len)
+    segments = segment_trajectories(one_user(len(ts)), speeds < 4.0, min_len)
     assert [records[a : b + 1] for a, b in segments] == oracle_segment_trajectories(records, min_len)
 
 
@@ -536,7 +551,88 @@ def test_speeds_round_as_the_record_loop_on_random_steps():
     ts = np.cumsum(rng.integers(0, 120, 10_000)) + 1
     x, y = rng.normal(0.0, 500.0, (2, 10_000))
     records = oracle_compute_velocity(oracle_records(ts, x, y))
-    assert compute_velocity(ts, x, y).tobytes() == np.array([r.speed_kmh for r in records]).tobytes()
+    want = np.array([r.speed_kmh for r in records])
+    assert compute_velocity(one_user(len(ts)), ts, x, y).tobytes() == want.tobytes()
+
+
+@st.composite
+def users_columns(draw):
+    """1-4 users' (ts, x, y) columns; a user's first rows may share a timestamp,
+    and users' times overlap."""
+    users = []
+    for _ in range(draw(st.integers(1, 4))):
+        ts, x, y = draw(user_columns())
+        ts[1 : 1 + draw(st.integers(0, 2))] = ts[0]
+        users.append((ts, x, y))
+    return users
+
+
+def _index_of(records):
+    at = {id(r): i for i, r in enumerate(records)}
+    return lambda kept: [at[id(r)] for r in kept]
+
+
+@settings(max_examples=200, deadline=None)
+@given(users=users_columns(), interval=st.sampled_from([1, 60, 300]),
+       min_duration=st.sampled_from([0, 60, 300]), min_len=st.integers(0, 4))
+def test_each_stage_over_users_equals_its_oracle_user_by_user(users, interval, min_duration,
+                                                              min_len):
+    # the stages see every user's rows at once; each user's part of the output
+    # is the oracle's on that user alone, at that user's row offset
+    user = np.concatenate([np.full(len(c[0]), k) for k, c in enumerate(users)])
+    ts, x, y = map(np.concatenate, zip(*users))
+    per_user = [oracle_records(*c, user=str(k)) for k, c in enumerate(users)]
+    index = _index_of([r for rs in per_user for r in rs])
+    assert resample(user, ts, interval).tolist() == index(
+        [r for rs in per_user for r in oracle_resample(rs, interval)])
+    assert filter_short_stays(user, ts, x, y, SPEC, min_duration).tolist() == index(
+        [r for rs in per_user for r in oracle_filter_short_stays(rs, SPEC, min_duration)])
+
+    if any(len(rs) == 1 for rs in per_user):
+        with pytest.raises(ValueError, match="two records per user"):
+            compute_velocity(user, ts, x, y)
+    # speeds and segments over the users with two rows or more
+    moving = np.isin(user, [k for k, rs in enumerate(per_user) if len(rs) > 1])
+    per_user = [oracle_mark_stops(oracle_compute_velocity(rs), 4.0)
+                for rs in per_user if len(rs) > 1]
+    records = [r for rs in per_user for r in rs]
+    speeds = compute_velocity(user[moving], ts[moving], x[moving], y[moving])
+    assert speeds.tobytes() == np.array([r.speed_kmh for r in records], dtype=float).tobytes()
+    index = _index_of(records)
+    want = [(index(seg)[0], index(seg)[-1])
+            for rs in per_user for seg in oracle_segment_trajectories(rs, min_len)]
+    assert segment_trajectories(user[moving], speeds < 4.0, min_len) == want
+
+
+def test_a_users_first_speed_takes_no_step_from_the_user_before():
+    # user 1's first two rows share a timestamp, so their speed is the 0 that
+    # user 1 alone gives, not the 1000 m step from user 0's last row
+    user = np.array([0, 0, 0, 1, 1, 1])
+    ts = np.array([100, 160, 220, 500, 500, 560])
+    x, y = np.array([0.0, 0.0, 0.0, 1000.0, 1000.0, 1500.0]), np.zeros(6)
+    speeds = compute_velocity(user, ts, x, y)
+    alone = [compute_velocity(one_user(3), ts[k : k + 3], x[k : k + 3], y[k : k + 3])
+             for k in (0, 3)]
+    assert speeds.tobytes() == np.concatenate(alone).tobytes()
+    assert speeds[3:5].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("profile", ["gps", "signal"])
+def test_preprocess_calls_each_stage_once(monkeypatch, profile):
+    # three users, each a record every 10 minutes, 500 m apart: 3 km/h, all stops
+    records = [RawRecord(u, 1_000 + 600 * i, 0.0, 0.0045 * i) for u in "abc" for i in range(6)]
+    vocab = build_vocab([oracle_project(r.lat, r.lon, 0.0) for r in records], SPEC)
+    calls = []
+    for name in ("resample", "filter_short_stays", "compute_velocity", "segment_trajectories"):
+        stage = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda *a, _n=name, _f=stage: calls.append(_n) or _f(*a))
+    cfg = PipelineConfig(profile=profile, min_stay_seconds=0, min_trajectory_records=1)
+    trajs = preprocess(records, vocab, cfg)
+    first = "resample" if profile == "gps" else "filter_short_stays"
+    assert calls == [first, "compute_velocity", "segment_trajectories"]
+    assert trajs == oracle_preprocess(records, vocab, cfg)
+    assert {t.user for t in trajs} == set("abc")
 
 
 _degrees = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 1.0]), st.floats(-1.0, 1.0))
