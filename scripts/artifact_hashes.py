@@ -4,7 +4,7 @@ Usage, from the root of a geoseq checkout:
 
     python3 scripts/artifact_hashes.py [--parent REV]
 
-Runs three CLI chains through `geoseq.cli.dispatch`, with seed `SEED`, in a
+Runs four CLI chains through `geoseq.cli.dispatch`, with seed `SEED`, in a
 temporary directory, in a fresh process that imports `geoseq` from a
 checkout's `src/`. The first is the whole chain on a tiny config (with the
 default attention dropout): synth, vocab, preprocess (the `gps` profile, and
@@ -16,7 +16,12 @@ the second chain is sized for rankings: the same tiny model on the
 `RANKING` corpus, split so that 36 trajectories are ranked, through
 synth, vocab, preprocess, pretrain, the frozen FFN and LSTM finetunes (each
 reports its rankings) and eval with the pre-training heads; its steps end
-in `_ranking`. The third is synth, vocab and preprocess on the benchmark's
+in `_ranking`. The third runs vocab and preprocess, with the `signal`
+profile at `min_stay_seconds` `STAY_SECONDS`, on `stays.csv`, which the
+script writes itself: stays lasting exactly that long and one second less,
+so the stay filter's duration test decides what is kept (the synth corpora
+keep no trajectory at such a threshold); its steps end in `_stays`. The
+fourth is synth, vocab and preprocess on the benchmark's
 corpus, `CORPUS_USERS` users at the default config, so the tokenizer and
 the stages are checked at that size too, then `preprocess_signal_corpus`:
 the `signal` profile with `min_stay_seconds` 0 on that corpus (at the
@@ -70,6 +75,19 @@ TINY = {
 RANKING = {"synth": {**TINY["synth"], "users": 40, "extent_m": 5_000.0},
            "scales": [4_000.0, 2_000.0, 1_000.0], "split_fractions": [0.5, 0.4, 0.0]}
 CORPUS_USERS = 200  # perfbench's corpus
+# The stay chain: a CSV written here whose stays last exactly `STAY_SECONDS`
+# or one second less, preprocessed with the `signal` profile at that
+# `min_stay_seconds`, so that how a stay's duration is measured shows in its
+# trajectories. Each of `STAY_USERS` users walks east through the stays
+# `STAYS`, (step east in meters, duration in seconds), with a minute of travel
+# between them: it stops at the second and the last (100 m in five minutes)
+# and moves between them at 12-20 km/h. Stays of five records a minute apart
+# last 240 s; the exact ones are at 0, 60 and 120 s, the short ones at 0, 60
+# and 119 s.
+STAY_SECONDS = 120
+STAY_USERS = 12
+STAYS = [(0, 240), (100, 240), (1000, 120), (1000, 119), (1000, 240), (1000, 120),
+         (1000, 119), (1000, 120), (1000, 240), (1000, 240), (100, 240)]
 
 
 def _steps(work: Path) -> list[tuple[str, dict, dict]]:
@@ -98,7 +116,7 @@ def _steps(work: Path) -> list[tuple[str, dict, dict]]:
         steps.append((f"eval_{name}", {}, {**data, **ckpt, "--head-checkpoint": head}))
     steps.append(("ablate", {}, {"--data": data["--data"], "--vocab": vocab}))
     steps = [(name, {**TINY, **overrides}, inputs) for name, overrides, inputs in steps]
-    steps += _ranking_steps(work)
+    steps += _ranking_steps(work) + _stay_steps(work)
     corpus = {"synth": {"users": CORPUS_USERS}}
     csv, vocab = work / "synth_corpus" / "synth.csv", work / "vocab_corpus" / "vocab.json"
     return steps + [
@@ -131,6 +149,30 @@ def _ranking_steps(work: Path) -> list[tuple[str, dict, dict]]:
             for name, overrides, inputs in steps]
 
 
+def _stay_steps(work: Path) -> list[tuple[str, dict, dict]]:
+    """The `signal` profile's stay filter at a nonzero `min_stay_seconds`, on `stays.csv`."""
+    csv, vocab = work / "stays.csv", work / "vocab_stays" / "vocab.json"
+    signal = {"profile": "signal", "min_stay_seconds": STAY_SECONDS, "min_trajectory_records": 3}
+    return [("vocab_stays", TINY, {"--input": csv}),
+            ("preprocess_stays", {**TINY, **signal}, {"--input": csv, "--vocab": vocab})]
+
+
+def write_stays_csv(path: Path) -> None:
+    """The stay chain's input: `STAYS` for each of `STAY_USERS` users, at cell centers."""
+    from geoseq.grid import unproject
+
+    rows = ["user_id,timestamp,lat,lon"]
+    for u in range(STAY_USERS):
+        x, t = 50.0, 1_600_000_000 + 100_000 * u
+        for step, duration in STAYS:
+            x += step
+            lat, lon = unproject(x, 50.0 + 5_000.0 * u)
+            offsets = range(0, duration + 1, 60) if duration % 60 == 0 else (0, 60, duration)
+            rows += [f"u{u:02d},{t + dt},{lat:.7f},{lon:.7f}" for dt in offsets]
+            t += duration + 60
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 def _manifest_digest(path: Path, work: Path) -> str:
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc.pop("config", None)
@@ -140,12 +182,14 @@ def _manifest_digest(path: Path, work: Path) -> str:
 
 
 def run_chain(work: Path, steps=None) -> dict[str, str]:
-    """Run `steps` (every step by default) in `work` and hash what each wrote.
+    """Write `stays.csv`, run `steps` (every step by default) in `work` and
+    hash what each wrote.
 
     A failing step raises.
     """
     from geoseq.cli import dispatch
 
+    write_stays_csv(work / "stays.csv")
     hashes = {}
     for step, config, inputs in _steps(work) if steps is None else steps:
         cfg = work / f"{step}.json"

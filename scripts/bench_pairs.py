@@ -1,22 +1,27 @@
 """Alternating parent/change runs of perfbench, summarized as a `BENCH_*.json` file.
 
 Usage, from the root of a geoseq checkout (the change side is this checkout
-as it stands, uncommitted edits included):
+as it stands: its tracked files, uncommitted edits and staged new files
+included, untracked files not):
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>_<slug>.json \\
         [--seed 19000] [--traced-seed N] [--claim TEXT] [--host TEXT]
 
-The parent side is `git archive REV` unpacked into a temporary directory, so
-the repository's `.git` is left as it was; the directory is removed at the
-end. Each workload of `BENCHMARK.json` gets ten pairs. Pair i runs
-`perfbench/run.py --trace 0` for the benchmark's `run_seconds` with the same
-seed on both sides, one after the other, and the side that runs first
-alternates from pair to pair, starting with the parent. Each run's last
-output line (its JSON result) is kept. Per workload and end-to-end metric of
-`BENCHMARK.json` the file gets each side's median and quartiles, how many
-pairs the change led, the difference of the medians, the parent's
-interquartile range and the ratio of the medians. With `--traced-seed`, one
-`--trace 1` run per side (10 s) adds every per-layer metric of both sides.
+Both sides run from a snapshot unpacked with `git archive` into a temporary
+directory of its own, so the two sides run from equal directories and the
+repository's `.git`, working tree and index are left as they were: the
+parent side is commit REV, the change side the commit `git stash create`
+makes of the checkout (HEAD when nothing is uncommitted). The directories
+are removed at the end. Each workload of `BENCHMARK.json` gets ten pairs.
+Pair i runs `perfbench/run.py --trace 0` for the benchmark's `run_seconds`
+with the same seed on both sides, one after the other, and the side that
+runs first alternates from pair to pair, starting with the parent. Each
+run's last output line (its JSON result) is kept. Per workload and
+end-to-end metric of `BENCHMARK.json` the file gets each side's median and
+quartiles, how many pairs the change led, the difference of the medians,
+the parent's interquartile range and the ratio of the medians. With
+`--traced-seed`, one `--trace 1` run per side and workload (10 s each) adds
+every per-layer metric of both sides, under `traced_pair` by workload.
 """
 
 from __future__ import annotations
@@ -83,6 +88,21 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def traced_pair(workload: str, seed: int, traced: dict[str, dict]) -> dict:
+    """One workload's traced pair: both sides' correctness and every per-layer metric.
+
+    `traced` maps each side to the result of its `--trace 1` run.
+    """
+    return {
+        "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
+                   f"--seconds {TRACED_SECONDS} --trace 1 "
+                   f"(one run per side; per-layer, not a claim)",
+        "correct": {s: traced[s]["correct"] for s in SIDES},
+        "metrics": {name: {s: traced[s]["metrics"][name]["value"] for s in SIDES}
+                    for name in traced["change"]["metrics"]},
+    }
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The JSON result on the last output line of one perfbench run in `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -94,15 +114,23 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def export(rev: str, dest: Path) -> str:
-    """Unpack commit `rev` of this repository into `dest`; returns its short hash."""
-    short = subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT, check=True,
+def export(rev: str, dest: Path, repo: Path = ROOT) -> str:
+    """Unpack commit `rev` of `repo` into `dest`; returns its short hash."""
+    short = subprocess.run(["git", "rev-parse", "--short", rev], cwd=repo, check=True,
                            capture_output=True, text=True).stdout.strip()
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo, check=True,
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return short
+
+
+def snapshot(repo: Path = ROOT) -> str:
+    """A commit of `repo`'s checkout as it stands, made without touching its
+    working tree, index or refs: `git stash create`, or HEAD when it is clean."""
+    made = subprocess.run(["git", "stash", "create"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    return made or "HEAD"
 
 
 def parse_args(argv):
@@ -111,7 +139,7 @@ def parse_args(argv):
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--seed", type=int, default=19000,
                    help="workload w, pair i runs seed + 100 * w + i + 1")
-    p.add_argument("--traced-seed", type=int, help="also run one traced pretrain pair")
+    p.add_argument("--traced-seed", type=int, help="also run one traced pair per workload")
     p.add_argument("--claim", default="")
     p.add_argument("--host", default="")
     return p.parse_args(argv)
@@ -123,10 +151,10 @@ def main(argv) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    parent_dir = Path(tempfile.mkdtemp(prefix="bench_pairs_parent_"))
+    checkouts = {s: Path(tempfile.mkdtemp(prefix=f"bench_pairs_{s}_")) for s in SIDES}
     try:
-        short = export(args.parent, parent_dir)
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        short = export(args.parent, checkouts["parent"])
+        export(snapshot(), checkouts["change"])
         runs = []
         for w, workload in enumerate(workloads):
             for i in range(PAIRS):
@@ -152,19 +180,16 @@ def main(argv) -> int:
             "workloads": summarize(runs, better),
         }
         if args.traced_seed is not None:
-            traced = {s: run_perfbench(checkouts[s], "pretrain", args.traced_seed,
-                                       TRACED_SECONDS, 1) for s in SIDES}
             doc["traced_pair"] = {
-                "command": f"python3 perfbench/run.py --workload pretrain --seed "
-                           f"{args.traced_seed} --seconds {TRACED_SECONDS} --trace 1 "
-                           f"(one run per side; per-layer, not a claim)",
-                "correct": {s: traced[s]["correct"] for s in SIDES},
-                "metrics": {name: {s: traced[s]["metrics"][name]["value"] for s in SIDES}
-                            for name in traced["change"]["metrics"]},
+                workload: traced_pair(workload, args.traced_seed, {
+                    s: run_perfbench(checkouts[s], workload, args.traced_seed,
+                                     TRACED_SECONDS, 1) for s in SIDES})
+                for workload in workloads
             }
         doc["runs"] = runs
     finally:
-        shutil.rmtree(parent_dir, ignore_errors=True)
+        for path in checkouts.values():
+            shutil.rmtree(path, ignore_errors=True)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tensor as T
 from .model import (
-    HEAD_CHAINED,
     Batch,
     CheckpointError,
     ModelConfig,
@@ -192,7 +191,9 @@ class NextLocationHeadLSTM:
         p = lambda name: self.params[f"g{level}.{name}"]
         # the input side of every step at once; a one-hot meets `wx` once per row
         x_gates = T.concat_matmul(outputs, hot, p("wx"), p("b"))
-        last = T.lstm(x_gates, p("wh"), keep.sum(axis=1) - 1)
+        # a one-hot fanned over one sequence gives each of its rows that sequence's last step
+        steps = np.repeat(keep.sum(axis=1) - 1, len(x_gates.data) // len(keep))
+        last = T.lstm(x_gates, p("wh"), steps)
         return T.matmul(last, p("out_w"), p("out_b"))
 
 
@@ -273,14 +274,16 @@ class PretrainingHeads:
 def beam_topk(level_probs, level_sizes: list[int], k: int) -> list[tuple[tuple[int, ...], float]]:
     """Rank complete tuples by the product of per-level conditional probabilities.
 
-    `level_probs(level, prev_id)` returns the probability vector of a level
-    given the previous level's chosen id (`None` for level 1); it is called
-    once per kept candidate per level. Each level stacks those vectors into
-    a [candidates, V] matrix of float64 running products, finds the k-th
-    best with `np.partition` and orders the candidates at least that good
-    with one `np.lexsort`; ties order lexicographically by tuple, and none
-    is dropped at the k-th place. With k equal to the number of complete
-    tuples this is exhaustive enumeration.
+    `level_probs(level, prev_ids)` is called once per level. `prev_ids` is
+    None at level 1; above it, the int64 array of the kept tuples' last ids,
+    in kept order. It returns the conditional probabilities of every
+    candidate as one flat, kept-major vector: the level's V probabilities
+    given each kept tuple's last id, one block after another (V entries at
+    level 1). Each level scales those blocks by the kept tuples' float64
+    running products, finds the k-th best with `np.partition` and orders the
+    candidates at least that good with one `np.lexsort`; ties order
+    lexicographically by tuple, and none is dropped at the k-th place. With
+    k equal to the number of complete tuples this is exhaustive enumeration.
     """
     total = int(np.prod(level_sizes))
     k = max(1, min(k, total))
@@ -289,8 +292,8 @@ def beam_topk(level_probs, level_sizes: list[int], k: int) -> list[tuple[tuple[i
     codes = np.zeros(1, dtype=np.int64)
     scores = np.ones(1)
     for level in range(1, len(level_sizes) + 1):
-        prev_ids = [None] if level == 1 else tuples[:, -1].tolist()
-        probs = np.stack([level_probs(level, prev) for prev in prev_ids])
+        prev_ids = None if level == 1 else tuples[:, -1]
+        probs = level_probs(level, prev_ids).reshape(len(scores), -1)
         size = probs.shape[1]
         neg = -(scores[:, None] * probs).ravel()
         cand_codes = (codes[:, None] * size + np.arange(size)).ravel()
@@ -309,23 +312,22 @@ def beam_topk(level_probs, level_sizes: list[int], k: int) -> list[tuple[tuple[i
 def _beam_rank(state: ModelState, head, traj: Trajectory, k: int):
     """One backbone pass over `traj`, then the beam over `head`'s conditional chain.
 
-    Each distinct (level, input) the beam asks for costs one head call. The
-    input is the previous id in chained mode; independent heads read the
-    features alone, so one call per level serves every kept candidate.
+    Each level costs one head call for all the beam's kept candidates. In
+    chained mode the head reads one one-hot row per kept candidate, its last
+    id, and `concat_matmul` fans the sequence's features out over those rows.
+    Independent heads read the features alone, so their one row of
+    probabilities is tiled over the candidates.
     """
     batch = make_batch([traj], state.config.levels)
     with T.no_grad():
         features = head.features(backbone_outputs(state, batch), batch.keep)
-        chained = state.config.head_mode == HEAD_CHAINED
-        cache: dict = {}
 
-        def level_probs(level: int, prev_id: int | None) -> np.ndarray:
-            read = prev_id if chained else None
-            key = (level, read)
-            if key not in cache:
-                hot = chain_one_hot(state.config, level, [read], state.dtype)
-                cache[key] = T.softmax(head.level_logits(level, features, hot)).data[0]
-            return cache[key]
+        def level_probs(level: int, prev_ids: np.ndarray | None) -> np.ndarray:
+            hot = chain_one_hot(state.config, level, prev_ids, state.dtype)
+            probs = T.softmax(head.level_logits(level, features, hot)).data
+            if hot is None and prev_ids is not None:  # one row serves every kept tuple
+                probs = np.tile(probs, (len(prev_ids), 1))
+            return probs.ravel()
 
         return beam_topk(level_probs, state.config.level_sizes, k)
 

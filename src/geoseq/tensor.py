@@ -3,10 +3,12 @@
 The sequence models use matmul (with an optional bias added in place), the
 matmul of a concatenated input without the concatenation (`concat_matmul`,
 which multiplies only the columns of its constant part that are nonzero
-somewhere), add/mul, embedding lookup (also the row gather), its inverse
-`scatter_rows`, relu, an LSTM recurrence as one node (`lstm`), layer norm,
-softmax, sum, reshape/swapaxes, basic indexing, cross-entropy, and attention
-as one node (`scaled_dot_product_attention`). Nine more ops
+somewhere, and fans an input of one row out over the constant part's rows,
+so a beam's kept candidates share one call), add/mul, embedding lookup
+(also the row gather), its inverse `scatter_rows`, relu, an LSTM recurrence
+as one node (`lstm`), layer norm, softmax, sum, reshape/swapaxes, basic
+indexing, cross-entropy, and attention as one node
+(`scaled_dot_product_attention`). Nine more ops
 (`sub`, `neg`, `log`, `mean`, `masked_fill`, `dropout`, `concat`, `sigmoid`,
 `tanh`) have no caller in the package; they stay because the benchmark's
 tracer (`perfbench/tracer.py`) looks each of them up by name. Every
@@ -342,11 +344,19 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
     added last, as it was to the concatenated GEMM's output. `extra` None is
     `matmul(a, w, bias)`.
 
+    An `a` with one leading row fans out over the n rows of `extra`, as if
+    `a` were repeated n times: `a @ w[:k]` runs once at `a`'s own shape, and
+    `extra`'s rows and the bias are added after it, broadcast over the rows,
+    so each output row has the bits of a call with that row of `extra` alone.
+    Backward sums the fanned rows' gradient back onto `a`. A beam ranks all
+    of a level's kept candidates this way, one `extra` row each.
+
     Only the columns of `extra` that are nonzero somewhere are multiplied:
     `extra[..., cols] @ w[k + cols]`, which for a one-hot gives the same bits
     as the whole product. The weight gradient fills `w`'s rows `k + cols` and
     leaves its other `extra` rows zero. The MAC counter still counts the
-    product the op is asked for, `extra`'s full width, as `estimate_flops` does.
+    product the op is asked for, `extra`'s full width, as `estimate_flops` does;
+    a fanned `a` counts once, as it runs.
     """
     if extra is None:
         return matmul(a, w, bias)
@@ -355,7 +365,11 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
     extra = np.asarray(extra)
     lead, k = a.data.shape[:-1], a.data.shape[-1]
     per_sequence = extra.ndim == a.data.ndim - 1
-    if extra.shape[:-1] != (lead[:-1] if per_sequence else lead):
+    fit = lead[:-1] if per_sequence else lead
+    fanned = fit[:1] == (1,) and extra.shape[:1] != (1,)
+    if fanned:
+        fit = extra.shape[:1] + fit[1:]
+    if extra.shape[:-1] != fit:
         raise ShapeError(f"concat_matmul extra {extra.shape} does not fit a {a.data.shape}")
     if w.data.ndim != 2 or w.data.shape[0] != k + extra.shape[-1]:
         raise ShapeError(
@@ -374,7 +388,11 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
     bottom = w.data[k + cols]
     out = (a2 @ top).reshape(*lead, n)
     e_out = (e2 @ bottom).reshape(*extra.shape[:-1], n)
-    out += e_out[..., None, :] if per_sequence else e_out
+    e_out = e_out[..., None, :] if per_sequence else e_out
+    if fanned:
+        out = out + e_out
+    else:
+        out += e_out
     parents = (a, w)
     rbias = None
     if bias is not None:
@@ -387,7 +405,7 @@ def concat_matmul(a, extra, w, bias=None) -> Tensor:
         a2 = e2 = None
 
     def backward(g):
-        g2 = g.reshape(rows, n)
+        g2 = (g.sum(axis=0) if fanned else g).reshape(rows, n)
         ga = (g2 @ top.T).reshape(sa) if ra else None
         gw = None
         if rw:

@@ -62,3 +62,19 @@ def test_the_ranking_chain_ranks_at_least_thirty_test_trajectories(tmp_path):
     artifact_hashes.run_chain(tmp_path, steps[:3])
     splits = json.loads((tmp_path / "preprocess_ranking" / "splits.json").read_text())
     assert len(splits["finetune_test"]) >= 30
+
+
+def test_the_stay_chain_keeps_stays_of_exactly_the_threshold(tmp_path):
+    steps = [s for s in artifact_hashes._steps(tmp_path) if s[0].endswith("_stays")]
+    assert [name for name, _, _ in steps] == ["vocab_stays", "preprocess_stays"]
+    threshold = artifact_hashes.STAY_SECONDS
+    assert steps[1][1]["profile"] == "signal" and steps[1][1]["min_stay_seconds"] == threshold > 0
+    durations = [d for _, d in artifact_hashes.STAYS]
+    assert threshold in durations and threshold - 1 in durations
+    artifact_hashes.run_chain(tmp_path, steps)
+    lines = (tmp_path / "preprocess_stays" / "trajectories.ndjson").read_text().splitlines()
+    assert len(lines) == artifact_hashes.STAY_USERS
+    # every stay that lasts the threshold is kept, and none shorter; the
+    # first stay lies before the first stop, so no trajectory holds it
+    kept = sum(d >= threshold for d in durations) - 1
+    assert all(len(json.loads(line)["ids"]) == 1 + kept for line in lines)

@@ -77,29 +77,38 @@ def test_tracer_times_matmul_forward_and_backward():
     assert attn_fwd.total > 0 and attn_bwd.total > 0
 
 
-def test_beam_asks_level_probs_once_per_kept_candidate():
-    # the benchmark's "beam" probe wraps level_probs(level, prev_id) and adds
-    # len(probs) to downstream.beam_candidates_per_traj; that count means
-    # "candidates expanded" only while each kept candidate is one call
+def test_beam_asks_level_probs_once_per_level():
+    # the benchmark's "beam" probe wraps level_probs(level, prev_ids) and adds
+    # len(probs) to downstream.beam_candidates_per_traj; one call per level
+    # returns the flat list of the level's candidates, so the sum still counts
+    # the candidates expanded
     sizes, k = [4, 6, 3, 5], 5
     rng = np.random.default_rng(0)
     tables = {(1, None): rng.random(sizes[0])}
     for level in range(2, len(sizes) + 1):
         for prev in range(sizes[level - 2]):
             tables[(level, prev)] = rng.random(sizes[level - 1]).astype(np.float32)
-    calls = []
 
-    def level_probs(level, prev_id):
-        calls.append((level, prev_id))
-        return tables[(level, prev_id)]
+    def lookup(level, prev_ids):
+        if prev_ids is None:
+            return tables[(level, None)]
+        return np.concatenate([tables[(level, int(prev))] for prev in prev_ids])
+
+    calls, returned = [], []
+
+    def level_probs(level, prev_ids):
+        calls.append((level, prev_ids))
+        returned.append(lookup(level, prev_ids))
+        return returned[-1]
 
     downstream.beam_topk(level_probs, sizes, k)
+    assert [level for level, _ in calls] == list(range(1, len(sizes) + 1))
     assert calls[0] == (1, None)
     for level in range(2, len(sizes) + 1):
-        kept = downstream.beam_topk(lambda h, p: tables[(h, p)], sizes[:level - 1], k)
-        asked = [prev for h, prev in calls if h == level]
-        assert asked == [tup[-1] for tup, _ in kept]
-        assert all(isinstance(prev, (int, np.integer)) for prev in asked)
-    candidates = sum(len(tables[call]) for call in calls)
+        kept = downstream.beam_topk(lookup, sizes[:level - 1], k)
+        asked = calls[level - 1][1]
+        assert isinstance(asked, np.ndarray) and asked.dtype == np.int64
+        assert asked.tolist() == [tup[-1] for tup, _ in kept]
+    candidates = sum(len(probs) for probs in returned)
     assert candidates == sizes[0] + sum(min(k, int(np.prod(sizes[:h]))) * sizes[h]
                                         for h in range(1, len(sizes)))

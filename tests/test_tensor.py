@@ -714,6 +714,51 @@ def test_concat_matmul_gradcheck_with_all_zero_columns():
             p.grad = None
 
 
+@pytest.mark.parametrize("per_sequence", [False, True])
+def test_concat_matmul_fans_one_row_of_a_over_the_rows_of_extra(per_sequence):
+    # a [1, k] (or [1, T, k] with a per-sequence `extra`) meets n rows of
+    # `extra` as if it were repeated n times; float64 gradients
+    rng = np.random.default_rng(23)
+    fan, k, v, n = 4, 3, 5, 2
+    lead = (1, 3) if per_sequence else (1,)
+    a, w, bias = (Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in (lead + (k,), (k + v, n), (n,)))
+    extra = rng.normal(size=(fan, v))
+    extra[:, 1] = 0.0
+    c = rng.normal(size=(fan,) + lead[1:] + (n,))
+    fn = lambda: T.tsum(T.mul(T.concat_matmul(a, extra, w, bias), c))
+    assert_grads_match(fn, {"a": a, "w": w, "bias": bias})
+    for p in (a, w, bias):
+        p.grad = None
+    with T.count_macs() as box:
+        loss = fn()
+    assert box.macs == (math.prod(lead) * k + fan * v) * n  # `a` runs once
+    loss.backward()
+    repeated = Tensor(np.repeat(a.data, fan, axis=0), requires_grad=True)
+    wr, br = (Tensor(p.data.copy(), requires_grad=True) for p in (w, bias))
+    out = T.concat_matmul(repeated, extra, wr, br)
+    T.tsum(T.mul(out, c)).backward()
+    np.testing.assert_allclose(fn().data, T.tsum(T.mul(out, c)).data, rtol=1e-12)
+    np.testing.assert_allclose(a.grad, repeated.grad.sum(axis=0, keepdims=True), rtol=1e-12)
+    np.testing.assert_allclose(w.grad, wr.grad, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(bias.grad, br.grad, rtol=1e-12)
+
+
+def test_a_fanned_one_hot_row_has_the_bits_of_its_own_call():
+    # what keeps a beam's batched FFN logits bitwise those of one call per candidate
+    rng = np.random.default_rng(24)
+    k, v, n = 256, 300, 1024
+    a = rng.normal(size=(1, k)).astype(np.float32)
+    w = (0.02 * rng.normal(size=(k + v, n))).astype(np.float32)
+    bias = rng.normal(size=n).astype(np.float32)
+    hot = np.eye(v, dtype=np.float32)[[7, 299, 7, 0, 150]]
+    out = T.concat_matmul(Tensor(a), hot, Tensor(w), Tensor(bias)).data
+    assert out.shape == (5, n)
+    for i in range(len(hot)):
+        one = T.concat_matmul(Tensor(a), hot[i : i + 1], Tensor(w), Tensor(bias)).data
+        assert np.array_equal(out[i : i + 1], one)
+
+
 @pytest.mark.parametrize("rows, k, v, n", [(7, 3, 9, 5), (40, 16, 300, 24), (300, 256, 600, 64)])
 def test_one_hot_concat_matmul_forward_is_bitwise_the_full_width_product(rows, k, v, n):
     # skipping the zero columns of a one-hot leaves `a @ w[:k] + hot @ w[k:] + b`
