@@ -260,6 +260,12 @@ def decoder_forward(
     into the padded [B, heads, T1, hd] layout for the attention node only,
     so its masking and dropout draw do not change. Returns [B, T1, W] with
     every PAD row zero; with no layers, `x` itself.
+
+    A batch without PAD (every `keep` True, as a batch of one always is)
+    takes the dense path: the gather and the scatters would be identity maps,
+    so they are skipped and the blocks read `x`'s rows in place. Both paths
+    copy the same values into the same row order, forward and backward, so
+    they give the same bits.
     """
     cfg = state.config
     if cfg.layers == 0:
@@ -268,13 +274,21 @@ def decoder_forward(
     hd = w // cfg.heads
     causal = np.tril(np.ones((t1, t1), dtype=bool))
     attend = causal[None, None, :, :] & keep[:, None, None, :]
-    real = np.flatnonzero(keep)
+    real = None if keep.all() else np.flatnonzero(keep)
+
+    def real_rows(t: Tensor) -> Tensor:
+        """[B, T1, ...] activations as [n, W] rows, the real ones alone."""
+        rows = T.reshape(t, (b * t1, w))
+        return rows if real is None else T.embedding_lookup(rows, real)
+
+    def padded(t: Tensor) -> Tensor:
+        """[n, W] rows back in the [B * T1, W] layout, zero at PAD."""
+        return t if real is None else T.scatter_rows(t, real, b * t1)
 
     def split_heads(t: Tensor) -> Tensor:
-        padded = T.scatter_rows(t, real, b * t1)
-        return T.swapaxes(T.reshape(padded, (b, t1, cfg.heads, hd)), 1, 2)
+        return T.swapaxes(T.reshape(padded(t), (b, t1, cfg.heads, hd)), 1, 2)
 
-    x = T.embedding_lookup(T.reshape(x, (b * t1, w)), real)
+    x = real_rows(x)
     for i in range(cfg.layers):
         pre = lambda s: state[f"layer{i}.{s}"]
         h = T.layer_norm(x, pre("ln1.g"), pre("ln1.b"))
@@ -284,13 +298,13 @@ def decoder_forward(
         ctx = T.scaled_dot_product_attention(
             q, k, v, attend, dropout_p=cfg.attn_dropout, rng=rng
         )
-        ctx = T.embedding_lookup(T.reshape(T.swapaxes(ctx, 1, 2), (b * t1, w)), real)
+        ctx = real_rows(T.swapaxes(ctx, 1, 2))
         x = T.add(x, T.matmul(ctx, pre("attn.wo"), pre("attn.bo")))
         h2 = T.layer_norm(x, pre("ln2.g"), pre("ln2.b"))
         f = T.relu(T.matmul(h2, pre("ff.w1"), pre("ff.b1")))
         x = T.add(x, T.matmul(f, pre("ff.w2"), pre("ff.b2")))
     x = T.layer_norm(x, state["final_ln.g"], state["final_ln.b"])
-    return T.reshape(T.scatter_rows(x, real, b * t1), (b, t1, w))
+    return T.reshape(padded(x), (b, t1, w))
 
 
 def one_hot(indices: np.ndarray, depth: int, dtype) -> np.ndarray:

@@ -6,8 +6,10 @@ which multiplies only the columns of its constant part that are nonzero
 somewhere, and fans an input of one row out over the constant part's rows,
 so a beam's kept candidates share one call), add/mul, embedding lookup
 (also the row gather), its inverse `scatter_rows`, relu, an LSTM recurrence
-as one node (`lstm`), layer norm, softmax, sum, reshape/swapaxes, basic
-indexing, cross-entropy, and attention as one node
+as one node (`lstm`: each step writes into buffers made once, and a recurrent
+product just above OpenBLAS's small-matrix bound runs as two column halves
+below it, with the bits of one GEMM at W = 256), layer norm, softmax, sum,
+reshape/swapaxes, basic indexing, cross-entropy, and attention as one node
 (`scaled_dot_product_attention`). Nine more ops
 (`sub`, `neg`, `log`, `mean`, `masked_fill`, `dropout`, `concat`, `sigmoid`,
 `tanh`) have no caller in the package; they stay because the benchmark's
@@ -304,6 +306,10 @@ def matmul(a, b, bias=None) -> Tensor:
             a2 = None
 
         def backward(g):
+            # in C order, as a gradient comes from every caller but one: at
+            # batch 1 the decoder's dense path hands the K projection a
+            # transposed view, whose bias sum would round another way
+            g = np.ascontiguousarray(g)
             g2 = g.reshape(rows, n)
             ga = (g2 @ bd.T).reshape(sa) if ra else None
             gb = a2.T @ g2 if rb else None
@@ -539,6 +545,12 @@ def tanh(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+# OpenBLAS runs a GEMM with M * N * K at or below this on its small-matrix
+# kernels, without packing its operands (`[5, 256] @ [256, n]` costs ≈42 µs at
+# n = 781, M * N * K = 999 680, and ≈74 µs at n = 782)
+_BLAS_SMALL_MNK = 1_000_000
+
+
 def lstm(x_gates, wh, last) -> Tensor:
     """One LSTM layer's recurrence; returns each row's hidden state at its step `last`.
 
@@ -549,6 +561,16 @@ def lstm(x_gates, wh, last) -> Tensor:
     `tanh`. It is one node: backward walks the steps in reverse and forms
     the `wh` gradient as one GEMM over all of them. A row's steps after its
     `last` get no gradient.
+
+    Each step writes its gates, cell, `tanh(c)` and `h` into buffers made
+    once (a whole sequence of them when backward will read them), with the
+    ufuncs of the expressions above in the same order. When `b * W * 4W` is
+    above `_BLAS_SMALL_MNK` and `b * W * 2W` is not (at W = 256: b from 4
+    to 7, the beam's fanned rows, never a training batch), `h @ wh` runs as
+    two `[W, 2W]` column halves, each on OpenBLAS's small-matrix kernel
+    rather than its packed one. Every column is still one dot product over
+    K = W; at K = W = 256 the halves give the bits of the one GEMM (checked
+    for b = 4 to 7 at 1 and 2 BLAS threads), at K = 512 or 1024 they need not.
     """
     global _MACS
     x_gates, wh = as_tensor(x_gates), as_tensor(wh)
@@ -563,27 +585,43 @@ def lstm(x_gates, wh, last) -> Tensor:
         raise ShapeError(f"lstm last must be [{b}] steps in [0, {t1}), got {last}")
     _MACS += t1 * b * w * 4 * w
     record = _GRAD_ENABLED and (x_gates.requires_grad or wh.requires_grad)
-    hs = np.zeros((t1 + 1, b, w), dtype=xg.dtype)  # hs[t + 1] is h after step t
-    if record:  # what only backward reads
-        acts = np.empty((t1, b, 4 * w), dtype=xg.dtype)  # the gates after their nonlinearity
-        cs = np.zeros((t1 + 1, b, w), dtype=xg.dtype)  # cs[t + 1] is c after step t
-        tanh_cs = np.empty((t1, b, w), dtype=xg.dtype)
-    c = np.zeros((b, w), dtype=xg.dtype)
+    dtype = xg.dtype
+    hs = np.zeros((t1 + 1, b, w), dtype=dtype)  # hs[t + 1] is h after step t
+    # backward reads every step's gates (after their nonlinearity), c and
+    # tanh(c), and cs[t + 1] is c after step t; without it each step rewrites
+    # one step's buffers and updates c in place
+    n = t1 if record else 1
+    acts = np.empty((n, b, 4 * w), dtype=dtype)
+    cs = np.zeros((n + record, b, w), dtype=dtype)
+    tanh_cs = np.empty((n, b, w), dtype=dtype)
+    pre = np.empty((b, 4 * w), dtype=dtype)
+    ig = np.empty((b, w), dtype=dtype)
+    # two [b, 2W] halves stay under OpenBLAS's small-matrix bound where one [b, 4W] product does not
+    halves = b * w * 4 * w > _BLAS_SMALL_MNK >= b * w * 2 * w
+    cuts = (slice(None, 2 * w), slice(2 * w, None)) if halves else (slice(None),)
+    products = [(whd[:, cut], pre[:, cut]) for cut in cuts]
     # exp(-x) overflows to inf for very negative x, and 1 / (1 + inf) is sigmoid's limit 0
     with np.errstate(over="ignore"):
         for t in range(t1):
-            pre = xg[:, t, :] + hs[t] @ whd
-            g = np.tanh(pre[:, 2 * w : 3 * w])
-            gates = 1.0 / (1.0 + np.exp(-pre))  # i, f and o; the g block takes its tanh
-            gates[:, 2 * w : 3 * w] = g
-            c = gates[:, w : 2 * w] * c + gates[:, :w] * g
-            tanh_c = np.tanh(c)
-            hs[t + 1] = gates[:, 3 * w :] * tanh_c
-            if record:
-                acts[t], cs[t + 1], tanh_cs[t] = gates, c, tanh_c
+            s = t if record else 0
+            gates, tanh_c, c_prev, c = acts[s], tanh_cs[s], cs[s], cs[s + record]
+            for wcols, out in products:
+                np.matmul(hs[t], wcols, out=out)
+            pre += xg[:, t, :]
+            # i, f and o; the g block takes its tanh
+            np.negative(pre, out=gates)
+            np.exp(gates, out=gates)
+            np.add(1.0, gates, out=gates)
+            np.divide(1.0, gates, out=gates)
+            g = np.tanh(pre[:, 2 * w : 3 * w], out=gates[:, 2 * w : 3 * w])
+            np.multiply(gates[:, w : 2 * w], c_prev, out=c)
+            np.multiply(gates[:, :w], g, out=ig)
+            c += ig
+            np.tanh(c, out=tanh_c)
+            np.multiply(gates[:, 3 * w :], tanh_c, out=hs[t + 1])
     rows = np.arange(b)
     out = hs[last + 1, rows]
-    dtype, rx, rw = xg.dtype, x_gates.requires_grad, wh.requires_grad
+    rx, rw = x_gates.requires_grad, wh.requires_grad
     if not rw:
         hs = None
 
@@ -624,10 +662,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     gd, sg, sb = gain.data, gain.data.shape, bias.data.shape
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    # np.mean's sum and division without its Python wrapper: a float32 quotient
+    # rounds the same computed in float32 as in np.mean's float64
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
     xhat = x.data - mu
     out = xhat * xhat
-    var = out.mean(axis=-1, keepdims=True)
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
@@ -780,9 +823,9 @@ def scaled_dot_product_attention(
     weights *= scale
     masked = ~np.asarray(keep, dtype=bool)
     np.copyto(weights, np.asarray(-np.inf, dtype=weights.dtype), where=masked)
-    weights -= weights.max(axis=-1, keepdims=True)
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     dropped = weights
     if rng is not None and dropout_p > 0.0:
         kept = rng.random(weights.shape) >= dropout_p
@@ -790,7 +833,7 @@ def scaled_dot_product_attention(
         dropped = weights * kept
         dropped *= drop_scale
     out = np.matmul(dropped, vd)
-    batch = int(np.prod(out.shape[:-2], dtype=np.int64))
+    batch = math.prod(out.shape[:-2])
     _MACS += batch * weights.shape[-2] * weights.shape[-1] * (qd.shape[-1] + vd.shape[-1])
     rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
     # each input is kept only for a gradient that reads it

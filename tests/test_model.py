@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoseq import tensor as T
+from geoseq import model, tensor as T
 from geoseq.model import (
     CheckpointError,
     ModelConfig,
@@ -240,17 +240,19 @@ def test_single_position_forward_is_finite_and_deterministic():
 
 
 def test_pad_keys_do_not_affect_real_positions():
-    config = micro_config()
-    state = ModelState.init(config, seed=9)
-    batch = random_batch(config, b=1, t1=4)
-    out_short = decoder_forward(embed_sequence(batch, state), batch.keep, state).data
-    padded = Batch(
-        ids=np.concatenate([batch.ids, np.ones((1, 2, 2), dtype=np.int64)], axis=1),
-        timestamps=np.concatenate([batch.timestamps, [[7.7, 7.7]]], axis=1),
-        keep=np.concatenate([batch.keep, [[False, False]]], axis=1),
-    )
-    out_padded = decoder_forward(embed_sequence(padded, state), padded.keep, state).data
-    assert np.array_equal(out_short, out_padded[:, :4])
+    # the batch of one takes the dense path, the padded one the gather and
+    # scatters; at a tiny width and at the default width, layers and heads
+    for config in (micro_config(), ModelConfig(level_sizes=[6, 7], attn_dropout=0.0)):
+        state = ModelState.init(config, seed=9)
+        batch = random_batch(config, b=1, t1=4)
+        out_short = decoder_forward(embed_sequence(batch, state), batch.keep, state).data
+        padded = Batch(
+            ids=np.concatenate([batch.ids, np.ones((1, 2, 2), dtype=np.int64)], axis=1),
+            timestamps=np.concatenate([batch.timestamps, [[7.7, 7.7]]], axis=1),
+            keep=np.concatenate([batch.keep, [[False, False]]], axis=1),
+        )
+        out_padded = decoder_forward(embed_sequence(padded, state), padded.keep, state).data
+        assert np.array_equal(out_short, out_padded[:, :4])
 
 
 # -- prediction heads ---------------------------------------------------------
@@ -631,26 +633,92 @@ def _owner(array: np.ndarray) -> np.ndarray:
     return array if array.base is None else array.base
 
 
-def test_forward_loss_frees_what_no_backward_reads(monkeypatch):
-    # the inputs of every relu (the FFN's pre-activation among them) and of
-    # every scatter_rows (the unpadded Q, K and V projections, and the final
-    # norm) are freed once the caller drops them, before backward starts
-    refs = {"relu": [], "scatter_rows": []}
-    for name in refs:
+def _record_first_inputs(monkeypatch, *names) -> dict[str, list]:
+    """Patch each op of `T` in `names` to keep a weak reference to the owner of its input."""
+    refs = {name: [] for name in names}
+    for name in names:
         def recording(a, *args, _op=getattr(T, name), _refs=refs[name]):
             _refs.append(weakref.ref(_owner(a.data)))
             return _op(a, *args)
 
         monkeypatch.setattr(T, name, recording)
+    return refs
+
+
+def test_forward_loss_frees_what_no_backward_reads(monkeypatch):
+    # the inputs of every relu (the FFN's pre-activation among them) and of
+    # every scatter_rows (the unpadded Q, K and V projections, and the final
+    # norm) are freed once the caller drops them, before backward starts
+    refs = _record_first_inputs(monkeypatch, "relu", "scatter_rows")
     config = micro_config(level_sizes=(5, 6), layers=2, attn_dropout=0.1)
     state = ModelState.init(config, seed=6)
-    loss = forward_loss(random_batch(config, b=3, t1=6, seed=7), state,
-                        rng=np.random.default_rng(8))
+    # a batch with PAD, so the decoder gathers its real rows and scatters them back
+    batch = _ragged_batch(config, [6, 4, 5], seed=7)[1]
+    loss = forward_loss(batch, state, rng=np.random.default_rng(8))
     # relu: time, two FFNs, two heads; scatter_rows: Q, K, V per layer, then the output
     assert [len(refs["relu"]), len(refs["scatter_rows"])] == [5, 7]
     assert [r() is None for r in refs["relu"] + refs["scatter_rows"]] == [True] * 12
     loss.backward()
     assert all(p.grad is not None for p in state.params.values())
+
+
+def test_forward_loss_of_a_batch_without_pad_scatters_nothing(monkeypatch):
+    # the dense path: no scatter_rows, and every relu input is still freed
+    # once the caller drops it, before backward starts
+    refs = _record_first_inputs(monkeypatch, "relu", "scatter_rows")
+    config = micro_config(level_sizes=(5, 6), layers=2, attn_dropout=0.1)
+    state = ModelState.init(config, seed=6)
+    loss = forward_loss(random_batch(config, b=3, t1=6, seed=7), state,
+                        rng=np.random.default_rng(8))
+    assert [len(refs["relu"]), len(refs["scatter_rows"])] == [5, 0]
+    assert [r() is None for r in refs["relu"]] == [True] * 5
+    loss.backward()
+    assert all(p.grad is not None for p in state.params.values())
+
+
+def _decoder_gathering_rows(x, keep, state, rng=None):
+    """`decoder_forward` as it runs a batch with PAD, for any batch: the real
+    rows gathered once, and Q, K, V and the output scattered back."""
+    cfg = state.config
+    b, t1, w = x.data.shape
+    attend = np.tril(np.ones((t1, t1), dtype=bool))[None, None] & keep[:, None, None, :]
+    real = np.flatnonzero(keep)
+    heads = lambda t: T.swapaxes(
+        T.reshape(T.scatter_rows(t, real, b * t1), (b, t1, cfg.heads, w // cfg.heads)), 1, 2)
+    x = T.embedding_lookup(T.reshape(x, (b * t1, w)), real)
+    for i in range(cfg.layers):
+        p = lambda s: state[f"layer{i}.{s}"]
+        h = T.layer_norm(x, p("ln1.g"), p("ln1.b"))
+        q, k, v = (heads(T.matmul(h, p(f"attn.w{n}"), p(f"attn.b{n}"))) for n in "qkv")
+        ctx = T.scaled_dot_product_attention(q, k, v, attend, dropout_p=cfg.attn_dropout, rng=rng)
+        ctx = T.embedding_lookup(T.reshape(T.swapaxes(ctx, 1, 2), (b * t1, w)), real)
+        x = T.add(x, T.matmul(ctx, p("attn.wo"), p("attn.bo")))
+        f = T.relu(T.matmul(T.layer_norm(x, p("ln2.g"), p("ln2.b")), p("ff.w1"), p("ff.b1")))
+        x = T.add(x, T.matmul(f, p("ff.w2"), p("ff.b2")))
+    x = T.layer_norm(x, state["final_ln.g"], state["final_ln.b"])
+    return T.reshape(T.scatter_rows(x, real, b * t1), (b, t1, w))
+
+
+@pytest.mark.parametrize("config", [
+    micro_config(level_sizes=(5, 6), layers=2, attn_dropout=0.1),
+    ModelConfig(level_sizes=[5, 6], layers=2),  # the default width and heads
+])
+@pytest.mark.parametrize("b", [1, 3])
+def test_dense_path_trains_to_the_bits_of_the_gather_and_scatters(config, b, monkeypatch):
+    # a batch without PAD: the loss and every gradient match the padded
+    # path's bit for bit. At batch 1 the K projection's gradient comes as a
+    # transposed view, which matmul's backward puts in C order first.
+    state = ModelState.init(config, seed=4)
+    batch = random_batch(config, b=b, t1=16, seed=5)
+    bits = []
+    for decoder in (decoder_forward, _decoder_gathering_rows):
+        monkeypatch.setattr(model, "decoder_forward", decoder)
+        for p in state.params.values():
+            p.grad = None
+        loss = forward_loss(batch, state, rng=np.random.default_rng(6))
+        loss.backward()
+        bits.append([loss.data.tobytes()] + [p.grad.tobytes() for p in state.params.values()])
+    assert bits[0] == bits[1]
 
 
 # -- checkpoints ---------------------------------------------------------------

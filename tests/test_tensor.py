@@ -1,7 +1,11 @@
 """Engine primitives: analytic values, gradient checks, masking, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from geoseq import tensor as T
 from geoseq.tensor import ShapeError, Tensor
 
 from gradcheck import assert_grads_match
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_softmax_uniform():
@@ -604,6 +610,10 @@ def test_lstm_gradcheck_rows_of_different_length():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the composed sigmoid's exp overflows
 @pytest.mark.parametrize("b, t1, w, scale", [
     (1, 30, 256, 1.0), (5, 7, 8, 1.0), (32, 27, 32, 1.0), (4, 6, 8, 60.0),
+    # the beam's fanned rows at the default width: `h @ wh` runs as two column
+    # halves, against the composed graph's one GEMM per step
+    (5, 22, 256, 1.0),
+    (32, 27, 256, 1.0),  # a training batch at the default width: one GEMM, every step kept
 ])
 def test_lstm_forward_bitwise_equals_composed_graph(b, t1, w, scale):
     x, wh, last = _lstm_inputs(b + t1, b, t1, w, np.float32)
@@ -612,6 +622,40 @@ def test_lstm_forward_bitwise_equals_composed_graph(b, t1, w, scale):
     assert got.data.tobytes() == _lstm_composed(x, wh, last).data.tobytes()
     with T.no_grad():
         assert T.lstm(x, wh, last).data.tobytes() == got.data.tobytes()
+
+
+# In a fresh process, so that OpenBLAS reads its thread count: for b = 4 to 7
+# at W = 256 the two [W, 2W] halves of `h @ wh` give one GEMM's bits, as raw
+# products and inside `T.lstm` (a bound of 0 makes it run the one GEMM).
+_LSTM_HALVES_CHECK = """
+import numpy as np
+from geoseq import tensor as T
+w = 256
+rng = np.random.default_rng(7)
+wh = (0.5 * rng.normal(size=(w, 4 * w))).astype(np.float32)
+for b in range(4, 8):
+    assert b * w * 4 * w > T._BLAS_SMALL_MNK >= b * w * 2 * w
+    h = np.tanh(rng.normal(size=(b, w))).astype(np.float32)
+    halves = np.concatenate([h @ wh[:, : 2 * w], h @ wh[:, 2 * w :]], axis=1)
+    assert halves.tobytes() == (h @ wh).tobytes(), b
+    x = rng.normal(size=(b, 9, 4 * w)).astype(np.float32)
+    last = rng.integers(0, 9, size=b)
+    with T.no_grad():
+        split = T.lstm(x, wh, last).data
+        T._BLAS_SMALL_MNK = 0
+        one = T.lstm(x, wh, last).data
+        T._BLAS_SMALL_MNK = 1_000_000
+    assert split.tobytes() == one.tobytes(), b
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_lstm_column_halves_give_one_gemms_bits(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _LSTM_HALVES_CHECK], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("seed", range(3))
