@@ -19,11 +19,11 @@ both sides back to back, the side that runs first alternating from one
 prefix to the next. Because both sides share one process and every
 trajectory, drift of the host between runs cancels out of each pair.
 
-It prints one JSON object: per scorer and for the trio (the three scorers
-of one prefix together), each side's median ms and the ratio of the
-medians, the median over prefixes of the change/parent trio ratio, and
-whether every ranking of the change side equals the parent's bit for bit.
-It exits 1 if one does not.
+It prints one JSON object: the number of trios ranked per side (a trio is
+the three scorers' rankings of one prefix), per scorer and for the trio
+each side's median ms and the ratio of the medians, the median over trios
+of the change/parent ratio, and whether every ranking of the change side
+equals the parent's bit for bit. It exits 1 if one does not.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def main(argv) -> int:
                     (t, x.hex()) for t, x in ranked["change"]]
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    doc = {"parent": short, "prefixes": len(times["ffn"]["change"]), **summary(times, same)}
+    doc = {"parent": short, "trios": len(times["ffn"]["change"]), **summary(times, same)}
     print(json.dumps(doc, indent=1))
     return 0 if same else 1
 

@@ -545,9 +545,10 @@ def tanh(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-# OpenBLAS runs a GEMM with M * N * K at or below this on its small-matrix
-# kernels, without packing its operands (`[5, 256] @ [256, n]` costs ≈42 µs at
-# n = 781, M * N * K = 999 680, and ≈74 µs at n = 782)
+# OpenBLAS runs a float32 GEMM with M * N * K at or below this on its
+# small-matrix kernels, without packing its operands: on a 2-core AVX-512 Xeon
+# `[5, 256] @ [256, n]` takes 30-45 µs at n = 781 (M * N * K = 999 680) and
+# 55-75 µs at n = 782
 _BLAS_SMALL_MNK = 1_000_000
 
 

@@ -17,7 +17,7 @@ def test_head_against_this_checkout_on_a_tiny_config():
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(proc.stdout)
-    assert doc["prefixes"] == 6 and doc["rankings_identical"] is True
+    assert doc["trios"] == 6 and doc["rankings_identical"] is True
     for name in ("own_heads", "ffn", "lstm", "trio"):
         assert doc[name]["parent_ms"] > 0 and doc[name]["change_ms"] > 0
     assert doc["median_trio_ratio"] > 0
