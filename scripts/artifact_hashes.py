@@ -4,24 +4,32 @@ Usage, from the root of a geoseq checkout:
 
     python3 scripts/artifact_hashes.py [--parent REV]
 
-Runs four CLI chains through `geoseq.cli.dispatch`, with seed `SEED`, in a
+Runs six CLI chains through `geoseq.cli.dispatch`, with seed `SEED`, in a
 temporary directory, in a fresh process that imports `geoseq` from a
 checkout's `src/`. The first is the whole chain on a tiny config (with the
 default attention dropout): synth, vocab, preprocess (the `gps` profile, and
 `signal` with `min_stay_seconds` 0), pretrain, finetune (FFN, LSTM and
 classifier heads, each with a frozen and an unfrozen backbone), eval (the
 pre-training heads, then the frozen FFN, LSTM and classifier heads) and
-ablate with `--vocab`. That corpus has one `finetune_test` trajectory, so
-the second chain is sized for rankings: the same tiny model on the
-`RANKING` corpus, split so that 36 trajectories are ranked, through
-synth, vocab, preprocess, pretrain, the frozen FFN and LSTM finetunes (each
-reports its rankings) and eval with the pre-training heads; its steps end
-in `_ranking`. The third runs vocab and preprocess, with the `signal`
-profile at `min_stay_seconds` `STAY_SECONDS`, on `stays.csv`, which the
-script writes itself: stays lasting exactly that long and one second less,
-so the stay filter's duration test decides what is kept (the synth corpora
-keep no trajectory at such a threshold); its steps end in `_stays`. The
-fourth is synth, vocab and preprocess on the benchmark's
+ablate with `--vocab`. The second trains on batches of one: pretrain, then
+unfrozen FFN and LSTM finetunes, with `batch_size` 1 on the first chain's
+windows (18 to 28 positions), so that how a batch-1 gradient is laid out or
+summed shows in the checkpoints; its steps end in `_batch1`. The first
+corpus has one `finetune_test` trajectory, so the third chain is sized for
+rankings: the same tiny model on the `RANKING` corpus, split so that 36
+trajectories are ranked, through synth, vocab, preprocess, pretrain, the
+frozen FFN and LSTM finetunes (each reports its rankings) and eval with the
+pre-training heads; its steps end in `_ranking`. The fourth runs vocab and
+preprocess, with the `signal` profile at `min_stay_seconds` `STAY_SECONDS`,
+on `stays.csv`, which the script writes itself: stays lasting exactly that
+long and one second less, so the stay filter's duration test decides what
+is kept (the synth corpora keep no trajectory at such a threshold); its
+steps end in `_stays`. The fifth runs vocab and preprocess on `dialect.csv`,
+which the script also writes: the first chain's synth records in a CSV
+dialect that only `read_csv`'s row scan reads (quoted user ids that hold a
+comma, CRLF line ends, blank lines, rows without their trailing label, an
+extra column and a reordered header); its steps end in `_dialect`. The
+sixth is synth, vocab and preprocess on the benchmark's
 corpus, `CORPUS_USERS` users at the default config, so the tokenizer and
 the stages are checked at that size too, then `preprocess_signal_corpus`:
 the `signal` profile with `min_stay_seconds` 0 on that corpus (at the
@@ -115,8 +123,17 @@ def _steps(work: Path) -> list[tuple[str, dict, dict]]:
         head = work / f"finetune_{name}_frozen" / "head.gsq"
         steps.append((f"eval_{name}", {}, {**data, **ckpt, "--head-checkpoint": head}))
     steps.append(("ablate", {}, {"--data": data["--data"], "--vocab": vocab}))
+    one = {"batch_size": 1}
+    ckpt = {"--checkpoint": work / "pretrain_batch1" / "checkpoint.gsq"}
+    steps += [
+        ("pretrain_batch1", one, {**data, "--vocab": vocab}),
+        ("finetune_ffn_batch1", {**heads["ffn"], **one, "freeze_backbone": False},
+         {**data, **ckpt}),
+        ("finetune_lstm_batch1", {**heads["lstm"], **one, "freeze_backbone": False},
+         {**data, **ckpt}),
+    ]
     steps = [(name, {**TINY, **overrides}, inputs) for name, overrides, inputs in steps]
-    steps += _ranking_steps(work) + _stay_steps(work)
+    steps += _ranking_steps(work) + _stay_steps(work) + _dialect_steps(work)
     corpus = {"synth": {"users": CORPUS_USERS}}
     csv, vocab = work / "synth_corpus" / "synth.csv", work / "vocab_corpus" / "vocab.json"
     return steps + [
@@ -173,6 +190,35 @@ def write_stays_csv(path: Path) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def _dialect_steps(work: Path) -> list[tuple[str, dict, dict]]:
+    """vocab and preprocess on `dialect.csv`, which only the CSV row scan reads."""
+    csv, vocab = work / "dialect.csv", work / "vocab_dialect" / "vocab.json"
+    return [("vocab_dialect", TINY, {"--input": csv}),
+            ("preprocess_dialect", TINY, {"--input": csv, "--vocab": vocab})]
+
+
+def dialect_user(user_id: str) -> str:
+    """The user id that `dialect.csv` writes, quoted, for a synth user id: it holds a comma."""
+    return user_id.replace("u", "u,", 1)
+
+
+def write_dialect_csv(path: Path) -> None:
+    """The dialect chain's input: the first chain's synth records under the
+    header `lon,user_id,source,timestamp,lat,label`, with CRLF line ends, a
+    blank line after the header and after every 100th row, quoted user ids
+    (`dialect_user`), and no label field on every other unlabelled row."""
+    from geoseq.synth import SynthConfig, generate_records
+
+    records = generate_records(SynthConfig(**TINY["synth"], seed=SEED))
+    rows = ["lon,user_id,source,timestamp,lat,label", ""]
+    for i, r in enumerate(records):
+        row = f'{r.lon:.7f},"{dialect_user(r.user_id)}",s{i % 3},{r.timestamp},{r.lat:.7f}'
+        rows.append(row + (f",{r.label}" if r.label else "," if i % 2 else ""))
+        if i % 100 == 99:
+            rows.append("")
+    path.write_bytes("\r\n".join(rows).encode("utf-8") + b"\r\n")
+
+
 def _manifest_digest(path: Path, work: Path) -> str:
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc.pop("config", None)
@@ -182,14 +228,15 @@ def _manifest_digest(path: Path, work: Path) -> str:
 
 
 def run_chain(work: Path, steps=None) -> dict[str, str]:
-    """Write `stays.csv`, run `steps` (every step by default) in `work` and
-    hash what each wrote.
+    """Write `stays.csv` and `dialect.csv`, run `steps` (every step by
+    default) in `work` and hash what each wrote.
 
     A failing step raises.
     """
     from geoseq.cli import dispatch
 
     write_stays_csv(work / "stays.csv")
+    write_dialect_csv(work / "dialect.csv")
     hashes = {}
     for step, config, inputs in _steps(work) if steps is None else steps:
         cfg = work / f"{step}.json"

@@ -16,6 +16,7 @@ from .pipeline import (
     DatasetSplit,
     PipelineConfig,
     RawRecord,
+    RecordColumns,
     Trajectory,
     preprocess,
     read_csv,
@@ -53,6 +54,7 @@ __all__ = [
     "build_vocab",
     "tokenize",
     "RawRecord",
+    "RecordColumns",
     "Trajectory",
     "DatasetSplit",
     "PipelineConfig",

@@ -1,5 +1,12 @@
 """Raw GPS/signal records to fixed-length tokenized training sequences.
 
+`read_csv` reads the input CSV into numpy columns (`RecordColumns`), with no
+object per row: one vectorised pass (numpy's `loadtxt` for the numbers, byte
+offsets for the user and label strings) reads every file that it can read
+exactly as `csv.reader`, `int` and `float` would, and a row scan with
+`csv.reader` reads the rest (quoted fields, CRLF line ends, rows without
+their trailing label) and names the file, line and field of every fault.
+
 The records are held as numpy columns, sorted by user and then time, and
 projected to meters. Each stage is one pure function over all users' columns,
 with user boundaries as masks, that returns kept indices, speeds or segment
@@ -18,13 +25,14 @@ Everything is deterministic given (input bytes, config, seed).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +53,64 @@ class RawRecord:
     lat: float
     lon: float
     label: str | None = None
+
+
+def _codes(values, names: list[str], first: int) -> np.ndarray:
+    """Each value's index in `names` plus `first`, or 0 for a value not in it."""
+    code = dict(zip(names, range(first, first + len(names))))
+    return np.fromiter(map(code.get, values, repeat(0)), dtype=np.int64, count=len(values))
+
+
+@dataclass(eq=False)
+class RecordColumns:
+    """Records as columns, in input order.
+
+    `user` codes index `users`, the distinct user ids in sorted (code-point)
+    order; `label` codes index `labels`, the distinct non-empty labels in that
+    order, from 1, and 0 is no label. `ts` is int64 Unix seconds, `lat` and
+    `lon` float64 degrees. `len()` and `[i]` give a view of the rows as
+    `RawRecord`s, for callers that want single rows (the benchmark's decode
+    check); the pipeline reads the columns.
+    """
+
+    user: np.ndarray
+    ts: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    label: np.ndarray
+    users: list[str]
+    labels: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i) -> RawRecord:
+        code = int(self.label[i])
+        return RawRecord(self.users[self.user[i]], int(self.ts[i]), float(self.lat[i]),
+                         float(self.lon[i]), self.labels[code - 1] if code else None)
+
+    @classmethod
+    def from_lists(cls, user_ids, timestamps, lat, lon, labels) -> RecordColumns:
+        """Columns of five equal-length field lists; an empty or None label is
+        no label, and a timestamp outside (0, 2^63) raises ValueError."""
+        n = len(timestamps)
+        try:
+            ts = np.array(timestamps, dtype=np.int64)
+        except OverflowError:  # past int64, named below
+            ts = np.zeros(n, dtype=np.int64)
+        if not (ts > 0).all():  # int() as the int64 column truncates
+            i = next(i for i, t in enumerate(timestamps) if not 0 < int(t) < TIMESTAMP_END)
+            raise ValueError(
+                f"timestamp {timestamps[i]} for user {user_ids[i]} is not in (0, 2^63)")
+        users = sorted(set(user_ids))
+        names = sorted(set(filter(None, labels)))
+        return cls(_codes(user_ids, users, 0), ts, np.fromiter(lat, np.float64, n),
+                   np.fromiter(lon, np.float64, n), _codes(labels, names, 1), users, names)
+
+    @classmethod
+    def from_rows(cls, rows) -> RecordColumns:
+        """Columns of `RawRecord`s (see `from_lists`)."""
+        return cls.from_lists(*([getattr(r, f.name) for r in rows] for f in fields(RawRecord)))
 
 
 @dataclass
@@ -251,50 +317,30 @@ def _majority_label(codes: np.ndarray, names: list[str]) -> str | None:
     return names[int(counts.argmax()) - 1] if counts.any() else None
 
 
-def _sorted_columns(records: list[RawRecord]):
-    """The records as columns sorted by user and then time, stably, so equal
-    timestamps keep their input order: (user code, timestamp, lat, lon, label
-    code), plus the sorted distinct users and labels that the codes index
-    (labels from 1; 0 is no label)."""
-    n = len(records)
-    try:
-        ts = np.array([r.timestamp for r in records], dtype=np.int64)
-    except OverflowError:  # past int64, named below
-        ts = np.zeros(n, dtype=np.int64)
-    if not (ts > 0).all():  # int() as the int64 column truncates
-        r = next(r for r in records if not 0 < int(r.timestamp) < TIMESTAMP_END)
-        raise ValueError(f"timestamp {r.timestamp} for user {r.user_id} is not in (0, 2^63)")
-    users = sorted({r.user_id for r in records})
-    names = sorted({r.label for r in records if r.label})
-    user_code = dict(zip(users, range(len(users))))
-    label_code = dict(zip(names, range(1, len(names) + 1)))
-    user = np.fromiter((user_code[r.user_id] for r in records), dtype=np.int64, count=n)
-    order = np.lexsort((ts, user))
-
-    def column(values, dtype):
-        return np.fromiter(values, dtype=dtype, count=n)[order]
-
-    return (
-        user[order],
-        ts[order],
-        column((r.lat for r in records), np.float64),
-        column((r.lon for r in records), np.float64),
-        column((label_code.get(r.label, 0) for r in records), np.int64),
-        users,
-        names,
-    )
+def _sorted_columns(records: RecordColumns):
+    """The columns sorted by user and then time, stably, so equal timestamps
+    keep their input order: (user code, timestamp, lat, lon, label code), plus
+    the sorted distinct users and labels that the codes index."""
+    order = np.lexsort((records.ts, records.user))
+    return (*(c[order] for c in (records.user, records.ts, records.lat, records.lon,
+                                 records.label)), records.users, records.labels)
 
 
 def preprocess(
-    records: list[RawRecord], vocab: Vocabulary, cfg: PipelineConfig
+    records: RecordColumns | list[RawRecord], vocab: Vocabulary, cfg: PipelineConfig
 ) -> list[Trajectory]:
     """Run the full pipeline and return windowed tokenized trajectories.
 
+    `records` are `read_csv`'s columns; a list of `RawRecord`s (hand-built or
+    from `synth.generate_records`) is made into columns first, by
+    `RecordColumns.from_rows`, which rejects a timestamp outside (0, 2^63).
     Each stage runs once over all users' rows, sorted by user and stably by
     time. A user left with fewer than two rows has no speed and is dropped.
     The points of every segment are tokenized together at the end; an unseen
     key raises OutOfVocabularyError for the first such point in user and time order.
     """
+    if not isinstance(records, RecordColumns):
+        records = RecordColumns.from_rows(records)
     user, ts, lat, lon, label, users, names = _sorted_columns(records)
     x, y = project(lat, lon, cfg.ref_lat)
     rows = (resample(user, ts, cfg.resample_interval) if cfg.profile == "gps"
@@ -344,14 +390,31 @@ def _decode_errors_named(path):
         raise
 
 
-def read_csv(path) -> list[RawRecord]:
-    """Read `user_id,timestamp,lat,lon[,label]` rows (UTF-8, with header).
+def read_csv(path) -> RecordColumns:
+    """Read `user_id,timestamp,lat,lon[,label]` rows (UTF-8, with header) as columns.
 
-    A row that lacks one of the four columns, whose timestamp is not an
-    integer in (0, 2^63), or whose lat or lon is not a number in [-90, 90]
-    or [-180, 180] raises ValueError naming the file, the line and the field.
+    The header names the columns, in any order and among any others. A row
+    that lacks one of the four columns, whose timestamp is not an integer in
+    (0, 2^63), or whose lat or lon is not a number in [-90, 90] or
+    [-180, 180] raises ValueError naming the file, the line and the field.
+    Blank lines are skipped, and an empty or missing label is no label.
+
+    The file is read as `csv.reader` splits it and `int` and `float` parse
+    its fields. One vectorised pass (`_parse_columns`: numpy's `loadtxt` for
+    the numbers, byte offsets for the strings) reads every file it can read
+    exactly so; the rest, and every file with a fault, go to the row scan
+    (`_scan_rows`), which reads them or names the fault.
     """
-    records = []
+    with open(path, "rb") as f:
+        data = f.read()
+    columns = _parse_columns(data)
+    return _scan_rows(path) if columns is None else columns
+
+
+def _scan_rows(path) -> RecordColumns:
+    """`read_csv` row by row, with `csv.reader`: the reader of every file the
+    vectorised pass leaves, and of every fault's line and field."""
+    lists = ([], [], [], [], [])
     with _decode_errors_named(path), open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -373,8 +436,9 @@ def read_csv(path) -> list[RawRecord]:
             if not ok:
                 raise ValueError(f"{path}, line {reader.line_num}: {_row_fault(row, cols)}")
             label = row[il] if il is not None and il < len(row) else None
-            records.append(RawRecord(user, ts, lat, lon, label or None))
-    return records
+            for values, value in zip(lists, (user, ts, lat, lon, label)):
+                values.append(value)
+    return RecordColumns.from_lists(*lists)
 
 
 def _row_fault(row: list[str], cols: list[int]) -> str:
@@ -396,11 +460,128 @@ def _row_fault(row: list[str], cols: list[int]) -> str:
     return f"malformed row {row!r}"
 
 
+_NUMBERS = np.dtype([("ts", np.int64), ("lat", np.float64), ("lon", np.float64)])
+# _LOW_BYTES[n] keeps the first n bytes of a little-endian uint64, n <= 8
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _parse_columns(data: bytes) -> RecordColumns | None:
+    """`read_csv`'s columns of the file's bytes in one vectorised pass, or None
+    where only the row scan reads the file as `csv.reader`, `int` and `float` do.
+
+    It returns None for a file that holds a quote character or a control
+    byte other than the newline (so a CR line end, a NUL, or a whitespace
+    byte that numpy strips from a number and `int` does not), is not UTF-8,
+    has a header without each of the four columns once, has no row, has a
+    line longer than `csv.field_size_limit()`, or has a row whose field
+    count differs from the header's (a row without its trailing label among
+    them); and for one with a timestamp, lat or lon that is not ASCII, that
+    numpy does not parse, or that is out of range. On what is left a field
+    is the text between two commas, as `csv.reader` reads it, and numpy's
+    parsers accept a number only where `int` and `float` do, with the same
+    value: both strip spaces, numpy takes no underscore, and its float parser
+    is the one `float` calls.
+
+    The string columns are read first, from byte offsets, so that the
+    offsets are freed before numpy parses the numbers: at its peak the pass
+    holds the file's bytes and about fifteen int64s a row (≈160 bytes a row
+    on the synth corpus, where a list of `RawRecord`s holds ≈250).
+    """
+    if b'"' in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if np.count_nonzero(buf < 0x20) != len(newlines):  # another control byte
+        return None
+    try:
+        header = data.partition(b"\n")[0].decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    if any(header.count(c) != 1 for c in CSV_COLUMNS):
+        return None
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, len(buf))
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    rows = np.flatnonzero(ends[1:] > starts[1:]) + 1  # after the header, blank lines out
+    starts, ends, n = starts[rows], ends[rows], len(rows)
+    # the header holds the first k commas, and each row must hold the next k
+    k = len(header) - 1
+    commas = np.flatnonzero(buf == ord(","))
+    if not n or len(commas) != k * (n + 1):
+        return None
+    inner = commas[k:].reshape(n, k)
+    if not ((inner[:, 0] >= starts).all() and (inner[:, -1] < ends).all()):
+        return None
+    numeric = [header.index(c) for c in CSV_COLUMNS[1:]]
+    if not data.isascii():  # non-ASCII bytes may stand in string fields only
+        at = np.flatnonzero(buf[starts[0]:] >= 0x80) + starts[0]
+        row = np.searchsorted(starts, at, side="right") - 1
+        if np.isin(np.searchsorted(commas, at) - k * (row + 1), numeric).any():
+            return None
+
+    def strings(name, first):  # the codes of column `name` and its values
+        if name not in header:
+            return np.zeros(n, dtype=np.int64), []
+        j = header.index(name)
+        left = starts if j == 0 else inner[:, j - 1] + 1
+        return _coded_runs(data, left, inner[:, j] if j < k else ends, first)
+
+    try:
+        (user, users), (label, labels) = strings("user_id", 0), strings("label", 1)
+    except UnicodeDecodeError:
+        return None
+    del starts, ends, commas, inner, newlines, rows
+    # the file again as lines of text, of which the header is skipped
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as lines:
+            numbers = np.loadtxt(lines, dtype=_NUMBERS, delimiter=",", comments=None,
+                                 skiprows=1, usecols=numeric, ndmin=1)
+    except ValueError:  # a number numpy does not parse, or bytes that are not UTF-8
+        return None
+    ts, lat, lon = (np.ascontiguousarray(numbers[name]) for name in _NUMBERS.names)
+    if not (len(ts) == n and (ts > 0).all() and ((-90.0 <= lat) & (lat <= 90.0)).all()
+            and ((-180.0 <= lon) & (lon <= 180.0)).all()):
+        return None
+    return RecordColumns(user, ts, lat, lon, label, users, labels)
+
+
+def _coded_runs(data: bytes, left: np.ndarray, right: np.ndarray, first: int):
+    """Codes of the UTF-8 fields `data[left[i]:right[i]]` into their sorted
+    distinct values, from `first`, and those values; with `first` 1 an empty
+    field is code 0 and no value. `data` is at least 8 bytes long.
+
+    A field starts a run where its bytes differ from the field before's, and
+    only the runs' first fields are decoded, so a column that repeats its
+    values in runs, as a user's rows do, costs one string per run. Fields
+    compare by length and first 8 bytes at once, and byte by byte past them.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    size = right - left
+    words = np.ndarray(len(buf) - 7, dtype="<u8", buffer=data, strides=(1,))  # 8 bytes from each
+    at = np.minimum(left, len(buf) - 8)  # a field in the last 8 bytes: shift its word down
+    key = (words[at] >> (8 * (left - at)).astype(np.uint64)) & _LOW_BYTES[np.minimum(size, 8)]
+    same = np.zeros(len(left), dtype=bool)
+    same[1:] = (size[1:] == size[:-1]) & (key[1:] == key[:-1])
+    longer = np.flatnonzero(same & (size > 8))
+    if len(longer):  # compare bytes 8 onwards of the fields longer than 8 bytes
+        rest = size[longer] - 8
+        owner = np.repeat(np.arange(len(longer)), rest)
+        at = np.arange(rest.sum()) - np.repeat(np.cumsum(rest) - rest - left[longer] - 8, rest)
+        back = at - np.repeat(left[longer] - left[longer - 1], rest)
+        same[longer[owner[buf[at] != buf[back]]]] = False
+    heads = np.flatnonzero(~same)
+    values = [data[a:b].decode("utf-8") for a, b in zip(left[heads].tolist(),
+                                                       right[heads].tolist())]
+    names = sorted(set(filter(None, values) if first else values))
+    return np.repeat(_codes(values, names, first), np.diff(heads, append=len(left))), names
+
+
 def iter_csv_points(path, ref_lat: float) -> np.ndarray:
     """Projected (x, y) of every CSV record in file order, as an array [N, 2]
     (vocabulary building)."""
-    rows = read_csv(path)
-    x, y = project([r.lat for r in rows], [r.lon for r in rows], ref_lat)
+    records = read_csv(path)
+    x, y = project(records.lat, records.lon, ref_lat)
     return np.stack([x, y], axis=1)
 
 

@@ -8,8 +8,8 @@ so a beam's kept candidates share one call), add/mul, embedding lookup
 (also the row gather), its inverse `scatter_rows`, relu, an LSTM recurrence
 as one node (`lstm`: each step writes into buffers made once, and a recurrent
 product just above OpenBLAS's small-matrix bound runs as two column halves
-below it, with the bits of one GEMM at W = 256), layer norm, softmax, sum,
-reshape/swapaxes, basic indexing, cross-entropy, and attention as one node
+below it at W = 256, where they keep one GEMM's bits), layer norm, softmax,
+sum, reshape/swapaxes, basic indexing, cross-entropy, and attention as one node
 (`scaled_dot_product_attention`). Nine more ops
 (`sub`, `neg`, `log`, `mean`, `masked_fill`, `dropout`, `concat`, `sigmoid`,
 `tanh`) have no caller in the package; they stay because the benchmark's
@@ -550,6 +550,20 @@ def tanh(a) -> Tensor:
 # `[5, 256] @ [256, n]` takes 30-45 µs at n = 781 (M * N * K = 999 680) and
 # 55-75 µs at n = 782
 _BLAS_SMALL_MNK = 1_000_000
+# The one recurrent width W (the inner dimension K of `h @ wh`) at which
+# `lstm` may split that product into column halves, because a test checks
+# there that the halves give one GEMM's bits (tests/test_tensor.py). At
+# W = 512 a batch of one would also qualify by size, but there the halves took
+# 82.7 against 72.8 µs for one GEMM on that Xeon, and no test covers K = 384,
+# 512 or 1024.
+_HALVES_WIDTH = 256
+
+
+def _column_halves(b: int, w: int) -> bool:
+    """Whether `lstm` runs a batch of b rows' `h @ wh` ([W, 4W]) as two
+    `[W, 2W]` column halves: at W = `_HALVES_WIDTH`, where one product is
+    above OpenBLAS's small-matrix bound and a half is not."""
+    return w == _HALVES_WIDTH and b * w * 4 * w > _BLAS_SMALL_MNK >= b * w * 2 * w
 
 
 def lstm(x_gates, wh, last) -> Tensor:
@@ -565,13 +579,15 @@ def lstm(x_gates, wh, last) -> Tensor:
 
     Each step writes its gates, cell, `tanh(c)` and `h` into buffers made
     once (a whole sequence of them when backward will read them), with the
-    ufuncs of the expressions above in the same order. When `b * W * 4W` is
-    above `_BLAS_SMALL_MNK` and `b * W * 2W` is not (at W = 256: b from 4
-    to 7, the beam's fanned rows, never a training batch), `h @ wh` runs as
-    two `[W, 2W]` column halves, each on OpenBLAS's small-matrix kernel
-    rather than its packed one. Every column is still one dot product over
-    K = W; at K = W = 256 the halves give the bits of the one GEMM (checked
-    for b = 4 to 7 at 1 and 2 BLAS threads), at K = 512 or 1024 they need not.
+    ufuncs of the expressions above in the same order. At W = 256, when
+    `b * W * 4W` is above `_BLAS_SMALL_MNK` and `b * W * 2W` is not (b from
+    4 to 7, the beam's fanned rows, never a training batch), `h @ wh` runs
+    as two `[W, 2W]` column halves, each on OpenBLAS's small-matrix kernel
+    rather than its packed one (`_column_halves`). Every column is still one
+    dot product over K = W; at K = W = 256 the halves give the bits of the
+    one GEMM (checked for b = 4 to 7 at 1 and 2 BLAS threads). At other
+    widths no test checks that, and at W = 512 they are slower, so any other
+    width runs one GEMM.
     """
     global _MACS
     x_gates, wh = as_tensor(x_gates), as_tensor(wh)
@@ -597,9 +613,7 @@ def lstm(x_gates, wh, last) -> Tensor:
     tanh_cs = np.empty((n, b, w), dtype=dtype)
     pre = np.empty((b, 4 * w), dtype=dtype)
     ig = np.empty((b, w), dtype=dtype)
-    # two [b, 2W] halves stay under OpenBLAS's small-matrix bound where one [b, 4W] product does not
-    halves = b * w * 4 * w > _BLAS_SMALL_MNK >= b * w * 2 * w
-    cuts = (slice(None, 2 * w), slice(2 * w, None)) if halves else (slice(None),)
+    cuts = (slice(None, 2 * w), slice(2 * w, None)) if _column_halves(b, w) else (slice(None),)
     products = [(whd[:, cut], pre[:, cut]) for cut in cuts]
     # exp(-x) overflows to inf for very negative x, and 1 / (1 + inf) is sigmoid's limit 0
     with np.errstate(over="ignore"):

@@ -78,3 +78,45 @@ def test_the_stay_chain_keeps_stays_of_exactly_the_threshold(tmp_path):
     # first stay lies before the first stop, so no trajectory holds it
     kept = sum(d >= threshold for d in durations) - 1
     assert all(len(json.loads(line)["ids"]) == 1 + kept for line in lines)
+
+
+def test_the_dialect_chain_reads_a_csv_only_the_row_scan_reads(tmp_path):
+    from geoseq import pipeline
+    from geoseq.synth import SynthConfig, generate_records
+
+    steps = [s for s in artifact_hashes._steps(tmp_path) if s[0].endswith("_dialect")]
+    assert [name for name, _, _ in steps] == ["vocab_dialect", "preprocess_dialect"]
+    artifact_hashes.run_chain(tmp_path, steps)
+    data = (tmp_path / "dialect.csv").read_bytes()
+    assert b'"' in data and b"\r\n\r\n" in data and pipeline._parse_columns(data) is None
+    lines = data.decode("utf-8").split("\r\n")
+    assert lines[0] == "lon,user_id,source,timestamp,lat,label"
+    fields = [line.count(",") for line in lines if line]  # the comma inside the quotes counts
+    assert set(fields) == {5, 6} and fields.count(5) > 1  # rows without their label field
+    tiny = SynthConfig(**artifact_hashes.TINY["synth"], seed=artifact_hashes.SEED)
+    records = generate_records(tiny)
+    assert list(pipeline.read_csv(tmp_path / "dialect.csv")) == [
+        pipeline.RawRecord(artifact_hashes.dialect_user(r.user_id), r.timestamp,
+                           float(f"{r.lat:.7f}"), float(f"{r.lon:.7f}"), r.label)
+        for r in records]
+    trajs = pipeline.read_trajectories(tmp_path / "preprocess_dialect" / "trajectories.ndjson")
+    assert len(trajs) >= 10 and all("," in t.user for t in trajs)
+    assert any(t.label for t in trajs)
+
+
+def test_the_batch_of_one_chain_trains_on_windows_of_nine_positions_or_more(tmp_path):
+    steps = artifact_hashes._steps(tmp_path)
+    batch1 = [s for s in steps if s[0].endswith("_batch1")]
+    assert [name for name, _, _ in batch1] == [
+        "pretrain_batch1", "finetune_ffn_batch1", "finetune_lstm_batch1"]
+    assert all(config["batch_size"] == 1 for _, config, _ in batch1)
+    assert [config.get("freeze_backbone") for _, config, _ in batch1[1:]] == [False, False]
+    data = tmp_path / "preprocess" / "trajectories.ndjson"
+    assert all(inputs["--data"] == data for _, _, inputs in batch1)
+    # below 9 positions numpy sums a batch-1 gradient in the same order in
+    # either layout, so only longer windows show a change to it
+    artifact_hashes.run_chain(tmp_path, steps[:3])
+    splits = json.loads((tmp_path / "preprocess" / "splits.json").read_text())
+    windows = [len(json.loads(line)["ids"]) for line in data.read_text().splitlines()]
+    for part in ("pretrain", "finetune_train"):
+        assert splits[part] and all(windows[i] >= 9 for i in splits[part])

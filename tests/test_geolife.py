@@ -32,7 +32,7 @@ def test_converter_writes_rows_with_slash_dated_labels(tmp_path):
         "000,1224730390,39.984683,116.318450,bus",
         "000,1224730395,39.984686,116.318417,bus",
     ]
-    assert read_csv(out) == [
+    assert list(read_csv(out)) == [
         RawRecord("000", 1224730384, 39.984702, 116.318417, None),
         RawRecord("000", 1224730390, 39.984683, 116.31845, "bus"),
         RawRecord("000", 1224730395, 39.984686, 116.318417, "bus"),

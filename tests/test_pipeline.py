@@ -1,5 +1,6 @@
 """Preprocessing rules: resampling, speeds, stops, stays, segments, windows."""
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -257,11 +258,171 @@ def test_csv_header_naming_a_column_twice(tmp_path):
 def test_csv_reads_columns_by_header_position(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("lon,lat,timestamp,user_id\n2.5,1.5,1000,a\n\n2.6,1.6,1060,b\n", encoding="utf-8")
-    assert read_csv(path) == [RawRecord("a", 1000, 1.5, 2.5, None),
+    assert list(read_csv(path)) == [RawRecord("a", 1000, 1.5, 2.5, None),
                               RawRecord("b", 1060, 1.6, 2.6, None)]
     path.write_text("lon,lat,timestamp,user_id\n2.5,1.5,1000\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: no 'user_id' field"):
         read_csv(path)
+
+
+# Fields that `int`/`float` and numpy both read, to the same value, and that
+# `csv.reader` reads as the text between two commas
+_PLAIN_FIELDS = {
+    "user_id": ["u1", "u2", "ü", "用户", "a b", "", "#x", "u\u2028v", "x\x85y",
+                "a-user-id-of-20-byte", "a-user-id", "a-user-i"],
+    "timestamp": ["1000", "1600000000", "+5", " 12", "12 ", "0012", "9223372036854775807"],
+    "lat": ["1.5", "-90", "90.0", " 2.25 ", "+.5e-3", "5.", "-0.0", "1e-400"],
+    "lon": ["2.5", "-180", "180.0", "0", "1E2", "-179.9999999"],
+    "label": ["walk", "bus", "", "ü"],
+    "note": ["", "x", "#"],
+}
+# Fields that one of them rejects or reads otherwise, or that the vectorised
+# pass leaves to the row scan
+_ROUGH_FIELDS = {
+    "user_id": ['"a,b"', '"q"', 'a"b', "\t", "x\x00y", "\x1c"],
+    "timestamp": ["1_000", "١٢", "1e400", "nan", "-0", "0x10", "0", "12.0", "", "\t12", "\x1c12",
+                  "Ǿ12", "9223372036854775808", "１２", "-5"],
+    "lat": ["1_0.5", "١.٥", "1e400", "nan", "0x10", "inf", "90.0000001", "1e", "\xa01.5",
+            "\x1c1.5", "", "north", "-0"],
+    "lon": ["-180.5", "0x10", "NaN", "1_000", "+inf", "1.5\x1f"],
+    "label": ['"w,x"'],
+    "note": ['"1,2"', "\x0b"],
+}
+
+
+@st.composite
+def csv_files(draw):
+    """(A CSV file's bytes, whether it is rough.) The file has a header naming
+    the four columns, maybe `label` and `note`, in any order; then rows, blank
+    lines among them. A rough file has one kind of roughness, or now and then
+    each of them: one field of `_ROUGH_FIELDS`, a row without its trailing
+    label or with an extra field, CRLF line ends, a BOM, or a byte that is
+    not UTF-8."""
+    extra = draw(st.lists(st.sampled_from(["label", "note"]), unique=True))
+    header = draw(st.permutations(list(pipeline.CSV_COLUMNS) + extra))
+    kind = draw(st.sampled_from([None] * 3 + ["field"] * 2
+                                + ["short", "long", "crlf", "bom", "utf8", "mixed"]))
+    rough = lambda name, odds=8: kind == name or (kind == "mixed"
+                                                  and draw(st.integers(0, odds - 1)) == 0)
+    rows = [[draw(st.sampled_from(_ROUGH_FIELDS[c] if rough("fields", 12) else _PLAIN_FIELDS[c]))
+             for c in header] if draw(st.integers(0, 5)) else []  # a blank line
+            for _ in range(draw(st.integers(0, 6)))]
+    full = [row for row in rows if row]
+    if full and kind == "field":
+        row, j = draw(st.sampled_from(full)), draw(st.integers(0, len(header) - 1))
+        row[j] = draw(st.sampled_from(_ROUGH_FIELDS[header[j]]))
+    for row in full:
+        if rough("short") and header[-1] == "label":
+            row.pop()
+        elif rough("long"):
+            row.append("extra")
+    end = "\r\n" if rough("crlf", 4) else "\n"
+    text = end.join(map(",".join, [header] + rows)) + draw(st.sampled_from(["", end]))
+    data = (("\ufeff" if rough("bom", 4) else "") + text).encode("utf-8")
+    if rough("utf8", 4):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, kind is not None
+
+
+def _assert_same_columns(got, want):
+    for name in ("user", "ts", "lat", "lon", "label"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.users == want.users and got.labels == want.labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(file=csv_files())
+def test_read_csv_reads_every_file_as_the_row_scan_does(tmp_path_factory, file):
+    data, rough = file
+    path = tmp_path_factory.getbasetemp() / "in.csv"  # rewritten by each example
+    path.write_bytes(data)
+    fast = pipeline._parse_columns(data)
+    try:
+        want = pipeline._scan_rows(path)
+    except ValueError as e:
+        assert fast is None  # the vectorised pass accepts no file with a fault
+        assert str(e).startswith(f"{path}")
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        assert str(err.value) == str(e)
+        return
+    _assert_same_columns(read_csv(path), want)
+    assert fast is not None or rough or not len(want)  # it reads every plain file with a row
+    if fast is not None:
+        _assert_same_columns(fast, want)
+
+
+def test_the_vectorised_pass_reads_plain_files_without_the_row_scan(tmp_path, monkeypatch):
+    def scan(path):
+        raise AssertionError(f"the row scan read {path}")
+
+    monkeypatch.setattr(pipeline, "_scan_rows", scan)
+    path = tmp_path / "in.csv"
+    path.write_text("note,lon,user_id,lat,timestamp,label\n"
+                    "#,2.5,用户,1.5, 12,walk\n\n"
+                    ",+2.6,a-user-id-of-20-byte,-0.0,0012,\n"
+                    "x,1E2,a-user-id-of-20-bytf,90, 12 ,walk\n", encoding="utf-8")
+    assert list(read_csv(path)) == [RawRecord("用户", 12, 1.5, 2.5, "walk"),
+                                    RawRecord("a-user-id-of-20-byte", 12, -0.0, 2.6, None),
+                                    RawRecord("a-user-id-of-20-bytf", 12, 90.0, 100.0, "walk")]
+    path.write_text("user_id,timestamp,lat,lon\nb,7,1,2\na,8,3,4\nb,9,5,6", encoding="utf-8")
+    got = read_csv(path)
+    assert got.users == ["a", "b"] and got.user.tolist() == [1, 0, 1] and got.labels == []
+    assert got.label.tolist() == [0, 0, 0]
+    # runs of user ids: equal in their first 8 bytes but not in length, equal
+    # in length and first 8 bytes but not after, empty, and in the file's
+    # last 8 bytes, after the digits "12" of a lon and a user id "12"
+    users = ["abcdefghi", "abcdefgh", "abcdefgh", "abcdefghij", "abcdefghik", "ab", "ab", "",
+             "", "abcdefghik", "12"]
+    path.write_text("timestamp,lat,lon,user_id\n" + "".join(f"5,1,2,{u}\n" for u in users)
+                    + "5,1,123.5,ab", encoding="utf-8")
+    got = read_csv(path)
+    assert [got.users[code] for code in got.user] == users + ["ab"]
+    assert got.users == sorted(set(users))
+
+
+@pytest.mark.parametrize("body", [
+    '"u1",1000,1.5,2.5,walk\n',       # a quoted field
+    "u1,1000,1.5,2.5,walk\r\n",       # a CR line end
+    "u1,1000,1.5,2.5\n",              # a row without its trailing label
+    "u1,1000,1.5,2.5,walk,extra\n",   # a row with a field past the header's
+    "u1,1_000,1.5,2.5,walk\n",        # a number only `int` reads
+])
+def test_the_row_scan_reads_what_the_vectorised_pass_leaves(tmp_path, body):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"user_id,timestamp,lat,lon,label\n" + body.encode("utf-8"))
+    assert pipeline._parse_columns(path.read_bytes()) is None
+    assert list(read_csv(path)) == [RawRecord("u1", 1000, 1.5, 2.5, "walk" if "walk" in body
+                                              else None)]
+
+
+@pytest.mark.parametrize("body, fault", [
+    ("u1,Ǿ12,1.5,2.5,walk\n", "'timestamp' 'Ǿ12'"),  # numpy's int parser reads 46212
+    ("u1,-5,1.5,2.5,walk\n", "'timestamp' '-5'"),
+    ("u1,1000,90.5,2.5,walk\n", "'lat' '90.5'"),
+    ("u1,1000,1.5,1e400,walk\n", "'lon' '1e400'"),
+])
+def test_a_field_the_vectorised_pass_cannot_take_goes_to_the_row_scan(tmp_path, body, fault):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"user_id,timestamp,lat,lon,label\n" + body.encode("utf-8"))
+    assert pipeline._parse_columns(path.read_bytes()) is None
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value).startswith(f"{path}, line 2: {fault} is not ")
+
+
+def test_a_line_past_the_csv_field_size_limit_goes_to_the_row_scan(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("user_id,timestamp,lat,lon\nu1,1000,1.5,2.5\n", encoding="utf-8")
+    limit = csv.field_size_limit(6)  # below the header's "user_id"
+    try:
+        assert pipeline._parse_columns(path.read_bytes()) is None
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_csv(path)
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_trajectory_ndjson_round_trip(tmp_path):

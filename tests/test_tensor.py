@@ -626,15 +626,21 @@ def test_lstm_forward_bitwise_equals_composed_graph(b, t1, w, scale):
 
 # In a fresh process, so that OpenBLAS reads its thread count: for b = 4 to 7
 # at W = 256 the two [W, 2W] halves of `h @ wh` give one GEMM's bits, as raw
-# products and inside `T.lstm` (a bound of 0 makes it run the one GEMM).
+# products and inside `T.lstm` (a bound of 0 makes it run the one GEMM). At
+# W = 512, b = 1 and W = 384, b = 2 the sizes alone would split, but no test
+# checks the bits at K = 512 or 384, so `T.lstm` runs one GEMM there.
 _LSTM_HALVES_CHECK = """
 import numpy as np
 from geoseq import tensor as T
+for b, w in ((1, 512), (2, 384)):
+    assert b * w * 4 * w > T._BLAS_SMALL_MNK >= b * w * 2 * w
+    assert not T._column_halves(b, w), (b, w)
+assert [b for b in range(1, 64) if T._column_halves(b, 256)] == [4, 5, 6, 7]
 w = 256
 rng = np.random.default_rng(7)
 wh = (0.5 * rng.normal(size=(w, 4 * w))).astype(np.float32)
 for b in range(4, 8):
-    assert b * w * 4 * w > T._BLAS_SMALL_MNK >= b * w * 2 * w
+    assert T._column_halves(b, w)
     h = np.tanh(rng.normal(size=(b, w))).astype(np.float32)
     halves = np.concatenate([h @ wh[:, : 2 * w], h @ wh[:, 2 * w :]], axis=1)
     assert halves.tobytes() == (h @ wh).tobytes(), b
