@@ -28,7 +28,7 @@ def _parse_time(date_s: str, time_s: str) -> int:
 def _load_labels(path) -> tuple[list[int], list[tuple[int, int, str]]]:
     intervals = []
     with open(path, encoding="utf-8") as f:
-        next(f)  # header line
+        next(f, None)  # header line; an empty file holds no labels
         for line in f:
             parts = line.strip().split("\t")
             if len(parts) != 3:

@@ -1,9 +1,14 @@
 """Synthetic GPS corpus: anchored random walks with dwells and travel bursts.
 
-Each user gets a few anchor points inside the region. A dwell emits one
-record per minute with jitter small enough to stay under the stop-speed
-threshold; a burst walks toward the next anchor fast enough to stay above
-it, labeled with a movement mode. Output is byte-stable for a fixed config.
+Each user gets `ANCHORS_PER_USER` anchor points inside the region and makes
+`BURSTS_PER_USER` trips between them. A dwell emits one record per minute
+with at most `JITTER_M / 2` of jitter per axis, so a dwell step is at most
+25·√2 ≈ 35 m a minute (2.1 km/h), under the 4 km/h stop-speed threshold. A
+burst walks toward the next anchor, labeled with a movement mode, at least
+90 m a minute; even its first step, from a jittered dwell record, is at
+least 90 − 17.7 m (4.3 km/h), above the threshold. Only the user count, the
+region's extent, the seed and the projection's reference latitude vary;
+output is byte-stable for a fixed config.
 
 Stream rule: each segment takes its random numbers in one draw, a dwell's
 jitter as `[n, 2]` and a burst's step and wobble as `[n, 2]` rows, which
@@ -26,17 +31,18 @@ MODES = (("walk", 90.0, 150.0), ("bike", 200.0, 380.0), ("car", 450.0, 900.0))
 
 BASE_EPOCH = 1_600_000_000
 
+ANCHORS_PER_USER = 3
+BURSTS_PER_USER = 3
+BURST_LEN = (15, 25)  # movement records per burst
+DWELL_MINUTES = (6, 12)
+JITTER_M = 25.0  # dwell wobble; keeps dwell speeds < 4 km/h
+HEADING_NOISE = 0.15  # lateral fraction of the step length
+
 
 @dataclass
 class SynthConfig:
     users: int = 20
-    anchors_per_user: int = 3
     extent_m: float = 300_000.0
-    bursts_per_user: int = 3
-    burst_len: tuple[int, int] = (15, 25)  # movement records per burst
-    dwell_minutes: tuple[int, int] = (6, 12)
-    jitter_m: float = 25.0  # dwell wobble; keeps dwell speeds < 4 km/h
-    heading_noise: float = 0.15  # lateral fraction of the step length
     seed: int = 0
     scales: tuple[float, ...] = GridSpec.scales
     ref_lat: float = PipelineConfig.ref_lat
@@ -48,16 +54,6 @@ class SynthConfig:
                 f"{self.scales[0]} m, got {self.extent_m}"
             )
         _at_least(self, 1, "users")
-        _at_least(self, 2, "anchors_per_user")
-        _at_least(self, 0, "bursts_per_user")
-        for name in ("burst_len", "dwell_minutes"):
-            span = getattr(self, name)
-            if len(span) != 2 or not 0 <= span[0] <= span[1]:
-                raise ValueError(f"'{name}' must be two values 0 <= lo <= hi, got {span!r}")
-        for name in ("jitter_m", "heading_noise"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"'{name}' must be a finite number >= 0, got {value!r}")
 
 
 def generate_records(cfg: SynthConfig) -> list[RawRecord]:
@@ -68,24 +64,23 @@ def generate_records(cfg: SynthConfig) -> list[RawRecord]:
     labels: list[str | None] = []
 
     def dwell(x, y):
-        n = int(rng.integers(cfg.dwell_minutes[0], cfg.dwell_minutes[1] + 1))
-        jitter = rng.uniform(-cfg.jitter_m / 2, cfg.jitter_m / 2, size=(n, 2))
+        n = int(rng.integers(DWELL_MINUTES[0], DWELL_MINUTES[1] + 1))
+        jitter = rng.uniform(-JITTER_M / 2, JITTER_M / 2, size=(n, 2))
         segments.append(np.array([x, y]) + jitter)
         labels.extend([None] * n)
 
     for u in range(cfg.users):
         first = len(labels)
         anchors = rng.uniform(
-            0.05 * cfg.extent_m, 0.95 * cfg.extent_m, size=(cfg.anchors_per_user, 2)
+            0.05 * cfg.extent_m, 0.95 * cfg.extent_m, size=(ANCHORS_PER_USER, 2)
         )
         x, y = anchors[0].tolist()
         dwell(x, y)
-        for b in range(cfg.bursts_per_user):
-            tx, ty = anchors[(b + 1) % cfg.anchors_per_user].tolist()
+        for b in range(BURSTS_PER_USER):
+            tx, ty = anchors[(b + 1) % ANCHORS_PER_USER].tolist()
             mode, lo, hi = MODES[int(rng.integers(len(MODES)))]
-            n_steps = int(rng.integers(cfg.burst_len[0], cfg.burst_len[1] + 1))
-            noise = cfg.heading_noise
-            draws = rng.uniform([lo, -noise], [hi, noise], size=(n_steps, 2))
+            n_steps = int(rng.integers(BURST_LEN[0], BURST_LEN[1] + 1))
+            draws = rng.uniform([lo, -HEADING_NOISE], [hi, HEADING_NOISE], size=(n_steps, 2))
             path = []
             # a scalar loop: each step's heading depends on the last position
             for step, wobble in draws.tolist():

@@ -275,8 +275,9 @@ def matmul(a, b, bias=None) -> Tensor:
     both directions, so the weight gradient is one `a2.T @ g2` instead of a
     per-batch `[..., k, n]` stack summed afterwards. A `bias` (2-D `b` only)
     is added into the GEMM's output in place and is a third parent, with the
-    gradient an `add` node would give it. Operands that are both batched
-    (attention's scores and context) take the broadcasting path.
+    gradient an `add` node would give it. Operands that are both batched take
+    the broadcasting path; the model has none, since `attention` is one node
+    with its own products.
     Backward computes only the gradients of operands that require one, and
     keeps each operand only for the other's gradient.
     """

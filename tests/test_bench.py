@@ -19,8 +19,20 @@ from geoseq.bench import (
 from geoseq.grid import EARTH_RADIUS_M, GridSpec, project
 from geoseq.model import Batch, ModelConfig, ModelState, TrainConfig, forward_loss, make_batch
 from geoseq.optim import Adam
-from geoseq.pipeline import PipelineConfig, RawRecord, preprocess
-from geoseq.synth import BASE_EPOCH, MODES, SynthConfig, generate_records, records_to_csv
+from geoseq.pipeline import PipelineConfig, RawRecord, compute_velocity, preprocess
+from geoseq.synth import (
+    ANCHORS_PER_USER,
+    BASE_EPOCH,
+    BURST_LEN,
+    BURSTS_PER_USER,
+    DWELL_MINUTES,
+    HEADING_NOISE,
+    JITTER_M,
+    MODES,
+    SynthConfig,
+    generate_records,
+    records_to_csv,
+)
 from geoseq.vocab import build_vocab
 
 
@@ -137,23 +149,22 @@ def test_synth_different_seed_different_bytes():
 SYNTH_GOLDEN = [
     ({"users": 20, "seed": 0},
      "8b708d0f5588d6402ff8623e53cbd2d80bb3b2ae37fbc19801593e2fd473013b"),
-    ({"users": 20, "seed": 1, "burst_len": (3, 9), "dwell_minutes": (0, 4)},
-     "ffc71d08c12d316326fca69f1014f7ba68c134fefd4084959cae615026b8b9e3"),
+    ({"users": 20, "seed": 1},
+     "ca249ded9c433debcba98d79ff1da0aee5c397330271364303e0afd8c69de870"),
     ({"users": 200, "seed": 3},
      "9ad7544e21b81c5a6a748b40814daed489435d43fc0c3dd7b590456a3ae36527"),
-    ({"users": 20, "seed": 11, "ref_lat": 51.5, "dwell_minutes": (2, 2), "burst_len": (0, 6)},
-     "88b4a4e7ba616e30e22d45f2e3a8655b6c589732ff0ba09b2e3150b19c7f9ec9"),
-    ({"users": 200, "seed": 7, "ref_lat": -33.9, "burst_len": (30, 40),
-      "dwell_minutes": (1, 20)},
-     "74e36f81bf5c0cd6b9481c2a79649867884e8ccecce606ce0d6eaddafa2eb50c"),
-    ({"users": 5, "seed": 2, "jitter_m": 0.0, "heading_noise": 0.0},
-     "4a5205042bb99d4e864e60db7c0c359b124b6a37e495c1236cd1f632b2da2478"),
+    ({"users": 20, "seed": 11, "ref_lat": 51.5},
+     "3da311b35bc6b5afe46e00dce32d45db1d704f6606d4dffcfd15efe97e240a06"),
+    ({"users": 200, "seed": 7, "ref_lat": -33.9},
+     "1660b51fd8e1064310ef15fed7276a11a402bcc1bf8a0410572486d421629c08"),
+    ({"users": 5, "seed": 2, "extent_m": 150_000.0},
+     "32cc63cfebb064b18dcedd1c588fa44fc48902af741665513b3b3286a2ca91ef"),
 ]
 
 
 @pytest.mark.parametrize("kwargs, digest", SYNTH_GOLDEN,
-                         ids=["u20_s0", "u20_s1_short", "u200_s3", "u20_s11_lat51",
-                              "u200_s7_lat-34", "u5_s2_no_noise"])
+                         ids=["u20_s0", "u20_s1", "u200_s3", "u20_s11_lat51",
+                              "u200_s7_lat-34", "u5_s2_extent150k"])
 def test_synth_csv_matches_golden_bytes(kwargs, digest):
     text = records_to_csv(generate_records(SynthConfig(**kwargs)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
@@ -172,32 +183,32 @@ def _per_record_oracle(cfg: SynthConfig) -> list[RawRecord]:
     records = []
     for u in range(cfg.users):
         user = f"u{u:04d}"
-        anchors = rng.uniform(0.05 * cfg.extent_m, 0.95 * cfg.extent_m, size=(cfg.anchors_per_user, 2))
+        anchors = rng.uniform(0.05 * cfg.extent_m, 0.95 * cfg.extent_m, size=(ANCHORS_PER_USER, 2))
         t = BASE_EPOCH + u * 100_000
         pos = anchors[0].copy()
 
         def dwell(center):
             nonlocal t
-            n = int(rng.integers(cfg.dwell_minutes[0], cfg.dwell_minutes[1] + 1))
+            n = int(rng.integers(DWELL_MINUTES[0], DWELL_MINUTES[1] + 1))
             for _ in range(n):
-                jitter = rng.uniform(-cfg.jitter_m / 2, cfg.jitter_m / 2, size=2)
+                jitter = rng.uniform(-JITTER_M / 2, JITTER_M / 2, size=2)
                 p = center + jitter
                 lat, lon = unproject(p[0], p[1])
                 records.append(RawRecord(user, t, lat, lon, None))
                 t += 60
 
         dwell(pos)
-        for b in range(cfg.bursts_per_user):
-            target = anchors[(b + 1) % cfg.anchors_per_user]
+        for b in range(BURSTS_PER_USER):
+            target = anchors[(b + 1) % ANCHORS_PER_USER]
             mode, lo, hi = MODES[int(rng.integers(len(MODES)))]
-            n_steps = int(rng.integers(cfg.burst_len[0], cfg.burst_len[1] + 1))
+            n_steps = int(rng.integers(BURST_LEN[0], BURST_LEN[1] + 1))
             for _ in range(n_steps):
                 direction = target - pos
                 dist = float(np.hypot(*direction))
                 unit = direction / dist if dist > 1e-9 else np.array([1.0, 0.0])
                 step = float(rng.uniform(lo, hi))
                 lateral = np.array([-unit[1], unit[0]])
-                wobble = float(rng.uniform(-cfg.heading_noise, cfg.heading_noise))
+                wobble = float(rng.uniform(-HEADING_NOISE, HEADING_NOISE))
                 pos = pos + unit * step + lateral * wobble * step
                 lat, lon = unproject(pos[0], pos[1])
                 records.append(RawRecord(user, t, lat, lon, mode))
@@ -208,19 +219,9 @@ def _per_record_oracle(cfg: SynthConfig) -> list[RawRecord]:
 
 @st.composite
 def _small_synth_configs(draw):
-    def span(top):
-        lo = draw(st.integers(0, top))
-        return lo, draw(st.integers(lo, top))
-
     return SynthConfig(
         users=draw(st.integers(1, 3)),
-        anchors_per_user=draw(st.integers(2, 4)),
         extent_m=draw(st.floats(150_000.0, 600_000.0)),
-        bursts_per_user=draw(st.integers(0, 3)),
-        burst_len=span(6),
-        dwell_minutes=span(4),
-        jitter_m=draw(st.floats(0.0, 60.0)),
-        heading_noise=draw(st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**32 - 1)),
         ref_lat=draw(st.floats(-70.0, 70.0)),
     )
@@ -228,9 +229,9 @@ def _small_synth_configs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(cfg=_small_synth_configs())
-# long, noisy bursts: re-associating the wobble term or swapping `np.hypot` for
+# many bursts (400 users): re-associating the wobble term or swapping `np.hypot` for
 # `math.hypot` moves some of these floats, and seldom any on small configs
-@example(cfg=SynthConfig(users=60, seed=1, heading_noise=0.9, burst_len=(40, 60)))
+@example(cfg=SynthConfig(users=400, seed=0))
 def test_synth_segment_draws_equal_per_record_draws(cfg):
     records = generate_records(cfg)
     assert records == _per_record_oracle(cfg)
@@ -245,7 +246,7 @@ def test_synth_degenerate_extent_rejected():
 
 
 def test_synth_pipeline_yields_trajectories_per_user():
-    cfg = SynthConfig(users=6, seed=3, burst_len=(15, 20))
+    cfg = SynthConfig(users=6, seed=3)
     records = generate_records(cfg)
     spec = GridSpec(cfg.scales)
     vocab = build_vocab([project(r.lat, r.lon) for r in records], spec)
@@ -262,6 +263,20 @@ def test_synth_labels_reach_trajectories():
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     assert {t.label for t in trajs} <= {"walk", "bike", "car"}
     assert all(t.label is not None for t in trajs)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_synth_dwells_stop_and_bursts_move(seed):
+    # the module docstring's promise: every dwell record is below the stop-speed
+    # threshold and every labelled burst record above it
+    cfg = SynthConfig(users=200, seed=seed)
+    records = generate_records(cfg)
+    user = np.array([int(r.user_id[1:]) for r in records])
+    ts = np.array([r.timestamp for r in records])
+    x, y = project([r.lat for r in records], [r.lon for r in records], cfg.ref_lat)
+    speeds = compute_velocity(user, ts, x, y)
+    moving = np.array([r.label is not None for r in records])
+    assert speeds[~moving].max() < PipelineConfig().stop_speed_kmh < speeds[moving].min()
 
 
 # -- hierarchy-depth configs ------------------------------------------------------

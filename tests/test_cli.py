@@ -469,13 +469,13 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
 @pytest.mark.parametrize("bad, key", [
     ({"synth": {"extent_m": 50_000.0}}, "'synth.extent_m'"),
     ({"synth": {"users": 0}}, "'synth.users'"),
-    ({"synth": {"burst_len": [5]}}, "'synth.burst_len'"),
-    ({"synth": {"dwell_minutes": [9, 3]}}, "'synth.dwell_minutes'"),
-    ({"synth": {"burst_len": [-3, 2]}}, "'synth.burst_len'"),
-    ({"synth": {"dwell_minutes": [-2, -1]}}, "'synth.dwell_minutes'"),
-    ({"synth": {"jitter_m": -1.0}}, "'synth.jitter_m'"),
-    ({"synth": {"heading_noise": -0.1}}, "'synth.heading_noise'"),
-    ({"synth": {"bursts_per_user": -1}}, "'synth.bursts_per_user'"),
+    ({"synth": {"burst_len": [5]}}, "unknown key 'synth.burst_len'"),
+    ({"synth": {"dwell_minutes": [9, 3]}}, "unknown key 'synth.dwell_minutes'"),
+    ({"synth": {"burst_len": [-3, 2]}}, "unknown key 'synth.burst_len'"),
+    ({"synth": {"dwell_minutes": [-2, -1]}}, "unknown key 'synth.dwell_minutes'"),
+    ({"synth": {"jitter_m": -1.0}}, "unknown key 'synth.jitter_m'"),
+    ({"synth": {"heading_noise": -0.1}}, "unknown key 'synth.heading_noise'"),
+    ({"synth": {"bursts_per_user": -1}}, "unknown key 'synth.bursts_per_user'"),
     ({"max_seq_len": 1}, "'max_seq_len'"),
     ({"resample_interval": 0}, "'resample_interval'"),
     ({"attn_dropout": 1.0}, "'attn_dropout'"),
@@ -499,7 +499,7 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"origin": [float("nan"), 0.0]}, "'origin'"),
     ({"scales": [float("nan"), 100.0]}, "'scales'"),
     ({"min_stay_seconds": -5}, "'min_stay_seconds'"),
-    ({"synth": {"anchors_per_user": 1}}, "'synth.anchors_per_user'"),
+    ({"synth": {"anchors_per_user": 1}}, "unknown key 'synth.anchors_per_user'"),
     ({"lr": float("inf")}, "'lr'"),
     ({"eps": float("inf")}, "'eps'"),
     ({"weight_decay": float("inf")}, "'weight_decay'"),
@@ -656,12 +656,13 @@ def test_readme_config_table_names_every_key():
 
 def test_resolved_defaults_are_pinned():
     # deriving the defaults from the config dataclasses must move no default
-    # and no manifest config_hash (this one is without the `ablation` section,
-    # and equals the earlier defaults' hash with that section dropped)
+    # and no manifest config_hash (this one is without the `ablation` section
+    # and the six `synth` shape keys that are now constants, and equals the
+    # earlier defaults' hash with those dropped)
     cfg = resolve_config({})
     canon = json.dumps(cfg, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(canon).hexdigest() == (
-        "762226f6fe6be2288a68dd2c731faa107aa8839f8e0bc3fd9f64ec894a940751"
+        "b06c5b891d6b346cd8cf6bf7c3859b991d69ffc1a590e39e32c7c18416d3fb90"
     )
     assert cfg["seed"] is None  # the CLI requires one
 
