@@ -6,7 +6,7 @@ the preprocessing stages: resample to 1-minute increments, flag stops under
 than ten records, tokenize, and window to the model's max sequence length.
 """
 
-from geoseq import GridSpec, PipelineConfig, build_vocab, preprocess, project, split
+from geoseq import PipelineConfig, build_vocab, preprocess, project, split
 from geoseq.synth import SynthConfig, generate_records
 
 cfg = SynthConfig(users=10, seed=42)
@@ -14,11 +14,11 @@ records = generate_records(cfg)
 print(f"synthetic corpus: {len(records)} records from {cfg.users} users")
 print("first record:", records[0])
 
-spec = GridSpec(cfg.scales)
-vocab = build_vocab([project(r.lat, r.lon, cfg.ref_lat) for r in records], spec)
+spec = cfg.grid  # the grid the corpus was unprojected with, ref_lat included
+vocab = build_vocab([project(r.lat, r.lon, spec.ref_lat) for r in records], spec)
 print("\nvocabulary per level:", vocab.sizes(), "| flat:", vocab.flat_count)
 
-trajs = preprocess(records, vocab, PipelineConfig(profile="gps", ref_lat=cfg.ref_lat))
+trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
 print(f"\n{len(trajs)} trajectories after segmentation and windowing")
 t = trajs[0]
 print("example trajectory:")

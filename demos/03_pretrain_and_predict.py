@@ -6,14 +6,14 @@ training, the same heads rank complete location tuples for any prefix via a
 per-level beam over the conditional chain.
 """
 
-from geoseq import GridSpec, ModelConfig, PipelineConfig, TrainConfig, build_vocab
+from geoseq import ModelConfig, PipelineConfig, TrainConfig, build_vocab
 from geoseq import preprocess, pretrain, pretrained_predict_topk, project, split
 from geoseq.pipeline import Trajectory
 from geoseq.synth import SynthConfig, generate_records
 
 cfg = SynthConfig(users=12, seed=1)
 records = generate_records(cfg)
-vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(cfg.scales))
+vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
 trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
 parts = split(len(trajs), seed=0)
 train_set = [trajs[i] for i in parts.pretrain]

@@ -7,7 +7,6 @@ as correct when every hierarchy level matches at once.
 """
 
 from geoseq import (
-    GridSpec,
     ModelConfig,
     PipelineConfig,
     TrainConfig,
@@ -23,7 +22,7 @@ from geoseq.synth import SynthConfig, generate_records
 
 cfg = SynthConfig(users=12, seed=5)
 records = generate_records(cfg)
-vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(cfg.scales))
+vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
 trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
 parts = split(len(trajs), seed=0)
 

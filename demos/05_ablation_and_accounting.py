@@ -7,7 +7,6 @@ decoder blocks and heads at 2 per multiply-accumulate.
 """
 
 from geoseq import (
-    GridSpec,
     ModelConfig,
     PipelineConfig,
     TrainConfig,
@@ -23,7 +22,7 @@ from geoseq.synth import SynthConfig, generate_records
 
 cfg = SynthConfig(users=14, seed=7)
 records = generate_records(cfg)
-vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(cfg.scales))
+vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
 trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
 
 # closed-form accounting for the full-size model of this vocabulary

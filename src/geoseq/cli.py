@@ -92,7 +92,7 @@ DEFAULTS = {
     "head": "ffn",
     "freeze_backbone": False,
     **_defaults(PipelineConfig),
-    "synth": _defaults(SynthConfig, skip=("seed", "scales", "ref_lat")),
+    "synth": _defaults(SynthConfig, skip=("seed",)),
 }
 
 _CHOICES = {
@@ -138,19 +138,17 @@ def resolve_config(doc: dict) -> dict:
         raise ConfigError(f"'seed' must be int, got {out['seed']!r}")
     # build each config dataclass once, so every rule it owns runs before any work:
     # a rule's message opens with its field, quoted, and the prefix makes that the key
-    scales = tuple(out["scales"])
-    for prefix, cls, values, given in (
-        ("", GridSpec, out, {}),
-        ("", ModelConfig, out, {"level_sizes": [1] * len(scales)}),  # real sizes come later
-        ("", TrainConfig, out, {}),
-        ("", PipelineConfig, out, {}),
-        ("synth.", SynthConfig, out["synth"],
-         {"seed": out["seed"], "scales": scales, "ref_lat": out["ref_lat"]}),
-    ):
+    def build(prefix, cls, values, **given):
         try:
-            _from_cfg(cls, values, **given)
+            return _from_cfg(cls, values, **given)
         except ValueError as e:  # GridError included
             raise ConfigError(str(e).replace("'", f"'{prefix}", 1)) from None
+
+    grid = build("", GridSpec, out)
+    build("", ModelConfig, out, level_sizes=[1] * grid.levels)  # real sizes come later
+    build("", TrainConfig, out)
+    build("", PipelineConfig, out)
+    build("synth.", SynthConfig, out["synth"], seed=out["seed"], grid=grid)
     return out
 
 
@@ -233,9 +231,7 @@ def _subset(args, config: ModelConfig, *parts: str) -> list[list]:
 
 def cmd_synth(cfg: dict, args, seed, out: Path) -> list[str]:
     s = cfg["synth"]
-    synth_cfg = _from_cfg(
-        SynthConfig, s, seed=seed, scales=tuple(cfg["scales"]), ref_lat=cfg["ref_lat"]
-    )
+    synth_cfg = _from_cfg(SynthConfig, s, seed=seed, grid=_from_cfg(GridSpec, cfg))
     records = generate_records(synth_cfg)
     write_csv(records, out / "synth.csv")
     _log(f"synth: wrote {len(records)} records for {s['users']} users")
@@ -243,7 +239,8 @@ def cmd_synth(cfg: dict, args, seed, out: Path) -> list[str]:
 
 
 def cmd_vocab(cfg: dict, args, seed, out: Path) -> list[str]:
-    vocab = build_vocab(iter_csv_points(args.input, cfg["ref_lat"]), _from_cfg(GridSpec, cfg))
+    grid = _from_cfg(GridSpec, cfg)
+    vocab = build_vocab(iter_csv_points(args.input, grid.ref_lat), grid)
     vocab.save(out / "vocab.json")
     sizes = vocab.sizes()
     _log(
@@ -255,6 +252,14 @@ def cmd_vocab(cfg: dict, args, seed, out: Path) -> list[str]:
 
 def cmd_preprocess(cfg: dict, args, seed, out: Path) -> list[str]:
     vocab = Vocabulary.load(args.vocab)
+    grid = _from_cfg(GridSpec, cfg)
+    # the vocabulary's cells and projection make the tokens: another grid is an error
+    for key in ("scales", "origin", "ref_lat"):
+        if getattr(grid, key) != getattr(vocab.spec, key):
+            raise ConfigError(
+                f"'{key}' is {getattr(grid, key)} but {args.vocab} was built with "
+                f"{getattr(vocab.spec, key)}"
+            )
     pipeline = _from_cfg(PipelineConfig, cfg)
     trajs = preprocess(read_csv(args.input), vocab, pipeline)
     parts = split(len(trajs), seed, pipeline.split_fractions)

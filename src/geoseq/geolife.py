@@ -5,7 +5,9 @@ optional per-user `labels.txt` carrying transportation-mode intervals. Each
 PLT data line is `lat,lon,0,altitude,days,date,time`; the first six lines
 are header. A `labels.txt` row is `start<TAB>end<TAB>mode`, with times
 such as `2008/04/02 11:24:21`. Records falling inside a labeled interval get
-its mode.
+its mode. A row whose numbers or times do not parse raises ValueError naming
+the file and the line (a PLT file's header lines counted); a PLT line with
+fewer than seven fields, or a `labels.txt` row without three, is skipped.
 """
 
 from __future__ import annotations
@@ -19,23 +21,28 @@ from .pipeline import CSV_COLUMNS
 _TIME_FMT = "%Y-%m-%d %H:%M:%S"
 
 
-def _parse_time(date_s: str, time_s: str) -> int:
-    date_s = date_s.replace("/", "-")  # labels.txt writes 2008/04/02, PLT files 2008-04-02
-    dt = datetime.strptime(f"{date_s} {time_s}", _TIME_FMT).replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+def _parse_time(stamp: str) -> int:
+    """Unix seconds of a UTC `date time`; labels.txt writes 2008/04/02, PLT files 2008-04-02."""
+    try:
+        dt = datetime.strptime(stamp.replace("/", "-"), _TIME_FMT)
+    except ValueError:
+        raise ValueError(f"time {stamp!r} is not a date and a time such as "
+                         f"'2008-04-02 11:24:21'") from None
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
 
 
 def _load_labels(path) -> tuple[list[int], list[tuple[int, int, str]]]:
     intervals = []
     with open(path, encoding="utf-8") as f:
         next(f, None)  # header line; an empty file holds no labels
-        for line in f:
+        for line_no, line in enumerate(f, start=2):
             parts = line.strip().split("\t")
             if len(parts) != 3:
                 continue
-            start = _parse_time(*parts[0].split(" "))
-            end = _parse_time(*parts[1].split(" "))
-            intervals.append((start, end, parts[2]))
+            try:
+                intervals.append((_parse_time(parts[0]), _parse_time(parts[1]), parts[2]))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {line_no}: {e}") from None
     intervals.sort()
     return [iv[0] for iv in intervals], intervals
 
@@ -67,14 +74,18 @@ def convert_geolife(root, out_csv, users: list[str] | None = None) -> int:
             for plt in sorted(os.listdir(traj_dir)):
                 if not plt.endswith(".plt"):
                     continue
-                with open(os.path.join(traj_dir, plt), encoding="utf-8") as f:
+                plt_path = os.path.join(traj_dir, plt)
+                with open(plt_path, encoding="utf-8") as f:
                     lines = f.readlines()[6:]
-                for line in lines:
+                for line_no, line in enumerate(lines, start=7):  # after the six header lines
                     parts = line.strip().split(",")
                     if len(parts) < 7:
                         continue
-                    lat, lon = float(parts[0]), float(parts[1])
-                    ts = _parse_time(parts[5], parts[6])
+                    try:
+                        lat, lon = float(parts[0]), float(parts[1])
+                        ts = _parse_time(f"{parts[5]} {parts[6]}")
+                    except ValueError as e:
+                        raise ValueError(f"{plt_path}, line {line_no}: {e}") from None
                     label = _label_for(ts, starts, intervals) if intervals else None
                     out.write(f"{user},{ts},{lat:.6f},{lon:.6f},{label or ''}\n")
                     n += 1

@@ -56,7 +56,8 @@ def unproject(x, y, ref_lat: float = 0.0):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Strictly nested grid scales, coarse to fine, plus a common origin.
+    """Strictly nested grid scales, coarse to fine, a common origin, and the
+    reference latitude of the projection that maps degrees onto the grid.
 
     `scales[0] > scales[1] > ... > scales[-1]` in meters, each an exact
     integer multiple (>= 2) of the next, so cells nest without overlap.
@@ -66,6 +67,7 @@ class GridSpec:
 
     scales: tuple[float, ...] = (100_000.0, 1_000.0, 100.0)
     origin: tuple[float, float] = (0.0, 0.0)
+    ref_lat: float = 0.0  # `project`'s reference latitude, in (-90, 90)
     ratios: tuple[int, ...] = field(init=False)  # ratios[h] = scales[h-1] / scales[h]
 
     def __post_init__(self):
@@ -77,6 +79,8 @@ class GridSpec:
             raise GridError(f"'scales' must be finite and positive, got {self.scales}")
         if len(self.origin) != 2 or not all(abs(c) <= sys.float_info.max for c in self.origin):
             raise GridError(f"'origin' must be two finite numbers, got {self.origin!r}")
+        if not -90 < self.ref_lat < 90:
+            raise GridError(f"'ref_lat' must lie in (-90, 90), got {self.ref_lat}")
         scales = tuple(float(s) for s in self.scales)
         ratios = []
         for h in range(1, len(scales)):

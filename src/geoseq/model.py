@@ -476,7 +476,7 @@ def save_tensors(path, tensors: dict[str, Tensor], meta: dict):
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         for t in tensors.values():
-            f.write(np.ascontiguousarray(t.data).astype(t.data.dtype.newbyteorder("<")).tobytes())
+            f.write(np.ascontiguousarray(t.data, dtype=t.data.dtype.newbyteorder("<")))
 
 
 def load_tensors(path) -> tuple[dict, dict[str, Tensor]]:

@@ -8,13 +8,14 @@ exactly as `csv.reader`, `int` and `float` would, and a row scan with
 their trailing label) and names the file, line and field of every fault.
 
 The records are held as numpy columns, sorted by user and then time, and
-projected to meters. Each stage is one pure function over all users' columns,
-with user boundaries as masks, that returns kept indices, speeds or segment
-bounds: optionally resample to one record per interval, optionally collapse
-same-cell runs into stays and drop short ones, compute speeds, flag stops
-(< 4 km/h) and cut each user's stream at stop records. Every kept point is
-then tokenized in one column lookup, and each segment is windowed to the
-model's max sequence length. Two profiles mirror the two data styles:
+projected to meters at the vocabulary's `ref_lat`: `vocab.json` records the
+grid its cells were built on, projection included. Each stage is one pure
+function over all users' columns, with user boundaries as masks, that
+returns kept indices, speeds or segment bounds: optionally resample to one
+record per interval, optionally collapse same-cell runs into stays and drop
+short ones, compute speeds, flag stops (< 4 km/h) and cut each user's
+stream at stop records. Every kept point is then tokenized in one column
+lookup, and each segment is windowed to the model's max sequence length. Two profiles mirror the two data styles:
 
   "gps"    — dense GPS logs: resample on, stay filtering off
   "signal" — cell-signal logs: resample off, stay filtering on
@@ -154,7 +155,6 @@ def _at_least(config, low, *names: str, strict: bool = False):
 @dataclass
 class PipelineConfig:
     profile: str = "gps"  # "gps" | "signal"
-    ref_lat: float = 0.0
     resample_interval: int = 60
     stop_speed_kmh: float = 4.0
     min_stay_seconds: int = 300
@@ -166,8 +166,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.profile not in ("gps", "signal"):
             raise ValueError(f"'profile' must be one of ('gps', 'signal'), got {self.profile!r}")
-        if not -90 < self.ref_lat < 90:
-            raise ValueError(f"'ref_lat' must lie in (-90, 90), got {self.ref_lat}")
         _at_least(self, 1, "resample_interval", "min_trajectory_records")
         _at_least(self, 0, "stop_speed_kmh", strict=True)
         _at_least(self, 0, "min_stay_seconds")
@@ -334,15 +332,17 @@ def preprocess(
     `records` are `read_csv`'s columns; a list of `RawRecord`s (hand-built or
     from `synth.generate_records`) is made into columns first, by
     `RecordColumns.from_rows`, which rejects a timestamp outside (0, 2^63).
-    Each stage runs once over all users' rows, sorted by user and stably by
-    time. A user left with fewer than two rows has no speed and is dropped.
+    Points are projected with `vocab.spec.ref_lat`, the projection the
+    vocabulary's cells were built with. Each stage runs once over all users'
+    rows, sorted by user and stably by time. A user left with fewer than two
+    rows has no speed and is dropped.
     The points of every segment are tokenized together at the end; an unseen
     key raises OutOfVocabularyError for the first such point in user and time order.
     """
     if not isinstance(records, RecordColumns):
         records = RecordColumns.from_rows(records)
     user, ts, lat, lon, label, users, names = _sorted_columns(records)
-    x, y = project(lat, lon, cfg.ref_lat)
+    x, y = project(lat, lon, vocab.spec.ref_lat)
     rows = (resample(user, ts, cfg.resample_interval) if cfg.profile == "gps"
             else filter_short_stays(user, ts, x, y, vocab.spec, cfg.min_stay_seconds))
     rows = rows[np.bincount(user[rows])[user[rows]] > 1]  # users with two rows or more

@@ -7,8 +7,9 @@ with at most `JITTER_M / 2` of jitter per axis, so a dwell step is at most
 burst walks toward the next anchor, labeled with a movement mode, at least
 90 m a minute; even its first step, from a jittered dwell record, is at
 least 90 − 17.7 m (4.3 km/h), above the threshold. Only the user count, the
-region's extent, the seed and the projection's reference latitude vary;
-output is byte-stable for a fixed config.
+region's extent, the seed and the grid vary: its coarsest scale bounds the
+extent from below, and its `ref_lat` unprojects the walks to degrees.
+Output is byte-stable for a fixed config.
 
 Stream rule: each segment takes its random numbers in one draw, a dwell's
 jitter as `[n, 2]` and a burst's step and wobble as `[n, 2]` rows, which
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridSpec, unproject
-from .pipeline import CSV_COLUMNS, PipelineConfig, RawRecord, _at_least
+from .pipeline import CSV_COLUMNS, RawRecord, _at_least
 
 # per-minute step ranges (meters) per movement mode; all > 4 km/h at 60 s spacing
 MODES = (("walk", 90.0, 150.0), ("bike", 200.0, 380.0), ("car", 450.0, 900.0))
@@ -44,14 +45,13 @@ class SynthConfig:
     users: int = 20
     extent_m: float = 300_000.0
     seed: int = 0
-    scales: tuple[float, ...] = GridSpec.scales
-    ref_lat: float = PipelineConfig.ref_lat
+    grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
-        if not self.scales[0] < self.extent_m < math.inf:
+        if not self.grid.scales[0] < self.extent_m < math.inf:
             raise ValueError(
                 f"'extent_m' must be finite and above one coarse cell, 'scales'[0] = "
-                f"{self.scales[0]} m, got {self.extent_m}"
+                f"{self.grid.scales[0]} m, got {self.extent_m}"
             )
         _at_least(self, 1, "users")
 
@@ -101,7 +101,7 @@ def generate_records(cfg: SynthConfig) -> list[RawRecord]:
         users.extend([f"u{u:04d}"] * n)
         stamps.extend(range(t0, t0 + 60 * n, 60))
     xy = np.concatenate(segments)
-    lat, lon = unproject(xy[:, 0], xy[:, 1], cfg.ref_lat)
+    lat, lon = unproject(xy[:, 0], xy[:, 1], cfg.grid.ref_lat)
     return list(map(RawRecord, users, stamps, lat.tolist(), lon.tolist(), labels))
 
 

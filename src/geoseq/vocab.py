@@ -106,6 +106,7 @@ class Vocabulary:
         return {
             "scales": list(self.spec.scales),
             "origin": list(self.spec.origin),
+            "ref_lat": self.spec.ref_lat,
             "levels": levels,
             "flat_count": self.flat_count,
         }
@@ -115,14 +116,15 @@ class Vocabulary:
         """Rebuild from `to_json`'s document; a missing or ill-typed key raises
         ValueError naming it.
 
-        Each level's `specials` must be `SPECIALS`. A level-1 key must be a
-        pair of ints, and a level-h key (h > 1) an int offset in
-        `[0, ratios[h-2]**2)`; a violation names the level and the field, and
-        'scales' too where its bound comes from them.
+        `scales`, `origin` and `ref_lat` must make a `GridSpec`, whose rules
+        name the key they reject. Each level's `specials` must be `SPECIALS`.
+        A level-1 key must be a pair of ints, and a level-h key (h > 1) an int
+        offset in `[0, ratios[h-2]**2)`; a violation names the level and the
+        field, and 'scales' too where its bound comes from them.
         """
         if not isinstance(doc, dict):
             raise ValueError("a vocabulary must be a JSON object")
-        for key in ("scales", "origin", "levels", "flat_count"):
+        for key in ("scales", "origin", "ref_lat", "levels", "flat_count"):
             if key not in doc:
                 raise ValueError(f"missing key '{key}'")
         scales, origin, levels = doc["scales"], doc["origin"], doc["levels"]
@@ -130,13 +132,15 @@ class Vocabulary:
             raise ValueError(f"'scales' must be a non-empty list of numbers, got {scales!r}")
         if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_number, origin))):
             raise ValueError(f"'origin' must be two numbers, got {origin!r}")
+        if not _is_number(doc["ref_lat"]):
+            raise ValueError(f"'ref_lat' must be a number, got {doc['ref_lat']!r}")
         if not (isinstance(levels, list) and len(levels) == len(scales)):
             raise ValueError(
                 f"'levels' must be a list of {len(scales)} levels, one per 'scales' entry"
             )
         if type(doc["flat_count"]) is not int or doc["flat_count"] < 0:
             raise ValueError(f"'flat_count' must be a non-negative int, got {doc['flat_count']!r}")
-        spec = GridSpec(tuple(scales), tuple(origin))
+        spec = GridSpec(tuple(scales), tuple(origin), doc["ref_lat"])
         maps = []
         for h, lev in enumerate(levels, start=1):
             entries = lev.get("entries") if isinstance(lev, dict) else None

@@ -102,8 +102,8 @@ def test_criterion_2_geolife_reproduction(tmp_path):
 
     csv_path = tmp_path / "geolife.csv"
     n = convert_geolife(root, csv_path)
-    spec = GridSpec((100_000.0, 1_000.0, 100.0))
-    vocab = build_vocab(iter_csv_points(csv_path, ref_lat=39.9), spec)
+    spec = GridSpec((100_000.0, 1_000.0, 100.0), ref_lat=39.9)
+    vocab = build_vocab(iter_csv_points(csv_path, spec.ref_lat), spec)
     sizes = [vocab.size(h) - 2 for h in (1, 2, 3)]
     # informational: grid origin and projection differ from the original
     # setup, so deviations are reported rather than failed
@@ -335,7 +335,7 @@ def test_criterion_9_ablation_harness():
     start = time.time()
     cfg = SynthConfig(users=14, seed=7)
     records = generate_records(cfg)
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(cfg.scales))
+    vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     _, flat_size = flatten_trajectories(trajs)
     premise = sum(vocab.sizes()) < flat_size

@@ -153,9 +153,9 @@ SYNTH_GOLDEN = [
      "ca249ded9c433debcba98d79ff1da0aee5c397330271364303e0afd8c69de870"),
     ({"users": 200, "seed": 3},
      "9ad7544e21b81c5a6a748b40814daed489435d43fc0c3dd7b590456a3ae36527"),
-    ({"users": 20, "seed": 11, "ref_lat": 51.5},
+    ({"users": 20, "seed": 11, "grid": GridSpec(ref_lat=51.5)},
      "3da311b35bc6b5afe46e00dce32d45db1d704f6606d4dffcfd15efe97e240a06"),
-    ({"users": 200, "seed": 7, "ref_lat": -33.9},
+    ({"users": 200, "seed": 7, "grid": GridSpec(ref_lat=-33.9)},
      "1660b51fd8e1064310ef15fed7276a11a402bcc1bf8a0410572486d421629c08"),
     ({"users": 5, "seed": 2, "extent_m": 150_000.0},
      "32cc63cfebb064b18dcedd1c588fa44fc48902af741665513b3b3286a2ca91ef"),
@@ -176,7 +176,7 @@ def _per_record_oracle(cfg: SynthConfig) -> list[RawRecord]:
 
     def unproject(x, y):
         lat = math.degrees(y / EARTH_RADIUS_M)
-        lon = math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(cfg.ref_lat))))
+        lon = math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(cfg.grid.ref_lat))))
         return lat, lon
 
     rng = np.random.default_rng(cfg.seed)
@@ -223,7 +223,7 @@ def _small_synth_configs(draw):
         users=draw(st.integers(1, 3)),
         extent_m=draw(st.floats(150_000.0, 600_000.0)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        ref_lat=draw(st.floats(-70.0, 70.0)),
+        grid=GridSpec(ref_lat=draw(st.floats(-70.0, 70.0))),
     )
 
 
@@ -248,7 +248,7 @@ def test_synth_degenerate_extent_rejected():
 def test_synth_pipeline_yields_trajectories_per_user():
     cfg = SynthConfig(users=6, seed=3)
     records = generate_records(cfg)
-    spec = GridSpec(cfg.scales)
+    spec = cfg.grid
     vocab = build_vocab([project(r.lat, r.lon) for r in records], spec)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     assert {t.user for t in trajs} == {f"u{i:04d}" for i in range(6)}
@@ -259,7 +259,7 @@ def test_synth_pipeline_yields_trajectories_per_user():
 def test_synth_labels_reach_trajectories():
     cfg = SynthConfig(users=5, seed=4)
     records = generate_records(cfg)
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(cfg.scales))
+    vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     assert {t.label for t in trajs} <= {"walk", "bike", "car"}
     assert all(t.label is not None for t in trajs)
@@ -273,7 +273,7 @@ def test_synth_dwells_stop_and_bursts_move(seed):
     records = generate_records(cfg)
     user = np.array([int(r.user_id[1:]) for r in records])
     ts = np.array([r.timestamp for r in records])
-    x, y = project([r.lat for r in records], [r.lon for r in records], cfg.ref_lat)
+    x, y = project([r.lat for r in records], [r.lon for r in records], cfg.grid.ref_lat)
     speeds = compute_velocity(user, ts, x, y)
     moving = np.array([r.label is not None for r in records])
     assert speeds[~moving].max() < PipelineConfig().stop_speed_kmh < speeds[moving].min()
@@ -290,7 +290,7 @@ def test_synth_dwells_stop_and_bursts_move(seed):
     ],
 )
 def test_hierarchy_depths_train_one_step(scales):
-    cfg = SynthConfig(users=3, seed=5, scales=scales)
+    cfg = SynthConfig(users=3, seed=5, grid=GridSpec(scales))
     records = generate_records(cfg)
     vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(scales))
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
@@ -310,7 +310,7 @@ def test_hierarchy_depths_train_one_step(scales):
 def small_corpus():
     cfg = SynthConfig(users=14, seed=7)
     records = generate_records(cfg)
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(cfg.scales))
+    vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     return trajs, vocab
 

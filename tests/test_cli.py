@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from geoseq import bench
 from geoseq.cli import DEFAULTS, dispatch, resolve_config, ConfigError
 from geoseq.downstream import make_head
-from geoseq.grid import GridSpec
+from geoseq.grid import GridSpec, decode_keys, encode_points, project
 from geoseq.model import (
     ModelConfig, ModelState, TrainConfig, make_batch, save_checkpoint, save_tensors,
 )
-from geoseq.pipeline import PipelineConfig, read_trajectories
+from geoseq.pipeline import PipelineConfig, read_csv, read_trajectories
 from geoseq.synth import SynthConfig
 from geoseq.vocab import Vocabulary
 
@@ -185,7 +185,7 @@ def test_shared_config_fields_have_one_default():
             if f.default is not MISSING:
                 defaults.setdefault(f.name, []).append((cls.__name__, f.default))
     shared = {name: owners for name, owners in defaults.items() if len(owners) > 1}
-    assert sorted(shared) == ["max_seq_len", "ref_lat", "scales", "seed"]
+    assert sorted(shared) == ["max_seq_len", "seed"]
     for name, owners in shared.items():
         assert len({value for _, value in owners}) == 1, (name, owners)
 
@@ -587,6 +587,55 @@ def test_preprocess_rejects_an_empty_split_before_writing(
     assert list((tmp_path / "p").iterdir()) == []
 
 
+@pytest.mark.parametrize("overrides, key, ours, theirs", [
+    ({"ref_lat": 0.5}, "ref_lat", "0.5", "0.0"),
+    ({"scales": [100_000, 1_000]}, "scales", "(100000.0, 1000.0)", "(100000.0, 1000.0, 100.0)"),
+    ({"origin": [5.0, 0.0]}, "origin", "(5.0, 0.0)", "(0.0, 0.0)"),
+], ids=["ref_lat", "scales", "origin"])
+def test_preprocess_rejects_a_grid_other_than_the_vocabs(
+    workspace, tmp_path, capsys, overrides, key, ours, theirs
+):
+    # the vocabulary's cells and projection decide the tokens, so a config that
+    # sets another grid is not ignored: it exits 2 before the CSV is read
+    root, _ = workspace
+    assert _preprocess(root, {**TINY, **overrides}, tmp_path) == 2
+    vocab = root / "v" / "vocab.json"
+    assert capsys.readouterr().err == (
+        f"error: config: '{key}' is {ours} but {vocab} was built with {theirs}\n")
+    assert not (tmp_path / "p" / "trajectories.ndjson").exists()
+
+
+def test_chain_at_a_nonzero_ref_lat_tokenizes_with_its_projection(tmp_path):
+    # Beijing's latitude, where a projection at another ref_lat moves x by a
+    # factor of cos(39.9°) and lands points in other cells
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "ref_lat": 39.9}), encoding="utf-8")
+    csv, vocab_path = tmp_path / "d" / "synth.csv", tmp_path / "v" / "vocab.json"
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    assert dispatch(["vocab", "--config", str(cfg), "--input", str(csv),
+                     "--out", str(tmp_path / "v")]) == 0
+    assert json.loads(vocab_path.read_text(encoding="utf-8"))["ref_lat"] == 39.9
+    assert dispatch(["preprocess", "--config", str(cfg), "--input", str(csv),
+                     "--vocab", str(vocab_path), "--out", str(tmp_path / "p")]) == 0
+    vocab = Vocabulary.load(vocab_path)
+    trajs = read_trajectories(tmp_path / "p" / "trajectories.ndjson", vocab.sizes())
+    assert trajs
+    # every CSV row's tokens decode to within half a finest cell of the row
+    # projected at 39.9, and every window holds only those rows' token tuples
+    rows = read_csv(csv)
+    x, y = project(rows.lat, rows.lon, 39.9)
+    ids = vocab.ids_for(encode_points(x, y, vocab.spec))
+    inverse = [{tid: tuple(key) if isinstance(key, list) else key for key, tid in lev["entries"]}
+               for lev in vocab.to_json()["levels"]]
+    half = vocab.spec.scales[-1] / 2.0
+    for a, b, row in zip(x.tolist(), y.tolist(), ids.tolist()):
+        cx, cy, _ = decode_keys([inverse[h][tid] for h, tid in enumerate(row)], vocab.spec)
+        # a point on a cell edge may sit half a cell away up to float rounding
+        assert abs(cx - a) <= half * (1 + 1e-9) and abs(cy - b) <= half * (1 + 1e-9)
+    tuples = set(map(tuple, ids.tolist()))
+    assert all(set(t.ids[1:]) <= tuples for t in trajs)
+
+
 def test_signal_profile_end_to_end(workspace, tmp_path):
     root, _ = workspace
     assert _preprocess(root, {**TINY, "profile": "signal", "min_stay_seconds": 0}, tmp_path) == 0
@@ -850,9 +899,10 @@ def test_integer_labels_fail_classification_finetune(workspace, tmp_path, capsys
 @pytest.mark.parametrize("key, value", [
     ("scales", None), ("origin", None), ("levels", None), ("flat_count", None),
     ("scales", "100"), ("origin", [0.0]), ("levels", {}), ("flat_count", "3"),
-    ("entries", None), ("entries", [[[0, 0], "2"]]),
+    ("entries", None), ("entries", [[[0, 0], "2"]]), ("ref_lat", None), ("ref_lat", "x"),
 ], ids=["no_scales", "no_origin", "no_levels", "no_flat_count", "scales_str", "origin_short",
-        "levels_object", "flat_count_str", "no_entries", "entry_id_str"])
+        "levels_object", "flat_count_str", "no_entries", "entry_id_str", "no_ref_lat",
+        "ref_lat_str"])
 def test_malformed_vocab_exits_1_naming_file_and_key(workspace, tmp_path, capsys, key, value):
     root, cfg = workspace
     doc = json.loads((root / "v" / "vocab.json").read_text())

@@ -590,7 +590,7 @@ def oracle_marked_users(records, vocab, cfg):
         if cfg.profile == "gps":
             rs = oracle_resample(rs, cfg.resample_interval)
         for r in rs:
-            r.x, r.y = oracle_project(r.lat, r.lon, cfg.ref_lat)
+            r.x, r.y = oracle_project(r.lat, r.lon, vocab.spec.ref_lat)
         if cfg.profile == "signal":
             rs = oracle_filter_short_stays(rs, vocab.spec, cfg.min_stay_seconds)
         if len(rs) < 2:
@@ -818,10 +818,10 @@ def corpora(draw):
        max_seq_len=st.sampled_from([2, 4, 32]), ref_lat=st.sampled_from([0.0, -33.9]))
 def test_preprocess_equals_the_record_loop_oracle(records, profile, min_stay, min_len,
                                                   max_seq_len, ref_lat):
-    spec = GridSpec((1_000.0, 100.0), origin=(-150.0, 70.0))
+    spec = GridSpec((1_000.0, 100.0), origin=(-150.0, 70.0), ref_lat=ref_lat)
     points = [oracle_project(r.lat, r.lon, ref_lat) for r in records]
     vocab = build_vocab(points, spec)
-    cfg = PipelineConfig(profile=profile, ref_lat=ref_lat, min_stay_seconds=min_stay,
+    cfg = PipelineConfig(profile=profile, min_stay_seconds=min_stay,
                          min_trajectory_records=min_len, max_seq_len=max_seq_len)
     got = preprocess(records, vocab, cfg)
     assert got == oracle_preprocess(records, vocab, cfg)

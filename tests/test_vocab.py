@@ -88,6 +88,7 @@ def test_json_document_shape():
     doc = build_vocab([(50.0, 50.0)], SPEC3).to_json()
     assert doc["scales"] == [100_000.0, 1_000.0, 100.0]
     assert doc["origin"] == [0.0, 0.0]
+    assert doc["ref_lat"] == 0.0
     assert doc["flat_count"] == 1
     assert doc["levels"][0]["specials"] == {"sos": 0, "pad": 1}
     assert doc["levels"][0]["entries"] == [[[0, 0], 2]]
@@ -151,7 +152,8 @@ _points = st.lists(
     st.tuples(st.floats(-300_000.0, 300_000.0), st.floats(-300_000.0, 300_000.0)),
     min_size=1, max_size=40,
 )
-_specs = st.sampled_from([SPEC3, GridSpec((1_000.0,)), GridSpec((10_000.0, 100.0), (5.0, -7.0))])
+_specs = st.sampled_from([SPEC3, GridSpec((1_000.0,)),
+                          GridSpec((10_000.0, 100.0), (5.0, -7.0), ref_lat=39.9)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +166,7 @@ def test_json_round_trip_property(points, spec):
 
 
 @settings(max_examples=20, deadline=None)
-@given(points=_points, key=st.sampled_from(["scales", "origin", "levels", "flat_count"]))
+@given(points=_points, key=st.sampled_from(["scales", "origin", "ref_lat", "levels", "flat_count"]))
 def test_missing_top_level_key_is_named(points, key):
     doc = build_vocab(points, SPEC3).to_json()
     del doc[key]
