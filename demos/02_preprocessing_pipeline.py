@@ -6,6 +6,8 @@ the preprocessing stages: resample to 1-minute increments, flag stops under
 than ten records, tokenize, and window to the model's max sequence length.
 """
 
+import numpy as np
+
 from geoseq import PipelineConfig, build_vocab, preprocess, project, split
 from geoseq.synth import SynthConfig, generate_records
 
@@ -15,7 +17,7 @@ print(f"synthetic corpus: {len(records)} records from {cfg.users} users")
 print("first record:", records[0])
 
 spec = cfg.grid  # the grid the corpus was unprojected with, ref_lat included
-vocab = build_vocab([project(r.lat, r.lon, spec.ref_lat) for r in records], spec)
+vocab = build_vocab(np.column_stack(project(records.lat, records.lon, spec.ref_lat)), spec)
 print("\nvocabulary per level:", vocab.sizes(), "| flat:", vocab.flat_count)
 
 trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))

@@ -6,6 +6,8 @@ training, the same heads rank complete location tuples for any prefix via a
 per-level beam over the conditional chain.
 """
 
+import numpy as np
+
 from geoseq import ModelConfig, PipelineConfig, TrainConfig, build_vocab
 from geoseq import preprocess, pretrain, pretrained_predict_topk, project, split
 from geoseq.pipeline import Trajectory
@@ -13,7 +15,8 @@ from geoseq.synth import SynthConfig, generate_records
 
 cfg = SynthConfig(users=12, seed=1)
 records = generate_records(cfg)
-vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
+xy = np.column_stack(project(records.lat, records.lon, cfg.grid.ref_lat))
+vocab = build_vocab(xy, cfg.grid)
 trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
 parts = split(len(trajs), seed=0)
 train_set = [trajs[i] for i in parts.pretrain]

@@ -6,6 +6,8 @@ through one-hots of their own coarse predictions. A prediction only counts
 as correct when every hierarchy level matches at once.
 """
 
+import numpy as np
+
 from geoseq import (
     ModelConfig,
     PipelineConfig,
@@ -22,7 +24,8 @@ from geoseq.synth import SynthConfig, generate_records
 
 cfg = SynthConfig(users=12, seed=5)
 records = generate_records(cfg)
-vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
+xy = np.column_stack(project(records.lat, records.lon, cfg.grid.ref_lat))
+vocab = build_vocab(xy, cfg.grid)
 trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
 parts = split(len(trajs), seed=0)
 

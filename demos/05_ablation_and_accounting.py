@@ -6,6 +6,8 @@ Parameter counts are closed-form and exact; FLOPs count matmul work in the
 decoder blocks and heads at 2 per multiply-accumulate.
 """
 
+import numpy as np
+
 from geoseq import (
     ModelConfig,
     PipelineConfig,
@@ -22,7 +24,8 @@ from geoseq.synth import SynthConfig, generate_records
 
 cfg = SynthConfig(users=14, seed=7)
 records = generate_records(cfg)
-vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
+xy = np.column_stack(project(records.lat, records.lon, cfg.grid.ref_lat))
+vocab = build_vocab(xy, cfg.grid)
 trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
 
 # closed-form accounting for the full-size model of this vocabulary

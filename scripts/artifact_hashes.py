@@ -183,7 +183,7 @@ def write_stays_csv(path: Path) -> None:
         x, t = 50.0, 1_600_000_000 + 100_000 * u
         for step, duration in STAYS:
             x += step
-            lat, lon = unproject(x, 50.0 + 5_000.0 * u)
+            lat, lon = unproject(x, 50.0 + 5_000.0 * u, 0.0)
             offsets = range(0, duration + 1, 60) if duration % 60 == 0 else (0, 60, duration)
             rows += [f"u{u:02d},{t + dt},{lat:.7f},{lon:.7f}" for dt in offsets]
             t += duration + 60

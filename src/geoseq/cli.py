@@ -57,7 +57,7 @@ from .pipeline import (
     write_trajectories,
 )
 from .synth import SynthConfig, generate_records, write_csv
-from .vocab import Vocabulary, build_vocab
+from .vocab import OutOfVocabularyError, Vocabulary, build_vocab
 
 
 class ConfigError(ValueError):
@@ -261,7 +261,12 @@ def cmd_preprocess(cfg: dict, args, seed, out: Path) -> list[str]:
                 f"{getattr(vocab.spec, key)}"
             )
     pipeline = _from_cfg(PipelineConfig, cfg)
-    trajs = preprocess(read_csv(args.input), vocab, pipeline)
+    try:
+        trajs = preprocess(read_csv(args.input), vocab, pipeline)
+    except OutOfVocabularyError as e:  # a cell of this CSV that the vocabulary never saw
+        raise ValueError(
+            f"{args.input}: key {e.key!r} at level {e.level} is not in {args.vocab}"
+        ) from None
     parts = split(len(trajs), seed, pipeline.split_fractions)
     for name in ("finetune_train", "finetune_test"):  # an empty finetune_val is allowed
         if not getattr(parts, name):

@@ -55,38 +55,56 @@ def _label_for(ts: int, starts, intervals) -> str | None:
 
 
 def convert_geolife(root, out_csv, users: list[str] | None = None) -> int:
-    """Write `user_id,timestamp,lat,lon,label` rows; returns the record count."""
+    """Write `user_id,timestamp,lat,lon,label` rows; returns the record count.
+
+    The rows go to a temporary file beside `out_csv` that replaces it only once
+    every row converted, so a failed conversion leaves `out_csv` as it was.
+    """
     data_dir = os.path.join(root, "Data")
     if not os.path.isdir(data_dir):
         raise FileNotFoundError(f"no Data/ directory under {root}")
     user_dirs = users if users is not None else sorted(os.listdir(data_dir))
+    head, name = os.path.split(out_csv)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    out = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with out:
+            n = _write_rows(out, data_dir, user_dirs)
+        os.replace(tmp, out_csv)
+    finally:  # gone after a replace; an error leaves it to remove
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return n
+
+
+def _write_rows(out, data_dir, user_dirs) -> int:
+    """The CSV header and every record of `user_dirs`; returns the record count."""
+    out.write(",".join((*CSV_COLUMNS, "label")) + "\n")
     n = 0
-    with open(out_csv, "w", encoding="utf-8", newline="") as out:
-        out.write(",".join((*CSV_COLUMNS, "label")) + "\n")
-        for user in user_dirs:
-            traj_dir = os.path.join(data_dir, user, "Trajectory")
-            if not os.path.isdir(traj_dir):
+    for user in user_dirs:
+        traj_dir = os.path.join(data_dir, user, "Trajectory")
+        if not os.path.isdir(traj_dir):
+            continue
+        starts, intervals = [], []
+        labels_path = os.path.join(data_dir, user, "labels.txt")
+        if os.path.isfile(labels_path):
+            starts, intervals = _load_labels(labels_path)
+        for plt in sorted(os.listdir(traj_dir)):
+            if not plt.endswith(".plt"):
                 continue
-            starts, intervals = [], []
-            labels_path = os.path.join(data_dir, user, "labels.txt")
-            if os.path.isfile(labels_path):
-                starts, intervals = _load_labels(labels_path)
-            for plt in sorted(os.listdir(traj_dir)):
-                if not plt.endswith(".plt"):
+            plt_path = os.path.join(traj_dir, plt)
+            with open(plt_path, encoding="utf-8") as f:
+                lines = f.readlines()[6:]
+            for line_no, line in enumerate(lines, start=7):  # after the six header lines
+                parts = line.strip().split(",")
+                if len(parts) < 7:
                     continue
-                plt_path = os.path.join(traj_dir, plt)
-                with open(plt_path, encoding="utf-8") as f:
-                    lines = f.readlines()[6:]
-                for line_no, line in enumerate(lines, start=7):  # after the six header lines
-                    parts = line.strip().split(",")
-                    if len(parts) < 7:
-                        continue
-                    try:
-                        lat, lon = float(parts[0]), float(parts[1])
-                        ts = _parse_time(f"{parts[5]} {parts[6]}")
-                    except ValueError as e:
-                        raise ValueError(f"{plt_path}, line {line_no}: {e}") from None
-                    label = _label_for(ts, starts, intervals) if intervals else None
-                    out.write(f"{user},{ts},{lat:.6f},{lon:.6f},{label or ''}\n")
-                    n += 1
+                try:
+                    lat, lon = float(parts[0]), float(parts[1])
+                    ts = _parse_time(f"{parts[5]} {parts[6]}")
+                except ValueError as e:
+                    raise ValueError(f"{plt_path}, line {line_no}: {e}") from None
+                label = _label_for(ts, starts, intervals) if intervals else None
+                out.write(f"{user},{ts},{lat:.6f},{lon:.6f},{label or ''}\n")
+                n += 1
     return n

@@ -24,11 +24,12 @@ class GridError(ValueError):
     """Invalid grid specification or malformed cell key."""
 
 
-def project(lat, lon, ref_lat: float = 0.0):
+def project(lat, lon, ref_lat: float):
     """Equirectangular projection of degrees to meters, for scalars or arrays.
 
     x = R * lon_rad * cos(ref_lat), y = R * lat_rad. Monotone and invertible,
     adequate at city scale; `ref_lat` should sit near the data's latitude band.
+    It has no default: a grid's projection is its `GridSpec.ref_lat`.
     Scalars give float64 scalars; `np.radians` rounds as `math.radians` does.
     """
     lat = np.asarray(lat, dtype=np.float64)
@@ -42,7 +43,7 @@ def project(lat, lon, ref_lat: float = 0.0):
     return x, y
 
 
-def unproject(x, y, ref_lat: float = 0.0):
+def unproject(x, y, ref_lat: float):
     """Inverse of `project`, returning (lat, lon) degrees, for scalars or arrays.
 
     Scalars give float64 scalars; `np.degrees` rounds as `math.degrees` does.

@@ -52,10 +52,17 @@ class ModelConfig:
     head_mode: str = HEAD_CHAINED
 
     def __post_init__(self):
-        if not self.level_sizes or any(s < 1 for s in self.level_sizes):
-            raise ValueError(f"'level_sizes' must be positive, got {self.level_sizes}")
+        # a checkpoint's meta builds this too: check types before any arithmetic
+        for name in ("hidden", "layers", "heads", "max_seq_len"):
+            if type(getattr(self, name)) is not int:  # a bool is not an int here
+                raise ValueError(f"'{name}' must be int, got {getattr(self, name)!r}")
+        if type(self.attn_dropout) not in (int, float):
+            raise ValueError(f"'attn_dropout' must be int or float, got {self.attn_dropout!r}")
+        if not self.level_sizes or any(type(s) is not int or s < 1 for s in self.level_sizes):
+            raise ValueError(f"'level_sizes' must be positive ints, got {self.level_sizes}")
         _at_least(self, 1, "hidden", "heads")
         _at_least(self, 0, "layers")
+        _at_least(self, 2, "max_seq_len")
         if self.hidden % self.heads != 0:
             raise ValueError(f"'hidden' {self.hidden} is not divisible by 'heads' {self.heads}")
         if not 0 <= self.attn_dropout < 1:

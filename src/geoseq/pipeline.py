@@ -6,6 +6,8 @@ offsets for the user and label strings) reads every file that it can read
 exactly as `csv.reader`, `int` and `float` would, and a row scan with
 `csv.reader` reads the rest (quoted fields, CRLF line ends, rows without
 their trailing label) and names the file, line and field of every fault.
+`preprocess` takes only columns (from `read_csv`, `synth.generate_records` or
+`RecordColumns.from_lists`); `RawRecord` is the row view `RecordColumns[i]`.
 
 The records are held as numpy columns, sorted by user and then time, and
 projected to meters at the vocabulary's `ref_lat`: `vocab.json` records the
@@ -32,7 +34,7 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -47,7 +49,7 @@ TIMESTAMP_END = 2**63  # timestamps lie in (0, TIMESTAMP_END): they are int64 co
 
 @dataclass(slots=True)
 class RawRecord:
-    """One CSV row."""
+    """One CSV row, as `RecordColumns[i]` gives it."""
 
     user_id: str
     timestamp: int  # Unix seconds, in (0, TIMESTAMP_END)
@@ -107,11 +109,6 @@ class RecordColumns:
         names = sorted(set(filter(None, labels)))
         return cls(_codes(user_ids, users, 0), ts, np.fromiter(lat, np.float64, n),
                    np.fromiter(lon, np.float64, n), _codes(labels, names, 1), users, names)
-
-    @classmethod
-    def from_rows(cls, rows) -> RecordColumns:
-        """Columns of `RawRecord`s (see `from_lists`)."""
-        return cls.from_lists(*([getattr(r, f.name) for r in rows] for f in fields(RawRecord)))
 
 
 @dataclass
@@ -325,22 +322,18 @@ def _sorted_columns(records: RecordColumns):
 
 
 def preprocess(
-    records: RecordColumns | list[RawRecord], vocab: Vocabulary, cfg: PipelineConfig
+    records: RecordColumns, vocab: Vocabulary, cfg: PipelineConfig
 ) -> list[Trajectory]:
     """Run the full pipeline and return windowed tokenized trajectories.
 
-    `records` are `read_csv`'s columns; a list of `RawRecord`s (hand-built or
-    from `synth.generate_records`) is made into columns first, by
-    `RecordColumns.from_rows`, which rejects a timestamp outside (0, 2^63).
-    Points are projected with `vocab.spec.ref_lat`, the projection the
-    vocabulary's cells were built with. Each stage runs once over all users'
-    rows, sorted by user and stably by time. A user left with fewer than two
-    rows has no speed and is dropped.
+    `records` are columns, from `read_csv`, `synth.generate_records` or
+    `RecordColumns.from_lists`. Points are projected with `vocab.spec.ref_lat`,
+    the projection the vocabulary's cells were built with. Each stage runs once
+    over all users' rows, sorted by user and stably by time. A user left with
+    fewer than two rows has no speed and is dropped.
     The points of every segment are tokenized together at the end; an unseen
     key raises OutOfVocabularyError for the first such point in user and time order.
     """
-    if not isinstance(records, RecordColumns):
-        records = RecordColumns.from_rows(records)
     user, ts, lat, lon, label, users, names = _sorted_columns(records)
     x, y = project(lat, lon, vocab.spec.ref_lat)
     rows = (resample(user, ts, cfg.resample_interval) if cfg.profile == "gps"

@@ -9,6 +9,8 @@ burst walks toward the next anchor, labeled with a movement mode, at least
 least 90 − 17.7 m (4.3 km/h), above the threshold. Only the user count, the
 region's extent, the seed and the grid vary: its coarsest scale bounds the
 extent from below, and its `ref_lat` unprojects the walks to degrees.
+`generate_records` returns the records as `RecordColumns`, in user and time
+order, the columns `preprocess` takes; `records_to_csv` formats the columns.
 Output is byte-stable for a fixed config.
 
 Stream rule: each segment takes its random numbers in one draw, a dwell's
@@ -18,14 +20,13 @@ reads the generator's stream in the same order as one draw per record would.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridSpec, unproject
-from .pipeline import CSV_COLUMNS, RawRecord, _at_least
+from .pipeline import CSV_COLUMNS, RecordColumns, _at_least
 
 # per-minute step ranges (meters) per movement mode; all > 4 km/h at 60 s spacing
 MODES = (("walk", 90.0, 150.0), ("bike", 200.0, 380.0), ("car", 450.0, 900.0))
@@ -56,7 +57,7 @@ class SynthConfig:
         _at_least(self, 1, "users")
 
 
-def generate_records(cfg: SynthConfig) -> list[RawRecord]:
+def generate_records(cfg: SynthConfig) -> RecordColumns:
     rng = np.random.default_rng(cfg.seed)
     segments: list[np.ndarray] = []  # [n, 2] projected meters, in record order
     users: list[str] = []
@@ -102,17 +103,17 @@ def generate_records(cfg: SynthConfig) -> list[RawRecord]:
         stamps.extend(range(t0, t0 + 60 * n, 60))
     xy = np.concatenate(segments)
     lat, lon = unproject(xy[:, 0], xy[:, 1], cfg.grid.ref_lat)
-    return list(map(RawRecord, users, stamps, lat.tolist(), lon.tolist(), labels))
+    return RecordColumns.from_lists(users, stamps, lat, lon, labels)
 
 
-def records_to_csv(records: list[RawRecord]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join((*CSV_COLUMNS, "label")) + "\n")
-    for r in records:
-        buf.write(f"{r.user_id},{r.timestamp},{r.lat:.7f},{r.lon:.7f},{r.label or ''}\n")
-    return buf.getvalue()
+def records_to_csv(records: RecordColumns) -> str:
+    users = np.array(records.users, dtype=object)[records.user].tolist()
+    labels = np.array(["", *records.labels], dtype=object)[records.label].tolist()
+    rows = map("{},{},{:.7f},{:.7f},{}\n".format, users, records.ts.tolist(),
+               records.lat.tolist(), records.lon.tolist(), labels)
+    return ",".join((*CSV_COLUMNS, "label")) + "\n" + "".join(rows)
 
 
-def write_csv(records: list[RawRecord], path):
+def write_csv(records: RecordColumns, path):
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(records_to_csv(records))

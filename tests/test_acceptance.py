@@ -335,7 +335,7 @@ def test_criterion_9_ablation_harness():
     start = time.time()
     cfg = SynthConfig(users=14, seed=7)
     records = generate_records(cfg)
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
+    vocab = build_vocab([project(r.lat, r.lon, cfg.grid.ref_lat) for r in records], cfg.grid)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     _, flat_size = flatten_trajectories(trajs)
     premise = sum(vocab.sizes()) < flat_size

@@ -233,7 +233,7 @@ def _small_synth_configs(draw):
 # `math.hypot` moves some of these floats, and seldom any on small configs
 @example(cfg=SynthConfig(users=400, seed=0))
 def test_synth_segment_draws_equal_per_record_draws(cfg):
-    records = generate_records(cfg)
+    records = list(generate_records(cfg))
     assert records == _per_record_oracle(cfg)
     for r in records:
         assert (type(r.user_id), type(r.timestamp), type(r.lat), type(r.lon)) == (str, int, float, float)
@@ -249,7 +249,7 @@ def test_synth_pipeline_yields_trajectories_per_user():
     cfg = SynthConfig(users=6, seed=3)
     records = generate_records(cfg)
     spec = cfg.grid
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], spec)
+    vocab = build_vocab([project(r.lat, r.lon, spec.ref_lat) for r in records], spec)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     assert {t.user for t in trajs} == {f"u{i:04d}" for i in range(6)}
     assert vocab.size(1) - 2 >= 2  # the extent spans several coarse cells
@@ -259,7 +259,7 @@ def test_synth_pipeline_yields_trajectories_per_user():
 def test_synth_labels_reach_trajectories():
     cfg = SynthConfig(users=5, seed=4)
     records = generate_records(cfg)
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
+    vocab = build_vocab([project(r.lat, r.lon, cfg.grid.ref_lat) for r in records], cfg.grid)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     assert {t.label for t in trajs} <= {"walk", "bike", "car"}
     assert all(t.label is not None for t in trajs)
@@ -292,7 +292,7 @@ def test_synth_dwells_stop_and_bursts_move(seed):
 def test_hierarchy_depths_train_one_step(scales):
     cfg = SynthConfig(users=3, seed=5, grid=GridSpec(scales))
     records = generate_records(cfg)
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], GridSpec(scales))
+    vocab = build_vocab([project(r.lat, r.lon, cfg.grid.ref_lat) for r in records], cfg.grid)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     config = ModelConfig(vocab.sizes(), hidden=16, layers=1, heads=2, attn_dropout=0.0)
     state = ModelState.init(config, seed=6)
@@ -310,7 +310,7 @@ def test_hierarchy_depths_train_one_step(scales):
 def small_corpus():
     cfg = SynthConfig(users=14, seed=7)
     records = generate_records(cfg)
-    vocab = build_vocab([project(r.lat, r.lon) for r in records], cfg.grid)
+    vocab = build_vocab([project(r.lat, r.lon, cfg.grid.ref_lat) for r in records], cfg.grid)
     trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
     return trajs, vocab
 

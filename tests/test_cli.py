@@ -427,6 +427,29 @@ def test_tensor_listed_twice_exits_1(workspace, tmp_path, capsys, which):
         f"error: CheckpointError: {path}: tensor '{name}' is listed twice")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("heads", 2.0), ("layers", 1.0), ("max_seq_len", "x"), ("max_seq_len", 1),
+], ids=["heads_float", "layers_float", "max_seq_len_str", "max_seq_len_1"])
+def test_bad_checkpoint_config_value_exits_1_naming_the_key(
+    workspace, tmp_path, capsys, key, value
+):
+    # the checkpoint's own config, not the trajectories it is evaluated on, is at fault
+    root, cfg = workspace
+    sizes = Vocabulary.load(root / "v" / "vocab.json").sizes()
+    config = ModelConfig(sizes, hidden=16, layers=1, heads=2)
+    ckpt = tmp_path / "checkpoint.gsq"
+    save_tensors(ckpt, ModelState.init(config, seed=0).params,
+                 {"kind": "model", "config": {**config.to_json(), key: value}})
+    assert dispatch([
+        "eval", "--config", str(cfg),
+        "--data", str(root / "p" / "trajectories.ndjson"),
+        "--splits", str(root / "p" / "splits.json"),
+        "--checkpoint", str(ckpt), "--out", str(tmp_path / "e"),
+    ]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: CheckpointError: {ckpt}: bad model config in meta: '{key}' must be ")
+
+
 def test_config_defaults_and_validation():
     cfg = resolve_config({})
     assert cfg["hidden"] == 256 and cfg["layers"] == 6 and cfg["heads"] == 8
@@ -602,6 +625,20 @@ def test_preprocess_rejects_a_grid_other_than_the_vocabs(
     vocab = root / "v" / "vocab.json"
     assert capsys.readouterr().err == (
         f"error: config: '{key}' is {ours} but {vocab} was built with {theirs}\n")
+    assert not (tmp_path / "p" / "trajectories.ndjson").exists()
+
+
+def test_preprocess_names_the_csv_and_vocab_of_an_unseen_cell(workspace, tmp_path, capsys):
+    # another seed's corpus reaches a coarse cell that the workspace vocabulary never saw
+    root, cfg = workspace
+    assert dispatch(["synth", "--config", str(cfg), "--seed", "12",
+                     "--out", str(tmp_path / "d")]) == 0
+    csv, vocab = tmp_path / "d" / "synth.csv", root / "v" / "vocab.json"
+    capsys.readouterr()
+    assert dispatch(["preprocess", "--config", str(cfg), "--input", str(csv),
+                     "--vocab", str(vocab), "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {csv}: key (0, 2) at level 1 is not in {vocab}\n")
     assert not (tmp_path / "p" / "trajectories.ndjson").exists()
 
 

@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the current API."""
+"""Every demo runs to completion against the current API, with every warning an error
+(as the test suite runs)."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=600,
     )
     assert result.returncode == 0, result.stderr[-2000:]

@@ -104,3 +104,21 @@ def test_bad_plt_time_names_file_and_line(tmp_path):
         convert_geolife(tmp_path, tmp_path / "geolife.csv")
     assert str(e.value) == (f"{plt}, line 8: time '2008-13-23 02:53:10' is not a date and a "
                             "time such as '2008-04-02 11:24:21'")
+
+
+@pytest.mark.parametrize("before", [None, b"user_id,timestamp,lat,lon,label\nkept,1,0.0,0.0,\n"],
+                         ids=["no_csv", "existing_csv"])
+def test_failed_conversion_leaves_out_csv_as_it_was(tmp_path, before):
+    # the good row before the bad one reaches no file, and no temporary file stays
+    _archive(tmp_path / "archive", GOOD_ROW + "abc,116.3,0,492,39744.1,2008-10-23,02:53:10\n")
+    out = tmp_path / "out" / "geolife.csv"
+    out.parent.mkdir()
+    if before is not None:
+        out.write_bytes(before)
+    with pytest.raises(ValueError, match="line 8: could not convert"):
+        convert_geolife(tmp_path / "archive", out)
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == ([] if before is None else ["geolife.csv"])

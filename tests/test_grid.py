@@ -28,7 +28,7 @@ SPEC3 = GridSpec((100_000.0, 1_000.0, 100.0))
 
 
 def test_project_origin():
-    assert project(0.0, 0.0) == (0.0, 0.0)
+    assert project(0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_project_antimeridian():
@@ -45,13 +45,13 @@ def test_project_pole():
 
 def test_project_rejects_out_of_range():
     with pytest.raises(GridError):
-        project(91.0, 0.0)
+        project(91.0, 0.0, 0.0)
     with pytest.raises(GridError):
-        project(0.0, -181.0)
+        project(0.0, -181.0, 0.0)
     with pytest.raises(GridError):
-        project(math.nan, 0.0)
+        project(math.nan, 0.0, 0.0)
     with pytest.raises(GridError, match="longitude out of range: 181.0"):
-        project([0.0, 1.0, 2.0], [0.0, 181.0, -182.0])
+        project([0.0, 1.0, 2.0], [0.0, 181.0, -182.0], 0.0)
 
 
 def test_unproject_inverts_project():

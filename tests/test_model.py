@@ -506,10 +506,17 @@ def _walk_corpus(n=8, length=6):
     (lambda: ModelConfig([5], heads=0), "'heads'"),
     (lambda: ModelConfig([5], hidden=0), "'hidden'"),
     (lambda: ModelConfig([5], attn_dropout=1.0), "'attn_dropout'"),
+    (lambda: ModelConfig([5], hidden=True), "'hidden' must be int"),
+    (lambda: ModelConfig([5], layers=1.0), "'layers' must be int"),
+    (lambda: ModelConfig([5], attn_dropout=False), "'attn_dropout' must be int or float"),
+    (lambda: ModelConfig((5, 2.0)), "'level_sizes' must be positive ints"),
+    (lambda: ModelConfig([5], max_seq_len=1), "'max_seq_len' must be finite and at least 2"),
     (lambda: TrainConfig(batch_size=0), "'batch_size'"),
     (lambda: TrainConfig(epochs=0), "'epochs'"),
     (lambda: TrainConfig(betas=(0.9,)), "'betas'"),
-], ids=["heads_0", "hidden_0", "attn_dropout_1", "batch_size_0", "epochs_0", "betas_one"])
+], ids=["heads_0", "hidden_0", "attn_dropout_1", "hidden_bool", "layers_float",
+        "attn_dropout_bool", "level_size_float", "max_seq_len_1", "batch_size_0", "epochs_0",
+        "betas_one"])
 def test_configs_reject_out_of_range_fields(make, key):
     with pytest.raises(ValueError, match=key):
         make()

@@ -13,6 +13,7 @@ from geoseq.grid import EARTH_RADIUS_M, GridError, GridSpec, project
 from geoseq.pipeline import (
     PipelineConfig,
     RawRecord,
+    RecordColumns,
     Trajectory,
     compute_velocity,
     filter_short_stays,
@@ -42,6 +43,12 @@ def cols(*points):
     ts, x, y = zip(*points)
     return (one_user(len(ts)), np.array(ts, dtype=np.int64), np.array(x, dtype=float),
             np.array(y, dtype=float))
+
+
+def columns(rows: list[RawRecord]) -> RecordColumns:
+    """`preprocess`'s columns of hand-built rows."""
+    return RecordColumns.from_lists(
+        *zip(*((r.user_id, r.timestamp, r.lat, r.lon, r.label) for r in rows)))
 
 
 def stops_at(n, *at):
@@ -106,7 +113,7 @@ def test_stop_threshold_is_strict():
     assert (speeds < threshold).tolist() == [True, True, False, False, True, True]
     vocab = build_vocab(zip(x.tolist(), y.tolist()), SPEC)
     cfg = PipelineConfig(stop_speed_kmh=threshold, min_trajectory_records=1)
-    assert [t.length for t in preprocess(records, vocab, cfg)] == [2, 4, 2]
+    assert [t.length for t in preprocess(columns(records), vocab, cfg)] == [2, 4, 2]
 
 
 # -- stay filtering -----------------------------------------------------------
@@ -462,9 +469,9 @@ def test_preprocess_gps_profile_end_to_end():
         t += 60
     from geoseq.grid import project
 
-    pts = [project(r.lat, r.lon) for r in records]
+    pts = [project(r.lat, r.lon, 0.0) for r in records]
     vocab = build_vocab(pts, GridSpec((100_000.0, 1_000.0, 100.0)))
-    trajs = preprocess(records, vocab, PipelineConfig(profile="gps"))
+    trajs = preprocess(columns(records), vocab, PipelineConfig(profile="gps"))
     assert len(trajs) == 1
     # stop + 12 moves + stop = 14 records > 10
     assert trajs[0].length == 14
@@ -481,7 +488,7 @@ def test_preprocess_rejects_nonpositive_timestamps():
     records = [RawRecord("u", 0, 0.0, 0.0, None)]
     vocab = build_vocab([(0.0, 0.0)], GridSpec((100_000.0, 1_000.0, 100.0)))
     with pytest.raises(ValueError):
-        preprocess(records, vocab, PipelineConfig())
+        preprocess(columns(records), vocab, PipelineConfig())
 
 
 # -- the column stages equal the record loops they replaced ---------------------
@@ -789,7 +796,7 @@ def test_preprocess_calls_each_stage_once(monkeypatch, profile):
         monkeypatch.setattr(pipeline, name,
                             lambda *a, _n=name, _f=stage: calls.append(_n) or _f(*a))
     cfg = PipelineConfig(profile=profile, min_stay_seconds=0, min_trajectory_records=1)
-    trajs = preprocess(records, vocab, cfg)
+    trajs = preprocess(columns(records), vocab, cfg)
     first = "resample" if profile == "gps" else "filter_short_stays"
     assert calls == [first, "compute_velocity", "segment_trajectories"]
     assert trajs == oracle_preprocess(records, vocab, cfg)
@@ -823,7 +830,7 @@ def test_preprocess_equals_the_record_loop_oracle(records, profile, min_stay, mi
     vocab = build_vocab(points, spec)
     cfg = PipelineConfig(profile=profile, min_stay_seconds=min_stay,
                          min_trajectory_records=min_len, max_seq_len=max_seq_len)
-    got = preprocess(records, vocab, cfg)
+    got = preprocess(columns(records), vocab, cfg)
     assert got == oracle_preprocess(records, vocab, cfg)
     assert all(type(t) is int for traj in got for t in traj.timestamps)
 
@@ -844,10 +851,10 @@ def test_preprocess_raises_the_oracles_first_unseen_key(records, profile, min_le
         want = oracle_preprocess(records, vocab, cfg)
     except OracleUnseenKey as e:
         with pytest.raises(OutOfVocabularyError) as err:
-            preprocess(records, vocab, cfg)
+            preprocess(columns(records), vocab, cfg)
         assert (err.value.level, err.value.key) == e.args
     else:
-        assert preprocess(records, vocab, cfg) == want
+        assert preprocess(columns(records), vocab, cfg) == want
 
 
 @st.composite
@@ -876,7 +883,7 @@ def test_preprocess_windows_obey_the_pipeline_laws(records, profile, min_stay, m
     cfg = PipelineConfig(profile=profile, min_stay_seconds=min_stay,
                          min_trajectory_records=min_len, max_seq_len=max_seq_len)
     marked = oracle_marked_users(records, vocab, cfg)
-    for traj in preprocess(records, vocab, cfg):
+    for traj in preprocess(columns(records), vocab, cfg):
         # windows no longer than max_seq_len, each with something to predict
         assert 3 <= len(traj.ids) <= max_seq_len
         # SOS at row 0 only
