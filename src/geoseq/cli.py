@@ -134,8 +134,6 @@ def resolve_config(doc: dict) -> dict:
     for key, choices in _CHOICES.items():
         if out[key] not in choices:
             raise ConfigError(f"'{key}' must be one of {choices}, got {out[key]!r}")
-    if out["seed"] is not None and type(out["seed"]) is not int:
-        raise ConfigError(f"'seed' must be int, got {out['seed']!r}")
     # build each config dataclass once, so every rule it owns runs before any work:
     # a rule's message opens with its field, quoted, and the prefix makes that the key
     def build(prefix, cls, values, **given):
@@ -232,6 +230,10 @@ def _subset(args, config: ModelConfig, *parts: str) -> list[list]:
 def cmd_synth(cfg: dict, args, seed, out: Path) -> list[str]:
     s = cfg["synth"]
     synth_cfg = _from_cfg(SynthConfig, s, seed=seed, grid=_from_cfg(GridSpec, cfg))
+    try:
+        synth_cfg.check_walk_range()
+    except ValueError as e:
+        raise ConfigError(str(e).replace("'", "'synth.", 1)) from None
     records = generate_records(synth_cfg)
     write_csv(records, out / "synth.csv")
     _log(f"synth: wrote {len(records)} records for {s['users']} users")
@@ -432,6 +434,8 @@ def dispatch(argv: list[str]) -> int:
         seed = cfg["seed"] if args.seed is None else args.seed
         if seed is None and command.seeded:
             raise ConfigError("'seed' is required (set it in the config or pass --seed)")
+        if seed is not None and not (type(seed) is int and seed >= 0):
+            raise ConfigError(f"'seed' must be a non-negative int, got {seed!r}")
         digests = {str(path): _file_sha256(path) for path in inputs}
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

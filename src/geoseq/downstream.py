@@ -159,7 +159,7 @@ class NextLocationHeadFFN:
         return masked_mean_pool(outputs, keep)
 
     def level_logits(self, level: int, pooled: Tensor, hot: np.ndarray | None) -> Tensor:
-        return T.concat_matmul(pooled, hot, self.params[f"g{level}.w"], self.params[f"g{level}.b"])
+        return T.matmul(pooled, self.params[f"g{level}.w"], self.params[f"g{level}.b"], extra=hot)
 
 
 class NextLocationHeadLSTM:
@@ -190,7 +190,7 @@ class NextLocationHeadLSTM:
         outputs, keep = features
         p = lambda name: self.params[f"g{level}.{name}"]
         # the input side of every step at once; a one-hot meets `wx` once per row
-        x_gates = T.concat_matmul(outputs, hot, p("wx"), p("b"))
+        x_gates = T.matmul(outputs, p("wx"), p("b"), extra=hot)
         # a one-hot fanned over one sequence gives each of its rows that sequence's last step
         steps = np.repeat(keep.sum(axis=1) - 1, len(x_gates.data) // len(keep))
         last = T.lstm(x_gates, p("wh"), steps)
@@ -314,7 +314,7 @@ def _beam_rank(state: ModelState, head, traj: Trajectory, k: int):
 
     Each level costs one head call for all the beam's kept candidates. In
     chained mode the head reads one one-hot row per kept candidate, its last
-    id, and `concat_matmul` fans the sequence's features out over those rows.
+    id, and `matmul`'s `extra` fans the sequence's features out over those rows.
     Independent heads read the features alone, so their one row of
     probabilities is tiled over the candidates.
     """

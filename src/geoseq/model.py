@@ -350,7 +350,7 @@ def head_forward(
 ) -> Tensor:
     """Two affine layers with a ReLU between them, over `features` plus the one-hot `hot`."""
     w1, b1 = state[f"head.h{level}.w1"], state[f"head.h{level}.b1"]
-    z = T.relu(T.concat_matmul(features, hot, w1, b1))
+    z = T.relu(T.matmul(features, w1, b1, extra=hot))
     return T.matmul(z, state[f"head.h{level}.w2"], state[f"head.h{level}.b2"])
 
 

@@ -164,6 +164,10 @@ class PipelineConfig:
         if self.profile not in ("gps", "signal"):
             raise ValueError(f"'profile' must be one of ('gps', 'signal'), got {self.profile!r}")
         _at_least(self, 1, "resample_interval", "min_trajectory_records")
+        if not self.resample_interval < TIMESTAMP_END:  # buckets are int64 arithmetic
+            raise ValueError(
+                f"'resample_interval' must be below 2^63, got {self.resample_interval}"
+            )
         _at_least(self, 0, "stop_speed_kmh", strict=True)
         _at_least(self, 0, "min_stay_seconds")
         _at_least(self, 2, "max_seq_len")

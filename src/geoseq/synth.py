@@ -8,7 +8,9 @@ burst walks toward the next anchor, labeled with a movement mode, at least
 90 m a minute; even its first step, from a jittered dwell record, is at
 least 90 − 17.7 m (4.3 km/h), above the threshold. Only the user count, the
 region's extent, the seed and the grid vary: its coarsest scale bounds the
-extent from below, and its `ref_lat` unprojects the walks to degrees.
+extent from below, and its `ref_lat` unprojects the walks to degrees;
+`SynthConfig.check_walk_range` bounds the extent from above by `project`'s
+range there.
 `generate_records` returns the records as `RecordColumns`, in user and time
 order, the columns `preprocess` takes; `records_to_csv` formats the columns.
 Output is byte-stable for a fixed config.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, unproject
+from .grid import PROJECTED_END_M, GridSpec, unproject
 from .pipeline import CSV_COLUMNS, RecordColumns, _at_least
 
 # per-minute step ranges (meters) per movement mode; all > 4 km/h at 60 s spacing
@@ -39,6 +41,13 @@ BURST_LEN = (15, 25)  # movement records per burst
 DWELL_MINUTES = (6, 12)
 JITTER_M = 25.0  # dwell wobble; keeps dwell speeds < 4 km/h
 HEADING_NOISE = 0.15  # lateral fraction of the step length
+# How far a walk can pass its anchor box, per axis. A step aimed at an anchor
+# inside the box moves the walk further out only by overshooting the anchor,
+# which leaves it less than one step out, or by its lateral wobble. So the walk
+# stays within one step plus one wobble per burst step of the box, and a dwell
+# record adds its jitter.
+MAX_STEP_M = max(hi for _, _, hi in MODES)
+WALK_MARGIN_M = MAX_STEP_M * (1 + HEADING_NOISE * BURSTS_PER_USER * BURST_LEN[1]) + JITTER_M / 2
 
 
 @dataclass
@@ -55,6 +64,25 @@ class SynthConfig:
                 f"{self.grid.scales[0]} m, got {self.extent_m}"
             )
         _at_least(self, 1, "users")
+
+    def check_walk_range(self):
+        """Raise naming 'extent_m' if a walk could leave `project`'s range at the
+        grid's `ref_lat`, where `vocab` and `preprocess` would reject its CSV.
+
+        Not a rule of the constructor: every command builds the config, and an
+        extent must exceed one coarse cell, so a grid whose coarsest scale is
+        wider than the projection would leave no command able to run.
+        """
+        # anchors lie in [0.05, 0.95] * extent_m on both axes, so no coordinate
+        # is further from 0 than `reach`
+        reach = 0.95 * self.extent_m + WALK_MARGIN_M
+        end = min(PROJECTED_END_M[1],
+                  PROJECTED_END_M[0] * math.cos(math.radians(self.grid.ref_lat)))
+        if not reach < end:
+            raise ValueError(
+                f"'extent_m' lets the walk reach {reach} m, past `project`'s range of "
+                f"{end} m at 'ref_lat' {self.grid.ref_lat}, got {self.extent_m}"
+            )
 
 
 def generate_records(cfg: SynthConfig) -> RecordColumns:

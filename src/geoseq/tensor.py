@@ -1,15 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy arrays.
 
-The sequence models use matmul (with an optional bias added in place), the
-matmul of a concatenated input without the concatenation (`concat_matmul`,
-which multiplies only the columns of its constant part that are nonzero
-somewhere, and fans an input of one row out over the constant part's rows,
-so a beam's kept candidates share one call), add/mul, embedding lookup
-(also the row gather), its inverse `scatter_rows`, relu, an LSTM recurrence
-as one node (`lstm`: each step writes into buffers made once, and a recurrent
-product just above OpenBLAS's small-matrix bound runs as two column halves
-below it at W = 256, where they keep one GEMM's bits), layer norm, softmax,
-sum, reshape/swapaxes, basic indexing, cross-entropy, and attention as one node
+The sequence models use matmul (with an optional bias added in place, and an
+optional constant `extra` that multiplies as if concatenated onto the input:
+only its columns that are nonzero somewhere are multiplied, and an input of
+one row fans out over its rows, so a beam's kept candidates share one call),
+add/mul, embedding lookup (also the row gather), its inverse `scatter_rows`,
+relu, an LSTM recurrence as one node (`lstm`: each step writes into buffers
+made once, and a recurrent product just above OpenBLAS's small-matrix bound
+runs as two column halves below it at W = 256, where they keep one GEMM's
+bits), layer norm, softmax, sum, reshape/swapaxes, basic indexing,
+cross-entropy, and attention as one node
 (`scaled_dot_product_attention`). Nine more ops
 (`sub`, `neg`, `log`, `mean`, `masked_fill`, `dropout`, `concat`, `sigmoid`,
 `tanh`) have no caller in the package; they stay because the benchmark's
@@ -26,8 +26,8 @@ is freed as soon as the caller drops its tensor.
 Training runs in float32; pass float64 arrays for verification-grade gradient
 checks. A module-level multiply-accumulate counter tracks matmul work for
 FLOP instrumentation (see `count_macs`). It counts the product each op is
-asked for, the convention of `bench.estimate_flops`: a `concat_matmul` whose
-zero columns are skipped still counts its full width.
+asked for, the convention of `bench.estimate_flops`: a matmul whose zero
+`extra` columns are skipped still counts their full width.
 """
 
 from __future__ import annotations
@@ -268,52 +268,106 @@ def mul(a, b) -> Tensor:
     )
 
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a, b, bias=None, *, extra=None) -> Tensor:
     """`a @ b (+ bias)`; an activation of any rank times a 2-D weight is one 2-D GEMM.
 
     Folding the leading axes of `a` into rows runs `(rows, k) @ (k, n)` in
     both directions, so the weight gradient is one `a2.T @ g2` instead of a
-    per-batch `[..., k, n]` stack summed afterwards. A `bias` (2-D `b` only)
-    is added into the GEMM's output in place and is a third parent, with the
-    gradient an `add` node would give it. Operands that are both batched take
-    the broadcasting path; the model has none, since `attention` is one node
-    with its own products.
+    per-batch `[..., k, n]` stack summed afterwards. A `bias` is added into
+    the output in place, last, and is a third parent, with the gradient an
+    `add` node would give it.
+
+    `extra` makes the op `concat([a, extra]) @ b (+ bias)` without building
+    the concatenation. It is a constant array, such as the one-hot a chained
+    head reads, with `a`'s leading shape (one row per position) or that shape
+    without its last axis (one row per sequence, the same at every step). `a`
+    meets the first k rows of `b` in one GEMM and `extra` the rest in another,
+    so a per-sequence `extra` is multiplied once, not at every step.
+
+    An `a` with one leading row fans out over the n rows of `extra`, as if
+    `a` were repeated n times: `a @ b[:k]` runs once at `a`'s own shape, and
+    `extra`'s rows and the bias are added after it, broadcast over the rows,
+    so each output row has the bits of a call with that row of `extra` alone.
+    Backward sums the fanned rows' gradient back onto `a`. A beam ranks all
+    of a level's kept candidates this way, one `extra` row each.
+
+    Only the columns of `extra` that are nonzero somewhere are multiplied:
+    `extra[..., cols] @ b[k + cols]`, which for a one-hot gives the same bits
+    as the whole product. The weight gradient fills `b`'s rows `k + cols` and
+    leaves its other `extra` rows zero. The MAC counter still counts the
+    product the op is asked for, `extra`'s full width, as `estimate_flops` does;
+    a fanned `a` counts once, as it runs.
+
+    Operands that are both batched take the broadcasting path, which takes
+    neither `bias` nor `extra`; the model has none, since `attention` is one
+    node with its own products.
     Backward computes only the gradients of operands that require one, and
     keeps each operand only for the other's gradient.
     """
     global _MACS
     a, b = as_tensor(a), as_tensor(b)
-    sa, ra, rb = a.data.shape, a.requires_grad, b.requires_grad
+    sa, sb, ra, rb = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {sa} @ {b.data.shape}")
-    if sa[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {sa} @ {b.data.shape}")
+        raise ShapeError(f"matmul needs >=2-D operands, got {sa} @ {sb}")
+    extra = None if extra is None else np.asarray(extra)
+    width = sa[-1] + (0 if extra is None else extra.shape[-1])
+    if width != sb[-2]:
+        with_extra = "" if extra is None else f" with extra {extra.shape}"
+        raise ShapeError(f"matmul inner dims differ: {sa}{with_extra} @ {sb}")
     if b.data.ndim == 2:
         bd = b.data
-        k, n = bd.shape
-        rows = math.prod(sa[:-1])
-        a2 = a.data.reshape(rows, k)
-        _MACS += rows * k * n
-        out = (a2 @ bd).reshape(*sa[:-1], n)
-        parents = (a, b)
-        rbias = None
+        lead, k, n = sa[:-1], sa[-1], sb[1]
+        per_sequence = fanned = False
+        if extra is not None:
+            per_sequence = extra.ndim == a.data.ndim - 1
+            fit = lead[:-1] if per_sequence else lead
+            fanned = fit[:1] == (1,) and extra.shape[:1] != (1,)
+            if fanned:
+                fit = extra.shape[:1] + fit[1:]
+            if extra.shape[:-1] != fit:
+                raise ShapeError(f"matmul extra {extra.shape} does not fit a {sa}")
+        parents, rbias = (a, b), None
         if bias is not None:
             bias = as_tensor(bias)
             if bias.data.shape != (n,):
                 raise ShapeError(f"matmul bias must be [{n}], got {bias.data.shape}")
-            out += bias.data
             parents, rbias = (a, b, bias), bias.requires_grad
+        top = bd[:k]
+        rows = math.prod(lead)
+        a2 = a.data.reshape(rows, k)
+        _MACS += (rows * k + (0 if extra is None else extra.size)) * n
+        out = (a2 @ top).reshape(*lead, n)
+        e2 = cols = None
+        if extra is not None:
+            e2 = extra.reshape(-1, extra.shape[-1])
+            cols = np.flatnonzero(e2.any(axis=0))
+            e2 = e2[:, cols]
+            e_out = (e2 @ bd[k + cols]).reshape(*extra.shape[:-1], n)
+            e_out = e_out[..., None, :] if per_sequence else e_out
+            if fanned:
+                out = out + e_out
+            else:
+                out += e_out
+        if bias is not None:
+            out += bias.data
         if not rb:
-            a2 = None
+            a2 = e2 = None
 
         def backward(g):
             # in C order, as a gradient comes from every caller but one: at
             # batch 1 the decoder's dense path hands the K projection a
             # transposed view, whose bias sum would round another way
             g = np.ascontiguousarray(g)
-            g2 = g.reshape(rows, n)
-            ga = (g2 @ bd.T).reshape(sa) if ra else None
-            gb = a2.T @ g2 if rb else None
+            g2 = (g.sum(axis=0) if fanned else g).reshape(rows, n)
+            ga = (g2 @ top.T).reshape(sa) if ra else None
+            gb = None
+            if rb and e2 is None:
+                gb = a2.T @ g2
+            elif rb:
+                gb = np.zeros(sb, dtype=bd.dtype)
+                np.matmul(a2.T, g2, out=gb[:k])
+                ge = g.sum(axis=-2) if per_sequence else g
+                gb[k + cols] = e2.T @ ge.reshape(len(e2), n)
             if rbias is None:
                 return ga, gb
             return ga, gb, _unbroadcast(g, (n,)) if rbias else None
@@ -321,11 +375,12 @@ def matmul(a, b, bias=None) -> Tensor:
         return _make(out, parents, backward)
 
     if bias is not None:
-        raise ShapeError(f"matmul bias needs a 2-D weight, got {b.data.shape}")
+        raise ShapeError(f"matmul bias needs a 2-D weight, got {sb}")
+    if extra is not None:
+        raise ShapeError(f"matmul extra needs a 2-D weight, got {sb}")
     out = np.matmul(a.data, b.data)
-    m, k, n = sa[-2], sa[-1], b.data.shape[-1]
+    m, k, n = sa[-2], sa[-1], sb[-1]
     _MACS += int(np.prod(out.shape[:-2], dtype=np.int64)) * m * k * n
-    sb = b.data.shape
     ad = a.data if rb else None
     bd = b.data if ra else None
 
@@ -338,93 +393,6 @@ def matmul(a, b, bias=None) -> Tensor:
         return ga, gb
 
     return _make(out, (a, b), backward)
-
-
-def concat_matmul(a, extra, w, bias=None) -> Tensor:
-    """`concat([a, extra]) @ w (+ bias)` without building the concatenation.
-
-    `extra` is a constant array, such as the one-hot a chained head reads. It
-    has `a`'s leading shape (one row per position), or that shape without its
-    last axis (one row per sequence, the same at every step). `a` meets the
-    first rows of `w` in one GEMM and `extra` the rest in another, so a
-    per-sequence `extra` is multiplied once, not at every step. The bias is
-    added last, as it was to the concatenated GEMM's output. `extra` None is
-    `matmul(a, w, bias)`.
-
-    An `a` with one leading row fans out over the n rows of `extra`, as if
-    `a` were repeated n times: `a @ w[:k]` runs once at `a`'s own shape, and
-    `extra`'s rows and the bias are added after it, broadcast over the rows,
-    so each output row has the bits of a call with that row of `extra` alone.
-    Backward sums the fanned rows' gradient back onto `a`. A beam ranks all
-    of a level's kept candidates this way, one `extra` row each.
-
-    Only the columns of `extra` that are nonzero somewhere are multiplied:
-    `extra[..., cols] @ w[k + cols]`, which for a one-hot gives the same bits
-    as the whole product. The weight gradient fills `w`'s rows `k + cols` and
-    leaves its other `extra` rows zero. The MAC counter still counts the
-    product the op is asked for, `extra`'s full width, as `estimate_flops` does;
-    a fanned `a` counts once, as it runs.
-    """
-    if extra is None:
-        return matmul(a, w, bias)
-    global _MACS
-    a, w = as_tensor(a), as_tensor(w)
-    extra = np.asarray(extra)
-    lead, k = a.data.shape[:-1], a.data.shape[-1]
-    per_sequence = extra.ndim == a.data.ndim - 1
-    fit = lead[:-1] if per_sequence else lead
-    fanned = fit[:1] == (1,) and extra.shape[:1] != (1,)
-    if fanned:
-        fit = extra.shape[:1] + fit[1:]
-    if extra.shape[:-1] != fit:
-        raise ShapeError(f"concat_matmul extra {extra.shape} does not fit a {a.data.shape}")
-    if w.data.ndim != 2 or w.data.shape[0] != k + extra.shape[-1]:
-        raise ShapeError(
-            f"concat_matmul weight must be [{k + extra.shape[-1]}, n], got {w.data.shape}"
-        )
-    n = w.data.shape[1]
-    sa, sw, dtype = a.data.shape, w.data.shape, w.data.dtype
-    ra, rw = a.requires_grad, w.requires_grad
-    top = w.data[:k]
-    rows = math.prod(lead)
-    a2 = a.data.reshape(rows, k)
-    e2 = extra.reshape(-1, extra.shape[-1])
-    _MACS += (rows * k + e2.size) * n
-    cols = np.flatnonzero(e2.any(axis=0))
-    e2 = e2[:, cols]
-    bottom = w.data[k + cols]
-    out = (a2 @ top).reshape(*lead, n)
-    e_out = (e2 @ bottom).reshape(*extra.shape[:-1], n)
-    e_out = e_out[..., None, :] if per_sequence else e_out
-    if fanned:
-        out = out + e_out
-    else:
-        out += e_out
-    parents = (a, w)
-    rbias = None
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (n,):
-            raise ShapeError(f"concat_matmul bias must be [{n}], got {bias.data.shape}")
-        out += bias.data
-        parents, rbias = (a, w, bias), bias.requires_grad
-    if not rw:
-        a2 = e2 = None
-
-    def backward(g):
-        g2 = (g.sum(axis=0) if fanned else g).reshape(rows, n)
-        ga = (g2 @ top.T).reshape(sa) if ra else None
-        gw = None
-        if rw:
-            gw = np.zeros(sw, dtype=dtype)
-            np.matmul(a2.T, g2, out=gw[:k])
-            ge = g.sum(axis=-2) if per_sequence else g
-            gw[k + cols] = e2.T @ ge.reshape(len(e2), n)
-        if rbias is None:
-            return ga, gw
-        return ga, gw, _unbroadcast(g, (n,)) if rbias else None
-
-    return _make(out, parents, backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from geoseq import tensor as T
 from geoseq.bench import (
@@ -19,7 +19,7 @@ from geoseq.bench import (
 from geoseq.grid import EARTH_RADIUS_M, GridSpec, project
 from geoseq.model import Batch, ModelConfig, ModelState, TrainConfig, forward_loss, make_batch
 from geoseq.optim import Adam
-from geoseq.pipeline import PipelineConfig, RawRecord, compute_velocity, preprocess
+from geoseq.pipeline import PipelineConfig, RawRecord, compute_velocity, preprocess, read_csv
 from geoseq.synth import (
     ANCHORS_PER_USER,
     BASE_EPOCH,
@@ -32,6 +32,7 @@ from geoseq.synth import (
     SynthConfig,
     generate_records,
     records_to_csv,
+    write_csv,
 )
 from geoseq.vocab import build_vocab
 
@@ -243,6 +244,27 @@ def test_synth_segment_draws_equal_per_record_draws(cfg):
 def test_synth_degenerate_extent_rejected():
     with pytest.raises(ValueError):
         SynthConfig(extent_m=50_000.0)  # cannot span two 100 km cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(extent_m=st.floats(100_001.0, 12_000_000.0), ref_lat=st.floats(-89.9, 89.9),
+       users=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(extent_m=10_500_000.0, ref_lat=0.0, users=3, seed=0)  # just inside at the equator
+@example(extent_m=12_000_000.0, ref_lat=0.0, users=1, seed=0)  # reached latitude 97.7
+def test_every_accepted_synth_config_writes_a_csv_read_csv_reads(
+    tmp_path_factory, extent_m, ref_lat, users, seed
+):
+    # an extent whose walk could leave `project`'s range at the grid's `ref_lat`
+    # is refused, so synth never writes a CSV its own pipeline rejects
+    try:
+        cfg = SynthConfig(users=users, extent_m=extent_m, seed=seed,
+                          grid=GridSpec(ref_lat=ref_lat))
+        cfg.check_walk_range()
+    except ValueError:
+        reject()
+    path = tmp_path_factory.mktemp("synth") / "synth.csv"
+    write_csv(generate_records(cfg), path)
+    assert records_to_csv(read_csv(path)) == path.read_text(encoding="utf-8")
 
 
 def test_synth_pipeline_yields_trajectories_per_user():

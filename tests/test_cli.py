@@ -301,6 +301,42 @@ def test_missing_seed_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+@pytest.mark.parametrize("config_seed, flag_seed", [(-2, None), (11, "-1"), (None, "-3")],
+                         ids=["config", "flag", "flag_only"])
+def test_negative_seed_exits_2_naming_seed(workspace, tmp_path, capsys, command,
+                                           config_seed, flag_seed):
+    # the effective seed is checked, whether the config or --seed gave it
+    root, _ = workspace
+    body = {k: v for k, v in TINY.items() if k != "seed"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body if config_seed is None else {**body, "seed": config_seed}),
+                   encoding="utf-8")
+    inputs = {"synth": [], "preprocess": ["--input", str(root / "d" / "synth.csv"),
+                                          "--vocab", str(root / "v" / "vocab.json")]}
+    flag = [] if flag_seed is None else ["--seed", flag_seed]
+    code = dispatch([command, "--config", str(cfg), *flag, *inputs[command],
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "'seed'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"synth": {"extent_m": 12_000_000.0}},  # latitudes reached 97.7
+    {"ref_lat": 89.0, "synth": {"extent_m": 400_000.0}},  # longitudes past 180
+], ids=["extent_12000km", "extent_400km_at_lat89"])
+def test_synth_extent_past_the_projection_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert dispatch(["synth", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: 'synth.extent_m'")
+    assert not (tmp_path / "o" / "synth.csv").exists()
+
+
 def test_check_order_config_then_inputs_then_seed(tmp_path, capsys):
     missing = ["--data", str(tmp_path / "nope.ndjson"), "--splits", str(tmp_path / "nope.json"),
                "--vocab", str(tmp_path / "nope_vocab.json"), "--out", str(tmp_path / "o")]
@@ -527,6 +563,7 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
     ({"eps": float("inf")}, "'eps'"),
     ({"weight_decay": float("inf")}, "'weight_decay'"),
     ({"stop_speed_kmh": float("inf")}, "'stop_speed_kmh'"),
+    ({"resample_interval": 2**63}, "'resample_interval'"),
 ], ids=["extent_m", "users_0", "burst_len_one", "dwell_minutes_reversed",
         "burst_len_negative", "dwell_minutes_negative", "jitter_negative",
         "heading_noise_negative", "bursts_negative", "max_seq_len_1",
@@ -536,7 +573,7 @@ def test_bad_numbers_exit_2(workspace, tmp_path, capsys, bad, key):
         "min_trajectory_records_negative", "split_pretrain_1", "split_train_0",
         "ref_lat_nan", "ref_lat_95", "extent_m_nan", "extent_m_inf", "origin_nan",
         "scales_nan", "min_stay_seconds_negative", "anchors_per_user_1", "lr_inf", "eps_inf",
-        "weight_decay_inf", "stop_speed_inf"])
+        "weight_decay_inf", "stop_speed_inf", "resample_interval_2_63"])
 @pytest.mark.parametrize("command", ["synth", "preprocess"])
 def test_dataclass_rules_exit_2_naming_the_key(tmp_path, capsys, bad, key, command):
     # every subcommand checks the whole config before it looks at its inputs

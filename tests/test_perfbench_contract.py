@@ -1,13 +1,18 @@
 """perfbench/tracer.py wraps geoseq functions by name and must unwrap them all."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from geoseq import cli, downstream, model
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # module attributes the benchmark wraps or checks by name
 RANKING = [
@@ -49,9 +54,11 @@ def test_tracer_installs_and_unwraps_the_ranking_functions():
 
 
 def test_tracer_times_matmul_forward_and_backward():
-    # every matmul node of one forward/backward is timed in both directions,
-    # and so is attention, one node with its own backward since its score
-    # and context products left `matmul`
+    # every matmul node of one forward/backward is timed in both directions:
+    # one input projection, six products per decoder layer and two per head
+    # level, the chained levels' first (with its one-hot) included; so is
+    # attention, one node with its own backward since its score and context
+    # products left `matmul`
     config = model.ModelConfig([6, 7], hidden=16, layers=1, heads=2, attn_dropout=0.0)
     state = model.ModelState.init(config, seed=0)
     batch = model.Batch(
@@ -69,7 +76,7 @@ def test_tracer_times_matmul_forward_and_backward():
         tracer.uninstall()
     fwd = tracer.stat("run", "tensor.matmul.fwd")
     bwd = tracer.stat("run", "tensor.matmul.bwd")
-    assert fwd.calls > 0 and bwd.calls == fwd.calls
+    assert fwd.calls == bwd.calls == 1 + 6 * config.layers + 2 * config.levels
     assert bwd.total > 0
     attn_fwd = tracer.stat("run", "tensor.scaled_dot_product_attention.fwd")
     attn_bwd = tracer.stat("run", "tensor.scaled_dot_product_attention.bwd")
@@ -112,3 +119,20 @@ def test_beam_asks_level_probs_once_per_level():
     candidates = sum(len(probs) for probs in returned)
     assert candidates == sizes[0] + sum(min(k, int(np.prod(sizes[:h]))) * sizes[h]
                                         for h in range(1, len(sizes)))
+
+
+@pytest.mark.parametrize("workload", ["pretrain", "eval"])
+def test_traced_benchmark_run_is_correct_and_reports_every_layer_metric(workload):
+    # one short traced run of each workload, as the benchmark runs it: a run
+    # that fails, an incorrect output or a tracer that cannot pin its names
+    # shows here before the benchmark sees it
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert {m["name"] for m in declared} <= set(result["metrics"])

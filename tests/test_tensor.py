@@ -722,7 +722,7 @@ def test_concat_matmul_equals_matmul_of_the_concatenation(
         at, wt, bt = (Tensor(x.copy(), requires_grad=True) for x in (a, w, bias))
         bt = bt if with_bias else None
         if fused:
-            out = T.concat_matmul(at, hot, wt, bt)
+            out = T.matmul(at, wt, bt, extra=hot)
         else:
             out = T.matmul(T.concat([at, Tensor(wide)]), wt, bt)
         T.tsum(T.mul(out, c)).backward()
@@ -734,13 +734,13 @@ def test_concat_matmul_equals_matmul_of_the_concatenation(
 def test_concat_matmul_counts_both_gemms_and_checks_shapes():
     a, w = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4 + 5, 6)))
     with T.count_macs() as box:
-        T.concat_matmul(a, np.zeros((2, 5)), w)  # per sequence
-        T.concat_matmul(a, np.zeros((2, 3, 5)), w)  # per position
+        T.matmul(a, w, extra=np.zeros((2, 5)))  # per sequence
+        T.matmul(a, w, extra=np.zeros((2, 3, 5)))  # per position
     assert box.macs == (2 * 3 * 4 + 2 * 5) * 6 + (2 * 3 * 4 + 2 * 3 * 5) * 6
     for extra, weight in ((np.zeros((3, 5)), w), (np.zeros((2, 3, 6)), w),
                           (np.zeros((2, 5)), Tensor(np.zeros((4, 6))))):
         with pytest.raises(ShapeError):
-            T.concat_matmul(a, extra, weight)
+            T.matmul(a, weight, extra=extra)
 
 
 def test_concat_matmul_gradcheck_with_all_zero_columns():
@@ -753,7 +753,7 @@ def test_concat_matmul_gradcheck_with_all_zero_columns():
     extra[..., [1, 3]] = 0.0
     c = rng.normal(size=(2, 3, 3))
     for e in (extra, extra[:, 0], np.zeros_like(extra)):
-        fn = lambda: T.tsum(T.mul(T.concat_matmul(a, e, w, bias), c))
+        fn = lambda: T.tsum(T.mul(T.matmul(a, w, bias, extra=e), c))
         assert_grads_match(fn, {"a": a, "w": w, "bias": bias})
         for p in (a, w, bias):
             p.grad = None
@@ -776,7 +776,7 @@ def test_concat_matmul_fans_one_row_of_a_over_the_rows_of_extra(per_sequence):
     extra = rng.normal(size=(fan, v))
     extra[:, 1] = 0.0
     c = rng.normal(size=(fan,) + lead[1:] + (n,))
-    fn = lambda: T.tsum(T.mul(T.concat_matmul(a, extra, w, bias), c))
+    fn = lambda: T.tsum(T.mul(T.matmul(a, w, bias, extra=extra), c))
     assert_grads_match(fn, {"a": a, "w": w, "bias": bias})
     for p in (a, w, bias):
         p.grad = None
@@ -786,7 +786,7 @@ def test_concat_matmul_fans_one_row_of_a_over_the_rows_of_extra(per_sequence):
     loss.backward()
     repeated = Tensor(np.repeat(a.data, fan, axis=0), requires_grad=True)
     wr, br = (Tensor(p.data.copy(), requires_grad=True) for p in (w, bias))
-    out = T.concat_matmul(repeated, extra, wr, br)
+    out = T.matmul(repeated, wr, br, extra=extra)
     T.tsum(T.mul(out, c)).backward()
     np.testing.assert_allclose(fn().data, T.tsum(T.mul(out, c)).data, rtol=1e-12)
     np.testing.assert_allclose(a.grad, repeated.grad.sum(axis=0, keepdims=True), rtol=1e-12)
@@ -802,10 +802,10 @@ def test_a_fanned_one_hot_row_has_the_bits_of_its_own_call():
     w = (0.02 * rng.normal(size=(k + v, n))).astype(np.float32)
     bias = rng.normal(size=n).astype(np.float32)
     hot = np.eye(v, dtype=np.float32)[[7, 299, 7, 0, 150]]
-    out = T.concat_matmul(Tensor(a), hot, Tensor(w), Tensor(bias)).data
+    out = T.matmul(Tensor(a), Tensor(w), Tensor(bias), extra=hot).data
     assert out.shape == (5, n)
     for i in range(len(hot)):
-        one = T.concat_matmul(Tensor(a), hot[i : i + 1], Tensor(w), Tensor(bias)).data
+        one = T.matmul(Tensor(a), Tensor(w), Tensor(bias), extra=hot[i : i + 1]).data
         assert np.array_equal(out[i : i + 1], one)
 
 
@@ -819,7 +819,7 @@ def test_one_hot_concat_matmul_forward_is_bitwise_the_full_width_product(rows, k
     w = (0.02 * rng.normal(size=(k + v, n))).astype(np.float32)
     bias = rng.normal(size=n).astype(np.float32)
     hot = np.eye(v, dtype=np.float32)[rng.integers(0, v, size=rows)]
-    out = T.concat_matmul(Tensor(a), hot, Tensor(w), Tensor(bias)).data
+    out = T.matmul(Tensor(a), Tensor(w), Tensor(bias), extra=hot).data
     assert np.array_equal(out, a @ w[:k] + hot @ w[k:] + bias)
     np.testing.assert_allclose(out, np.concatenate([a, hot], -1) @ w + bias, rtol=1e-5, atol=1e-6)
 
